@@ -1,10 +1,12 @@
 """Monte Carlo estimation of fading-outage probabilities and diversity slopes.
 
-Randomness contract: the fades of trial t at grid point g are a pure function
-of (seed, g, t).  Trials are generated in fixed-size blocks whose bit streams
-come from a counter-based generator keyed by (seed, grid index, block index),
-so estimates are bit-identical no matter how many worker threads partition
-the blocks.
+Randomness contract: the fades of trial t are a pure function of (seed, t),
+shared by every SNR grid point.  Trials are generated in fixed-size blocks
+whose bit streams come from a counter-based Philox generator keyed by
+(seed, block index); each block is drawn once and every grid point counts
+its events from that one draw.  Estimates are therefore bit-identical no
+matter how many worker threads partition the blocks, and the count at one
+grid point does not depend on which other points are in the grid.
 
 Two outage events are supported over l i.i.d. exponential squared fades
 |F_i|^2 with mean ``fade_variance``:
@@ -22,6 +24,8 @@ them, and the power-law formulas cover that regime analytically.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +37,8 @@ from scipy import special, stats
 from .errors import DegenerateInputError, InsufficientTrialsError
 
 _BLOCK = 1 << 16
+_MAX_BLOCK_VALUES = 1 << 20
+_CHUNK_VALUES = 1 << 16
 _MASK64 = (1 << 64) - 1
 _MIN_ANALYTIC_P = 1e-8
 
@@ -59,12 +65,14 @@ class TrialConfig:
         grid = tuple(float(s) for s in self.snr_grid)
         if len(grid) < 3:
             raise ValueError(f"snr_grid needs at least 3 points, got {len(grid)}")
-        if any(s <= 1.0 for s in grid):
-            raise ValueError("every snr grid value must exceed 1")
+        if not all(math.isfinite(s) and s > 1.0 for s in grid):
+            raise ValueError("every snr grid value must be finite and exceed 1")
         if self.trials < 1000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
-        if not self.fade_variance > 0:
-            raise ValueError(f"fade_variance must be positive, got {self.fade_variance}")
+        if not (math.isfinite(self.fade_variance) and self.fade_variance > 0):
+            raise ValueError(
+                f"fade_variance must be finite and positive, got {self.fade_variance}"
+            )
         object.__setattr__(self, "snr_grid", grid)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -167,33 +175,53 @@ def fit_diversity_slope(snr_grid, p_hats) -> SlopeFit:
     return SlopeFit(slope, stderr)
 
 
-def _block_fades(
-    seed: int, grid_index: int, block_index: int, count: int, l: int, variance: float
-) -> np.ndarray:
-    ss = np.random.SeedSequence(
-        entropy=seed & _MASK64, spawn_key=(grid_index, block_index)
-    )
+def _block_fades(seed: int, block_index: int, variance: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (trials x l) with the fades of one block and return it."""
+    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(block_index,))
     rng = np.random.Generator(np.random.Philox(ss))
-    return -variance * np.log1p(-rng.random((count, l)))
+    rng.standard_exponential(out=out)
+    out *= variance
+    return out
 
 
 def _count_events(
-    cfg: TrialConfig, grid_index: int, event: Callable[[np.ndarray], np.ndarray], threads: int
-) -> int:
-    n_blocks = -(-cfg.trials // _BLOCK)
+    cfg: TrialConfig, events: Callable[[np.ndarray], np.ndarray], threads: int
+) -> list[int]:
+    """Per grid point, the number of trials in which the event occurs.
 
-    def work(block_index: int) -> int:
-        start = block_index * _BLOCK
-        count = min(_BLOCK, cfg.trials - start)
-        fades = _block_fades(
-            cfg.seed, grid_index, block_index, count, cfg.l, cfg.fade_variance
-        )
-        return int(np.count_nonzero(event(fades)))
+    ``events`` maps rows of fades to a vector of event counts, one per grid
+    point.  Blocks are drawn once each and their count vectors are summed in
+    block order.  At most ``os.cpu_count()`` workers run."""
+    # l is unbounded, so wide trials shrink the block to keep one block of
+    # fades within _MAX_BLOCK_VALUES doubles (8 MiB)
+    rows = max(1, min(_BLOCK, _MAX_BLOCK_VALUES // cfg.l))
+    n_blocks = -(-cfg.trials // rows)
+    # events run on row chunks of about 512 KiB, which stay in cache across
+    # the grid, and each worker draws every block into one reused buffer
+    chunk = max(1, _CHUNK_VALUES // cfg.l)
+    local = threading.local()
 
-    if threads <= 1:
-        return sum(work(b) for b in range(n_blocks))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(work, range(n_blocks)))
+    def work(block_index: int) -> np.ndarray:
+        start = block_index * rows
+        count = min(rows, cfg.trials - start)
+        if not hasattr(local, "fades"):
+            local.fades = np.empty((rows, cfg.l))
+        fades = _block_fades(cfg.seed, block_index, cfg.fade_variance, local.fades[:count])
+        counts = np.zeros(len(cfg.snr_grid), dtype=np.int64)
+        for lo in range(0, count, chunk):
+            counts += events(fades[lo : lo + chunk])
+        return counts
+
+    workers = min(threads, os.cpu_count() or 1, n_blocks)
+    total = np.zeros(len(cfg.snr_grid), dtype=np.int64)
+    if workers <= 1:
+        for block_index in range(n_blocks):
+            total += work(block_index)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for counts in pool.map(work, range(n_blocks)):
+                total += counts
+    return [int(c) for c in total]
 
 
 def _refuse_rare(analytic: float, snr: float, what: str) -> None:
@@ -230,19 +258,30 @@ def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
     return build(-fit.slope, fit.stderr)
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     """Estimate Pr[(1/l) * sum |F_i|^2 < 1/snr] over the SNR grid and fit the
-    diversity slope of the estimates."""
+    diversity slope of the estimates.  At most ``os.cpu_count()`` worker
+    threads are used, whatever ``threads`` asks for."""
+    _check_threads(threads)
     for snr in cfg.snr_grid:
         analytic = float(special.gammainc(cfg.l, cfg.l / (snr * cfg.fade_variance)))
         _refuse_rare(analytic, snr, "mean-fade outage")
-    successes = []
-    for g, snr in enumerate(cfg.snr_grid):
-        threshold = 1.0 / snr
-        successes.append(
-            _count_events(cfg, g, lambda f: f.mean(axis=1) < threshold, threads)
-        )
-    return _assemble(cfg, successes)
+    thresholds = np.array([1.0 / snr for snr in cfg.snr_grid])
+    top = thresholds.max()
+
+    def events(fades: np.ndarray) -> np.ndarray:
+        # Only means below the largest threshold can count anywhere; sorting
+        # just those lets one searchsorted serve every threshold.
+        means = fades.mean(axis=1)
+        below = np.sort(means[means < top])
+        return np.searchsorted(below, thresholds, side="left")
+
+    return _assemble(cfg, _count_events(cfg, events, threads))
 
 
 def default_secret_rate(multiplex_ratio: float, snr: float) -> float:
@@ -257,7 +296,9 @@ def estimate_rate_outage(
 ) -> EmpiricalOutage:
     """Estimate Pr[sum_i log2(1 + |F_i|^2 * snr) < l * rate] over the SNR grid,
     where rate = secret_rate_fn(multiplex_ratio, snr), and fit the diversity
-    slope of the estimates."""
+    slope of the estimates.  Threads are capped as in
+    :func:`estimate_mean_fade_outage`."""
+    _check_threads(threads)
     rates = [float(secret_rate_fn(cfg.multiplex_ratio, snr)) for snr in cfg.snr_grid]
     if any(r < 0 for r in rates):
         raise ValueError("secret_rate_fn must return non-negative rates")
@@ -267,12 +308,17 @@ def estimate_rate_outage(
             special.gammainc(cfg.l, cfg.l * threshold / cfg.fade_variance)
         )
         _refuse_rare(analytic, snr, "rate outage")
-    successes = []
-    for g, (snr, rate) in enumerate(zip(cfg.snr_grid, rates)):
-        target = cfg.l * rate
+    targets = [cfg.l * rate for rate in rates]
 
-        def event(f: np.ndarray, snr=snr, target=target) -> np.ndarray:
-            return np.log2(1.0 + f * snr).sum(axis=1) < target
+    def events(fades: np.ndarray) -> list[int]:
+        # log2(1 + f * snr) per snr, in one scratch chunk reused across the grid
+        work = np.empty_like(fades)
+        counts = []
+        for snr, target in zip(cfg.snr_grid, targets):
+            np.multiply(fades, snr, out=work)
+            work += 1.0
+            np.log2(work, out=work)
+            counts.append(np.count_nonzero(work.sum(axis=1) < target))
+        return counts
 
-        successes.append(_count_events(cfg, g, event, threads))
-    return _assemble(cfg, successes)
+    return _assemble(cfg, _count_events(cfg, events, threads))

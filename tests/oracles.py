@@ -84,3 +84,20 @@ def wilson_direct(successes, trials, z):
     centre = p + z * z / (2.0 * trials)
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
     return (centre - half) / denom, (centre + half) / denom
+
+
+def rate_outage_l2_quad(snr, multiplex):
+    """Rate outage of two unit-mean exponential fades x, y at multiplex ratio
+    r: P[log2(1 + x*snr) + log2(1 + y*snr) < 2*r*log2(snr)], i.e.
+    P[(1 + x*snr)(1 + y*snr) < T] with T = snr^(2r), by integrating the
+    exponential tail of y over x in [0, (T - 1)/snr)."""
+    target = snr ** (2.0 * multiplex)
+    if target <= 1.0:
+        return 0.0
+
+    def integrand(x):
+        y_max = (target / (1.0 + x * snr) - 1.0) / snr
+        return math.exp(-x) * -math.expm1(-y_max)
+
+    value, _ = quad(integrand, 0.0, (target - 1.0) / snr, epsabs=0.0, epsrel=1e-12)
+    return value

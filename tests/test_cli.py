@@ -288,6 +288,21 @@ class TestMonteCarloCommand:
         assert code == 2
         assert "mode" in err and "snr" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--snr", "nan,10,100"),
+            ("--snr", "10,inf,100"),
+            ("--snr", "10,31.6,100", "--fade-variance", "inf"),
+            ("--snr", "10,31.6,100", "--threads", "0"),
+            ("--snr", "10,31.6,100", "--threads", "-3"),
+        ],
+    )
+    def test_non_finite_or_bad_threads_exit_2(self, capsys, flags):
+        code = main(["mc", "--mode", "mean_fade", "--trials", "2000", *flags])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_refusal_exit_code(self, capsys):
         code = main([
             "mc", "--mode", "mean_fade", "--l", "4", "--snr", "1e3,1e4,1e5",

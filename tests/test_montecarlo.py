@@ -6,6 +6,7 @@ targets before the seed was frozen.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from mcqkd import (
     fit_diversity_slope,
     wilson_interval,
 )
+from mcqkd import montecarlo
 
-from oracles import ls_slope, wilson_direct
+from oracles import ls_slope, rate_outage_l2_quad, wilson_direct
 
 GRID = (10.0, 31.6, 100.0)
 HIGH_GRID = (1e4, 1e5, 1e6)
@@ -148,8 +150,12 @@ class TestTrialConfig:
             dict(snr_grid=(10.0, 100.0)),
             dict(snr_grid=(1.0, 10.0, 100.0)),
             dict(snr_grid=(0.5, 10.0, 100.0)),
+            dict(snr_grid=(math.nan, 10.0, 100.0)),
+            dict(snr_grid=(10.0, 100.0, math.inf)),
             dict(trials=999),
             dict(fade_variance=0.0),
+            dict(fade_variance=math.nan),
+            dict(fade_variance=math.inf),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -257,8 +263,14 @@ class TestRateOutage:
         assert 0.425 <= out.slope <= 0.575
 
     def test_two_channel_slope_at_high_snr(self):
-        cfg = TrialConfig(l=2, multiplex_ratio=0.5, snr_grid=HIGH_GRID, trials=200_000, seed=3)
+        """The exact slope on this grid is 0.894 (quadrature oracle); 4M trials
+        put about 48 events at snr=1e6, so both the slope band and the
+        per-point calibration are resolved rather than left to the seed."""
+        cfg = TrialConfig(
+            l=2, multiplex_ratio=0.5, snr_grid=HIGH_GRID, trials=4_000_000, seed=3
+        )
         out = estimate_rate_outage(cfg)
+        assert analytic_inside_3sigma(out, lambda s: rate_outage_l2_quad(s, 0.5))
         assert 0.85 <= out.slope <= 1.15
 
     def test_custom_rate_fn_reproduces_exponential_outage(self):
@@ -285,6 +297,113 @@ class TestRateOutage:
         )
         with pytest.raises(InsufficientTrialsError, match="rate outage"):
             estimate_rate_outage(cfg)
+
+
+class TestSharedDraw:
+    """Every grid point counts its events on the same fades: trial t draws
+    the same |F_i|^2 whatever the grid, its order or the thread count."""
+
+    def test_reordering_the_grid_permutes_the_counts(self):
+        grid = (10.0, 31.6, 100.0, 5.0)
+        order = (2, 0, 3, 1)
+        for estimate, ratio in ((estimate_mean_fade_outage, 0.0), (estimate_rate_outage, 0.5)):
+            mk = lambda g: TrialConfig(
+                l=2, multiplex_ratio=ratio, snr_grid=g, trials=70_000, seed=8
+            )
+            base = estimate(mk(grid)).successes
+            shuffled = estimate(mk(tuple(grid[i] for i in order))).successes
+            assert shuffled == tuple(base[i] for i in order)
+
+    def test_point_count_ignores_the_other_points(self):
+        mk = lambda g: TrialConfig(l=1, multiplex_ratio=0.5, snr_grid=g, trials=70_000, seed=5)
+        for estimate in (estimate_mean_fade_outage, estimate_rate_outage):
+            a = estimate(mk((10.0, 31.6, 100.0)))
+            b = estimate(mk((31.6, 3.0, 1000.0, 20.0)))
+            assert a.successes[1] == b.successes[0]
+
+    def test_mean_fade_counts_are_nested(self):
+        """Raising snr lowers the threshold 1/snr on a common draw, so the
+        outage events are nested and the counts cannot increase."""
+        grid = tuple(np.linspace(10.0, 10.5, 9))
+        cfg = TrialConfig(l=2, multiplex_ratio=0.0, snr_grid=grid, trials=100_000, seed=6)
+        counts = estimate_mean_fade_outage(cfg).successes
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert counts[0] > counts[-1] > 0
+
+    def test_counts_and_csv_identical_at_one_two_three_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for estimate, ratio in ((estimate_mean_fade_outage, 0.0), (estimate_rate_outage, 0.5)):
+            cfg = TrialConfig(l=2, multiplex_ratio=ratio, snr_grid=GRID, trials=200_000, seed=4)
+            runs = [estimate(cfg, threads=t) for t in (1, 2, 3)]
+            assert len({r.successes for r in runs}) == 1
+            assert len({r.to_csv() for r in runs}) == 1
+
+
+class TestThreadsAndBlocks:
+    def _pool_sizes(self, monkeypatch):
+        sizes = []
+        real = montecarlo.ThreadPoolExecutor
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
+        return sizes
+
+    def test_threads_clamped_to_cpu_count(self, monkeypatch):
+        sizes = self._pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=300_000, seed=1)
+        clamped = estimate_mean_fade_outage(cfg, threads=64)
+        assert sizes == [2]
+        assert clamped.successes == estimate_mean_fade_outage(cfg).successes
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch):
+        sizes = self._pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=300_000, seed=1)
+        estimate_mean_fade_outage(cfg, threads=8)
+        assert sizes == []
+
+    def test_row_chunks_count_like_whole_blocks(self, monkeypatch):
+        # l=3 leaves a ragged last chunk in every block, and 150_001 trials a
+        # ragged last block
+        cfg = TrialConfig(
+            l=3, multiplex_ratio=0.5, snr_grid=(2.0, 4.0, 8.0), trials=150_001, seed=6
+        )
+        chunked = [estimate(cfg).successes
+                   for estimate in (estimate_mean_fade_outage, estimate_rate_outage)]
+        monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", montecarlo._MAX_BLOCK_VALUES)
+        whole = [estimate(cfg).successes
+                 for estimate in (estimate_mean_fade_outage, estimate_rate_outage)]
+        assert chunked == whole
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        cfg = TrialConfig(l=1, multiplex_ratio=0.5, snr_grid=GRID, trials=1000, seed=1)
+        for estimate in (estimate_mean_fade_outage, estimate_rate_outage):
+            with pytest.raises(ValueError, match="threads"):
+                estimate(cfg, threads=threads)
+
+    def test_block_memory_capped_for_wide_l(self, monkeypatch):
+        blocks = []
+        real = montecarlo._block_fades
+
+        def spy(*args):
+            fades = real(*args)
+            blocks.append(fades.shape + (fades.nbytes,))
+            return fades
+
+        monkeypatch.setattr(montecarlo, "_block_fades", spy)
+        cfg = TrialConfig(
+            l=4096, multiplex_ratio=1.0, snr_grid=(1e3, 1e4, 1e5), trials=1000, seed=1
+        )
+        estimate_rate_outage(cfg)
+        assert len(blocks) > 1
+        assert all(nbytes <= 8 << 20 for _, _, nbytes in blocks)
+        assert sum(rows for rows, _, _ in blocks) == 1000
+        assert all(l == 4096 for _, l, _ in blocks)
 
 
 class TestEmpiricalOutage:
