@@ -2,202 +2,9 @@
 
 Gaussian sub-carrier statistics, faded sub-channel models, eigenchannel
 decompositions, secret-key rates, diversity-multiplexing tradeoff curves,
-grid constellations and Monte Carlo outage estimation.
+grid constellations and Monte Carlo outage estimation.  Import names from
+the module that defines them, for example ``from mcqkd.rates import
+rate_report``.
 """
 
 __version__ = "0.2.0"
-
-from .channel import (
-    ChannelModel,
-    FadedTransmittance,
-    SubchannelParams,
-    apply_channel,
-    eve_transmittance,
-    excess_noise,
-    load_channel_model,
-    sample_faded_transmittances,
-    total_input_noise,
-)
-from .constellation import (
-    CodewordPair,
-    DiffMatrix,
-    PermutationConstellation,
-    PhaseConstellation,
-    ProductDistance,
-    SmallestSingularCheck,
-    build_constellation,
-    constellation_to_csv,
-    diff_matrix,
-    gaussian_q,
-    normalized_difference,
-    pairwise_error,
-    pairwise_error_multiaccess,
-    permute_constellation,
-    product_distance,
-    simplified_worst_case_error,
-    smallest_singular,
-    worst_case_fades,
-)
-from .errors import (
-    DegenerateInputError,
-    DegenerateRegimeError,
-    DomainError,
-    InsufficientTrialsError,
-    NegativeFadeError,
-    SingularNoiseError,
-)
-from .manifold import (
-    CURVE_KINDS,
-    Chi2Outage,
-    ExponentialOutage,
-    ManifoldDims,
-    OutageParams,
-    TradeoffCurve,
-    chi2_outage,
-    interference_outage_threshold,
-    interference_reduced_rate,
-    log_det_rate,
-    manifold_dims,
-    manifold_exponent,
-    perr_amqd,
-    perr_exponential_outage,
-    perr_rank_outage,
-    perr_single,
-    tradeoff_curve,
-    tradeoff_g_scaled,
-    tradeoff_multiaccess,
-    tradeoff_multicarrier,
-    tradeoff_single,
-)
-from .montecarlo import (
-    EmpiricalOutage,
-    SlopeFit,
-    TrialConfig,
-    default_secret_rate,
-    estimate_mean_fade_outage,
-    estimate_rate_outage,
-    fit_diversity_slope,
-    wilson_interval,
-)
-from .phase_space import (
-    ComplexGaussianVector,
-    SubcarrierVector,
-    dft,
-    inverse_dft,
-    sample_gaussian_vector,
-)
-from .rates import (
-    KeyRateConfig,
-    RateReport,
-    SnrSet,
-    aggregate_secret_key_bound,
-    fixed_secret_key_rate,
-    optimal_attack_noise,
-    private_capacity,
-    private_capacity_complex,
-    rate_report,
-    snr_regime_approximations,
-    subchannel_capacity,
-    svd_capacity,
-)
-from .singular_layer import (
-    EigenDecomposition,
-    PartitionFlags,
-    TransmittanceMatrix,
-    load_matrix_csv,
-    partition_singulars,
-    rank_epsilon,
-    reconstruct,
-    svd_decompose,
-)
-
-__all__ = [
-    "__version__",
-    "ChannelModel",
-    "FadedTransmittance",
-    "SubchannelParams",
-    "apply_channel",
-    "eve_transmittance",
-    "excess_noise",
-    "load_channel_model",
-    "sample_faded_transmittances",
-    "total_input_noise",
-    "CodewordPair",
-    "DiffMatrix",
-    "PermutationConstellation",
-    "PhaseConstellation",
-    "ProductDistance",
-    "SmallestSingularCheck",
-    "build_constellation",
-    "constellation_to_csv",
-    "diff_matrix",
-    "gaussian_q",
-    "normalized_difference",
-    "pairwise_error",
-    "pairwise_error_multiaccess",
-    "permute_constellation",
-    "product_distance",
-    "simplified_worst_case_error",
-    "smallest_singular",
-    "worst_case_fades",
-    "DegenerateInputError",
-    "DegenerateRegimeError",
-    "DomainError",
-    "InsufficientTrialsError",
-    "NegativeFadeError",
-    "SingularNoiseError",
-    "CURVE_KINDS",
-    "Chi2Outage",
-    "ExponentialOutage",
-    "ManifoldDims",
-    "OutageParams",
-    "TradeoffCurve",
-    "chi2_outage",
-    "interference_outage_threshold",
-    "interference_reduced_rate",
-    "log_det_rate",
-    "manifold_dims",
-    "manifold_exponent",
-    "perr_amqd",
-    "perr_exponential_outage",
-    "perr_rank_outage",
-    "perr_single",
-    "tradeoff_curve",
-    "tradeoff_g_scaled",
-    "tradeoff_multiaccess",
-    "tradeoff_multicarrier",
-    "tradeoff_single",
-    "EmpiricalOutage",
-    "SlopeFit",
-    "TrialConfig",
-    "default_secret_rate",
-    "estimate_mean_fade_outage",
-    "estimate_rate_outage",
-    "fit_diversity_slope",
-    "wilson_interval",
-    "ComplexGaussianVector",
-    "SubcarrierVector",
-    "dft",
-    "inverse_dft",
-    "sample_gaussian_vector",
-    "KeyRateConfig",
-    "RateReport",
-    "SnrSet",
-    "aggregate_secret_key_bound",
-    "fixed_secret_key_rate",
-    "optimal_attack_noise",
-    "private_capacity",
-    "private_capacity_complex",
-    "rate_report",
-    "snr_regime_approximations",
-    "subchannel_capacity",
-    "svd_capacity",
-    "EigenDecomposition",
-    "PartitionFlags",
-    "TransmittanceMatrix",
-    "load_matrix_csv",
-    "partition_singulars",
-    "rank_epsilon",
-    "reconstruct",
-    "svd_decompose",
-]

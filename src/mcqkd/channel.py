@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularNoiseError
-from .phase_space import SubcarrierVector
+from .phase_space import ComplexGaussianVector
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _RECORD_KEYS = ("re_t", "noise_var", "eve_w")
@@ -102,20 +102,6 @@ class ChannelModel:
         return self.subchannels[: self.active_count]
 
 
-@dataclass(frozen=True)
-class FadedTransmittance:
-    """One realisation of a sub-channel's Fourier-domain transmission
-    coefficient, drawn from a zero-mean circular symmetric complex Gaussian
-    of the stated complex variance."""
-
-    value: complex
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-
-
 def eve_transmittance(transmittance) -> float:
     """Squared transmittance of the eavesdropper's beam-splitter tap,
     1 - |T|^2.  Accepts a :class:`SubchannelParams` or a bare complex T."""
@@ -155,8 +141,9 @@ def total_input_noise(
     return vacuum_variance + excess_noise(eve_epr_variance, eve_trans_sq)
 
 
-def sample_faded_transmittances(l: int, variance: float, seed: int) -> list[FadedTransmittance]:
-    """Draw ``l`` independent faded transmission coefficients.
+def sample_faded_transmittances(l: int, variance: float, seed: int) -> np.ndarray:
+    """Draw ``l`` independent faded transmission coefficients as a complex
+    array of shape (l,).
 
     Each is circular symmetric complex Gaussian with E[|F|^2] = variance, so
     |F|^2 is exponential with that mean.  Identical ``seed`` reproduces the
@@ -168,17 +155,17 @@ def sample_faded_transmittances(l: int, variance: float, seed: int) -> list[Fade
         raise ValueError(f"variance must be positive, got {variance}")
     rng = np.random.default_rng(seed)
     quads = rng.normal(0.0, np.sqrt(variance / 2.0), size=(2, l))
-    values = quads[0] + 1j * quads[1]
-    return [FadedTransmittance(complex(v), float(variance)) for v in values]
+    return quads[0] + 1j * quads[1]
 
 
 def apply_channel(
-    d: SubcarrierVector,
-    fades: list[FadedTransmittance],
+    d: ComplexGaussianVector,
+    fades: np.ndarray,
     noise_variance: float,
     seed: int,
-) -> SubcarrierVector:
-    """Transmit a subcarrier block through faded sub-channels.
+) -> ComplexGaussianVector:
+    """Transmit a block of subcarriers ``d`` through faded sub-channels with
+    complex gains ``fades``, one per subcarrier.
 
     The receiver-side observable is y_i = F_i * w_i + noise_i where w is the
     positive-exponent transform of ``d`` and the additive noise is circular
@@ -191,12 +178,12 @@ def apply_channel(
     if not noise_variance > 0:
         raise ValueError(f"noise_variance must be positive, got {noise_variance}")
     w = np.fft.ifft(d.samples, norm="ortho")
-    gains = np.array([complex(f.value) for f in fades])
+    gains = np.asarray(fades, dtype=complex)
     rng = np.random.default_rng(seed)
     quads = rng.normal(0.0, np.sqrt(noise_variance), size=(2, len(d)))
     y = gains * w + quads[0] + 1j * quads[1]
     model_variance = float(np.mean(np.abs(gains) ** 2) * d.variance + 2.0 * noise_variance)
-    return SubcarrierVector(y, model_variance)
+    return ComplexGaussianVector(y, model_variance)
 
 
 def _parse_assignments(line: str) -> dict[str, str]:

@@ -23,22 +23,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import eve_transmittance, load_channel_model, total_input_noise
+from .channel import load_channel_model
 from .constellation import build_constellation, permute_constellation
 from .errors import DomainError, InsufficientTrialsError
 from .manifold import CURVE_KINDS, OutageParams, perr_amqd, perr_single, tradeoff_curve
-from .montecarlo import (
-    TrialConfig,
-    estimate_mean_fade_outage,
-    estimate_rate_outage,
-)
-from .rates import (
-    optimal_attack_noise,
-    private_capacity_complex,
-    rate_report,
-    subchannel_capacity,
-    svd_capacity,
-)
+from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_outage
+from .rates import SUBCHANNEL_COLUMNS, rate_report
 from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
 
 _MC_CONFIG_KEYS = (
@@ -52,24 +42,43 @@ _MC_CONFIG_KEYS = (
     "fade_variance",
     "threads",
 )
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse ``a,b,c`` lists or ``start:stop:step`` inclusive ranges."""
+    """Parse ``a,b,c`` lists or ``start:stop:step`` inclusive ranges of finite
+    values; a range may hold at most ``_MAX_GRID_POINTS`` points."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad range {text!r}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
-    values = [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in parts]
+    else:
+        values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError(f"empty grid {text!r}")
-    return values
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if ":" not in text:
+        return values
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ValueError(f"bad range {text!r}: need step > 0 and stop >= start")
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:
+        raise ValueError(f"range {text!r} has more than {_MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(math.floor(span)) + 1)]
+
+
+def _precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _to_linear(values: list[float], unit: str) -> list[float]:
@@ -88,16 +97,18 @@ def _format_value(value, fmt: str) -> str:
     return str(value)
 
 
-def _emit(output, subcommand: str, params: dict, columns, rows, precision: int) -> None:
+def _table(columns, rows, precision: int) -> str:
     fmt = f"{{:.{precision}g}}"
+    lines = [",".join(columns)]
+    lines.extend(",".join(_format_value(v, fmt) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _emit(output, subcommand: str, params: dict, body: str) -> None:
+    """Write the ``#`` header lines followed by a finished CSV ``body``."""
     lines = [f"# tool=mcqkd {__version__}", f"# subcommand={subcommand}"]
-    for key in sorted(params):
-        lines.append(f"# {key}={params[key]}")
-    if columns:
-        lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(v, fmt) for v in row))
-    text = "\n".join(lines) + "\n"
+    lines.extend(f"# {key}={params[key]}" for key in sorted(params))
+    text = "\n".join(lines) + "\n" + body
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -122,14 +133,8 @@ def _run_tradeoff(args) -> int:
     )
     params = {"kind": args.kind, "grid": _grid_param(grid)}
     params.update({k: v for k, v in curve.params.items()})
-    _emit(
-        args.output,
-        "tradeoff",
-        params,
-        ("sigma", "delta"),
-        curve.points,
-        args.precision,
-    )
+    body = _table(("sigma", "delta"), curve.points, args.precision)
+    _emit(args.output, "tradeoff", params, body)
     return 0
 
 
@@ -151,7 +156,7 @@ def _run_perr(args) -> int:
         "multiplex": args.multiplex,
         "l": ",".join(str(v) for v in l_values),
     }
-    _emit(args.output, "perr", params, columns, rows, args.precision)
+    _emit(args.output, "perr", params, _table(columns, rows, args.precision))
     return 0
 
 
@@ -180,18 +185,8 @@ def _run_mc(args) -> int:
     settings: dict[str, str] = {}
     if args.config:
         settings = _read_mc_config(args.config)
-    flag_values = {
-        "mode": args.mode,
-        "l": args.l,
-        "multiplex": args.multiplex,
-        "snr": args.snr,
-        "snr_unit": args.snr_unit,
-        "trials": args.trials,
-        "seed": args.seed,
-        "fade_variance": args.fade_variance,
-        "threads": args.threads,
-    }
-    for key, value in flag_values.items():
+    for key in _MC_CONFIG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = str(value)
     defaults = {"l": "1", "multiplex": "0", "snr_unit": "linear",
@@ -229,17 +224,7 @@ def _run_mc(args) -> int:
         "seed": cfg.seed,
         "fade_variance": f"{cfg.fade_variance:.9g}",
     }
-    fmt = f"{{:.{args.precision}g}}"
-    lines = [f"# tool=mcqkd {__version__}", "# subcommand=mc"]
-    for key in sorted(params):
-        lines.append(f"# {key}={params[key]}")
-    lines.append(outage.to_csv(args.precision).rstrip("\n"))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.output, "mc", params, outage.to_csv(args.precision))
     return 0
 
 
@@ -253,7 +238,8 @@ def _run_svd(args) -> int:
     rows = [(i, lam) for i, lam in enumerate(decomp.lambdas)]
     rows.append(("recon_error", rel))
     params = {"matrix": args.matrix, "k_in": matrix.k_in, "k_out": matrix.k_out}
-    _emit(args.output, "svd", params, ("index", "eigenchannel"), rows, args.precision)
+    body = _table(("index", "eigenchannel"), rows, args.precision)
+    _emit(args.output, "svd", params, body)
     return 0
 
 
@@ -263,27 +249,7 @@ def _run_rates(args) -> int:
     if args.fades:
         fades_sq = _parse_grid(args.fades)
     report = rate_report(model, args.mod_variance, args.gain_c, fades_sq)
-    if fades_sq is None:
-        fades_sq = [abs(sub.transmittance) ** 2 for sub in model.active]
-    rows = []
-    for i, (sub, fade_sq) in enumerate(zip(model.active, fades_sq)):
-        input_noise = total_input_noise(
-            sub.eve_epr_variance, eve_transmittance(sub.transmittance), model.vacuum_variance
-        )
-        attack = optimal_attack_noise(args.mod_variance, fade_sq, input_noise)
-        rows.append(
-            (
-                i,
-                fade_sq,
-                attack,
-                subchannel_capacity(args.mod_variance, fade_sq, sub.noise_variance),
-                svd_capacity(args.mod_variance, args.gain_c, fade_sq, sub.noise_variance),
-                private_capacity_complex(args.mod_variance, fade_sq, attack),
-                private_capacity_complex(
-                    args.mod_variance * (1.0 + args.gain_c), fade_sq, attack
-                ),
-            )
-        )
+    rows = [(i, *sub) for i, sub in enumerate(report.subchannels)]
     rows.append(
         (
             "total",
@@ -302,16 +268,8 @@ def _run_rates(args) -> int:
         "active_count": model.active_count,
         "vacuum_variance": model.vacuum_variance,
     }
-    columns = (
-        "index",
-        "fade_sq",
-        "attack_noise",
-        "capacity",
-        "svd_capacity",
-        "private",
-        "svd_private",
-    )
-    _emit(args.output, "rates", params, columns, rows, args.precision)
+    columns = ("index", *SUBCHANNEL_COLUMNS)
+    _emit(args.output, "rates", params, _table(columns, rows, args.precision))
     return 0
 
 
@@ -328,7 +286,7 @@ def _run_constellation(args) -> int:
         for sub in range(1, spread.subchannel_count + 1):
             for i, p in enumerate(spread.subchannel_points(sub)):
                 rows.append((sub, i, p.real, p.imag))
-    _emit(args.output, "constellation", params, columns, rows, args.precision)
+    _emit(args.output, "constellation", params, _table(columns, rows, args.precision))
     return 0
 
 
@@ -343,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
         p.add_argument(
-            "--precision", type=int, default=9, help="significant digits (default 9)"
+            "--precision", type=_precision, default=9, help="significant digits (default 9)"
         )
 
     p = sub.add_parser("tradeoff", help="sample a diversity-multiplexing curve")

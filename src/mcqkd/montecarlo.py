@@ -56,8 +56,8 @@ class TrialConfig:
     fade_variance: float = 1.0
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
+        if not 1 <= self.l <= _MAX_BLOCK_VALUES:
+            raise ValueError(f"l must lie in [1, {_MAX_BLOCK_VALUES}], got {self.l}")
         if not 0.0 <= self.multiplex_ratio <= 1.0:
             raise ValueError(
                 f"multiplex_ratio must lie in [0, 1], got {self.multiplex_ratio}"
@@ -192,9 +192,9 @@ def _count_events(
     ``events`` maps rows of fades to a vector of event counts, one per grid
     point.  Blocks are drawn once each and their count vectors are summed in
     block order.  At most ``os.cpu_count()`` workers run."""
-    # l is unbounded, so wide trials shrink the block to keep one block of
-    # fades within _MAX_BLOCK_VALUES doubles (8 MiB)
-    rows = max(1, min(_BLOCK, _MAX_BLOCK_VALUES // cfg.l))
+    # wide trials shrink the block to keep one block of fades within
+    # _MAX_BLOCK_VALUES doubles (8 MiB); TrialConfig bounds l by the same
+    rows = min(_BLOCK, _MAX_BLOCK_VALUES // cfg.l)
     n_blocks = -(-cfg.trials // rows)
     # events run on row chunks of about 512 KiB, which stay in cache across
     # the grid, and each worker draws every block into one reused buffer

@@ -35,29 +35,12 @@ def _validate_vector(samples: np.ndarray, variance: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplexGaussianVector:
-    """Single-carrier Gaussian modulation: i.i.d. circular symmetric samples.
+    """A block of circular symmetric complex Gaussian samples, either
+    single-carrier samples or the subcarriers obtained from them by
+    :func:`inverse_dft`.
 
     ``variance`` is the declared complex variance E[|z_j|^2]; the per
     quadrature variance is half of it.
-    """
-
-    samples: np.ndarray
-    variance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _validate_vector(self.samples, self.variance))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class SubcarrierVector:
-    """Gaussian subcarriers obtained from a single-carrier vector by the
-    negative-exponent unitary transform.
-
-    The squared norm of a subcarrier vector equals the squared norm of the
-    single-carrier vector it came from (unitarity).
     """
 
     samples: np.ndarray
@@ -85,18 +68,19 @@ def sample_gaussian_vector(n: int, variance: float, seed: int) -> ComplexGaussia
     return ComplexGaussianVector(quads[0] + 1j * quads[1], float(variance))
 
 
-def inverse_dft(z: ComplexGaussianVector) -> SubcarrierVector:
-    """Map single-carrier samples to subcarriers.
+def inverse_dft(z: ComplexGaussianVector) -> ComplexGaussianVector:
+    """Map single-carrier samples ``z`` to subcarriers.
 
     Computes d_i = (1/sqrt(n)) * sum_k z_k * exp(-1j*2*pi*i*k/n); a constant
-    input vector therefore maps to a single nonzero entry at index 0.
+    input vector therefore maps to a single nonzero entry at index 0.  The
+    squared norm of the subcarriers equals that of ``z`` (unitarity).
     """
     d = np.fft.fft(z.samples, norm="ortho")
-    return SubcarrierVector(d, z.variance)
+    return ComplexGaussianVector(d, z.variance)
 
 
-def dft(d: SubcarrierVector) -> ComplexGaussianVector:
-    """Map subcarriers back to single-carrier samples (positive-exponent
+def dft(d: ComplexGaussianVector) -> ComplexGaussianVector:
+    """Map subcarriers ``d`` back to single-carrier samples (positive-exponent
     kernel, ``1/sqrt(n)`` normalised); exact inverse of :func:`inverse_dft`."""
     z = np.fft.ifft(d.samples, norm="ortho")
     return ComplexGaussianVector(z, d.variance)

@@ -93,23 +93,35 @@ class KeyRateConfig:
             )
 
 
+# the per-sub-channel values of a RateReport, in the order each row holds them
+SUBCHANNEL_COLUMNS = (
+    "fade_sq", "attack_noise", "capacity", "svd_capacity", "private", "svd_private"
+)
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Aggregated rates of a channel model: classical and gain-boosted
     capacities (real-domain, with the 1/2), secret-key bounds (complex-domain
-    sums) and the per-sub-channel optimal-attack noise."""
+    sums), and per active sub-channel one row of the values named by
+    ``SUBCHANNEL_COLUMNS`` that the totals sum."""
 
     capacity: float
     svd_capacity: float
     private_capacity: float
     svd_private_capacity: float
-    attack_noise: tuple
+    subchannels: tuple
 
     def __post_init__(self):
         for name in ("capacity", "svd_capacity", "private_capacity", "svd_private_capacity"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        object.__setattr__(self, "attack_noise", tuple(self.attack_noise))
+        object.__setattr__(self, "subchannels", tuple(map(tuple, self.subchannels)))
+
+    @property
+    def attack_noise(self) -> tuple:
+        """The optimal-attack noise of each active sub-channel."""
+        return tuple(row[1] for row in self.subchannels)
 
 
 def _check_positive(**kwargs) -> None:
@@ -225,21 +237,21 @@ def rate_report(
         raise ValueError(
             f"expected {len(active)} fade values, got {len(fades_sq)}"
         )
-    capacity = 0.0
-    boosted = 0.0
-    private = 0.0
-    private_boosted = 0.0
-    attack = []
+    # totals add one sub-channel at a time, in order: sum() is compensated from
+    # Python 3.12 on and np.sum is pairwise, and either changes the last bits
+    totals = [0.0, 0.0, 0.0, 0.0]
+    rows = []
     for sub, fade_sq in zip(active, fades_sq):
         input_noise = total_input_noise(
             sub.eve_epr_variance, eve_transmittance(sub.transmittance), channel.vacuum_variance
         )
         noise_star = optimal_attack_noise(mod_variance, fade_sq, input_noise)
-        attack.append(noise_star)
-        capacity += subchannel_capacity(mod_variance, fade_sq, sub.noise_variance)
-        boosted += svd_capacity(mod_variance, gain_c, fade_sq, sub.noise_variance)
-        private += private_capacity_complex(mod_variance, fade_sq, noise_star)
-        private_boosted += private_capacity_complex(
-            mod_variance * (1.0 + gain_c), fade_sq, noise_star
+        rates = (
+            subchannel_capacity(mod_variance, fade_sq, sub.noise_variance),
+            svd_capacity(mod_variance, gain_c, fade_sq, sub.noise_variance),
+            private_capacity_complex(mod_variance, fade_sq, noise_star),
+            private_capacity_complex(mod_variance * (1.0 + gain_c), fade_sq, noise_star),
         )
-    return RateReport(capacity, boosted, private, private_boosted, tuple(attack))
+        rows.append((fade_sq, noise_star, *rates))
+        totals = [total + rate for total, rate in zip(totals, rates)]
+    return RateReport(*totals, tuple(rows))

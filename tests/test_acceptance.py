@@ -11,27 +11,25 @@ import numpy as np
 import pytest
 from scipy import special
 
-from mcqkd import (
-    DegenerateRegimeError,
+from mcqkd.cli import main
+from mcqkd.constellation import build_constellation, permute_constellation
+from mcqkd.errors import DegenerateRegimeError
+from mcqkd.manifold import (
     OutageParams,
-    TransmittanceMatrix,
-    TrialConfig,
-    build_constellation,
-    estimate_mean_fade_outage,
-    estimate_rate_outage,
     manifold_dims,
-    optimal_attack_noise,
     perr_amqd,
     perr_exponential_outage,
     perr_single,
-    permute_constellation,
-    private_capacity,
-    reconstruct,
-    svd_decompose,
     tradeoff_multiaccess,
+)
+from mcqkd.montecarlo import (
+    TrialConfig,
+    estimate_mean_fade_outage,
+    estimate_rate_outage,
     wilson_interval,
 )
-from mcqkd.cli import main
+from mcqkd.rates import optimal_attack_noise, private_capacity
+from mcqkd.singular_layer import TransmittanceMatrix, reconstruct, svd_decompose
 
 THREE_SIGMA = math.erf(3.0 / math.sqrt(2.0))
 

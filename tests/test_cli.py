@@ -5,7 +5,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from mcqkd import __version__
+from mcqkd import __version__, cli
 from mcqkd.cli import _parse_grid, _to_linear, main
 
 CHANNEL_TEXT = (
@@ -43,10 +43,34 @@ class TestGridParsing:
     def test_range_with_uneven_step_stops_short(self):
         assert _parse_grid("1:2:0.4") == pytest.approx([1.0, 1.4, 1.8])
 
-    @pytest.mark.parametrize("text", ["", " ", "1:2", "1:2:3:4", "2:1:0.5", "1:5:0"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", " ", "1:2", "1:2:3:4", "2:1:0.5", "1:5:0",
+            "inf,10", "10,nan", "0.5:inf:0.1", "-inf:1:0.1", "0:1:nan", "0:2:1e-6",
+        ],
+    )
     def test_malformed_grids_rejected(self, text):
         with pytest.raises(ValueError):
             _parse_grid(text)
+
+    def test_range_point_count_bounded(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 10)
+        assert len(_parse_grid("1:10:1")) == 10
+        with pytest.raises(ValueError, match="more than 10 points"):
+            _parse_grid("1:11:1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tradeoff", "--kind", "single", "--grid", "0.5:inf:0.1"),
+            ("perr", "--snr", "inf,10", "--multiplex", "0.6"),
+        ],
+    )
+    def test_non_finite_grid_exits_2(self, capsys, argv):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
     def test_db_conversion(self):
         assert _to_linear([10.0, 20.0], "db") == pytest.approx([10.0, 100.0])
@@ -326,3 +350,26 @@ class TestExitCodes:
 
     def test_missing_required_argument(self, capsys):
         assert main(["perr", "--multiplex", "0"]) == 2
+
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tradeoff", "--kind", "single", "--grid", "0.5"),
+            ("perr", "--snr", "3", "--multiplex", "0"),
+            ("mc", "--mode", "mean_fade", "--snr", "2,3,4", "--trials", "1000"),
+            ("svd", "--matrix", "{matrix}"),
+            ("rates", "--channel", "{channel}", "--mod-variance", "1.2"),
+            ("constellation", "--bits", "2"),
+        ],
+    )
+    def test_precision_below_one_exits_2(self, capsys, tmp_path, argv, precision):
+        (tmp_path / "m.csv").write_text(MATRIX_TEXT)
+        (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
+        paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
+        argv = [a.format(**paths) for a in argv]
+        assert main([*argv, "--precision", "1"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--precision", precision]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--precision" in captured.err

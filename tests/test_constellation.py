@@ -7,10 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from mcqkd import (
+from mcqkd.constellation import (
     CodewordPair,
-    DegenerateInputError,
-    NegativeFadeError,
+    PhaseConstellation,
     build_constellation,
     constellation_to_csv,
     diff_matrix,
@@ -24,6 +23,7 @@ from mcqkd import (
     smallest_singular,
     worst_case_fades,
 )
+from mcqkd.errors import DegenerateInputError, NegativeFadeError
 from oracles import charpoly_eigs, min_distance_exhaustive, normal_tail_quad
 
 
@@ -47,6 +47,21 @@ class TestBuildConstellation:
             c = build_constellation(float(bits))
             law = c.min_distance() ** 2 * 2.0**bits
             assert law == pytest.approx(1.0, abs=1e-9)
+
+    def test_min_distance_at_sixteen_bits(self):
+        # 65536 points: the exhaustive n x n search would need about 68 GB
+        assert build_constellation(16.0).min_distance() == 2.0**-8
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_min_distance_matches_exhaustive_on_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=64) + 1j * rng.normal(size=64)
+        c = PhaseConstellation(tuple(points), 6.0)
+        assert c.min_distance() == pytest.approx(min_distance_exhaustive(points), rel=1e-12)
+
+    def test_min_distance_of_repeated_point_is_zero(self):
+        c = PhaseConstellation((0.5j, 1.0, 0.5j, -1.0), 2.0)
+        assert c.min_distance() == 0.0
 
     def test_fractional_bits_round_up_cardinality(self):
         c = build_constellation(2.5)

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcqkd import (
-    DegenerateInputError,
-    DomainError,
-    KeyRateConfig,
+from mcqkd.errors import DegenerateInputError, DomainError
+from mcqkd.manifold import (
     OutageParams,
     TradeoffCurve,
-    TransmittanceMatrix,
     chi2_outage,
     interference_outage_threshold,
     interference_reduced_rate,
@@ -21,13 +18,14 @@ from mcqkd import (
     perr_exponential_outage,
     perr_rank_outage,
     perr_single,
-    svd_decompose,
     tradeoff_curve,
     tradeoff_g_scaled,
     tradeoff_multiaccess,
     tradeoff_multicarrier,
     tradeoff_single,
 )
+from mcqkd.rates import KeyRateConfig
+from mcqkd.singular_layer import TransmittanceMatrix, svd_decompose
 from oracles import gamma_cdf_series, ls_slope
 
 CFG = KeyRateConfig(multiplex_ratio=0.5, n_min=1, private_capacity=1.0)

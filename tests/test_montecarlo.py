@@ -13,10 +13,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
-from mcqkd import (
-    DegenerateInputError,
+from mcqkd.errors import DegenerateInputError, InsufficientTrialsError
+from mcqkd.montecarlo import (
     EmpiricalOutage,
-    InsufficientTrialsError,
     TrialConfig,
     estimate_mean_fade_outage,
     estimate_rate_outage,
@@ -145,6 +144,7 @@ class TestTrialConfig:
         "kwargs",
         [
             dict(l=0),
+            dict(l=2**20 + 1),
             dict(multiplex_ratio=-0.1),
             dict(multiplex_ratio=1.1),
             dict(snr_grid=(10.0, 100.0)),

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcqkd import (
+from mcqkd.phase_space import (
     ComplexGaussianVector,
-    SubcarrierVector,
     dft,
     inverse_dft,
     sample_gaussian_vector,
@@ -51,7 +50,7 @@ def test_constant_vector_maps_to_scaled_impulse(n):
 
 
 def test_impulse_spreads_evenly_n4():
-    d = SubcarrierVector(np.array([1.0, 0, 0, 0], dtype=complex), variance=1.0)
+    d = ComplexGaussianVector(np.array([1.0, 0, 0, 0], dtype=complex), variance=1.0)
     z = dft(d)
     assert_allclose(z.samples, np.full(4, 0.5 + 0j), atol=1e-12)
 
@@ -84,7 +83,7 @@ def test_transforms_match_direct_sums(n):
     samples = rng.normal(size=n) + 1j * rng.normal(size=n)
     z = ComplexGaussianVector(samples, variance=1.0)
     assert_allclose(inverse_dft(z).samples, dft_direct(samples, -1), atol=1e-12)
-    d = SubcarrierVector(samples, variance=1.0)
+    d = ComplexGaussianVector(samples, variance=1.0)
     assert_allclose(dft(d).samples, dft_direct(samples, +1), atol=1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcqkd import (
+from mcqkd.singular_layer import (
     EigenDecomposition,
     TransmittanceMatrix,
     load_matrix_csv,
