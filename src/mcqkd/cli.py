@@ -140,9 +140,10 @@ def _run_tradeoff(args) -> int:
 
 def _run_perr(args) -> int:
     snr = _to_linear(_parse_grid(args.snr), args.snr_unit)
-    l_values = [int(v) for v in _parse_grid(args.l)]
-    if any(v < 1 for v in l_values):
-        raise ValueError("every l must be >= 1")
+    l_grid = _parse_grid(args.l)
+    if not all(v >= 1 and v == int(v) for v in l_grid):
+        raise ValueError(f"every l must be an integer >= 1, got {args.l!r}")
+    l_values = [int(v) for v in l_grid]
     columns = ["snr_db", "p_single"] + [f"p_amqd_l{v}" for v in l_values]
     rows = []
     for s in snr:

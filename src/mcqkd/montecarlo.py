@@ -16,6 +16,20 @@ Two outage events are supported over l i.i.d. exponential squared fades
   * rate outage:       sum_i log2(1 + |F_i|^2 * snr) < l * rate(snr)
     with the threshold rate(snr) = multiplex_ratio * log2(snr)
 
+Both events reduce over the l fades of a trial on a transposed copy of
+each row chunk, an (l, rows) array, so that the sums and products run
+across rows instead of along short rows.  The mean is the row sum divided
+by l.  The rate event is compared as a product,
+prod_i (1 + |F_i|^2 * snr) < 2**(l * rate), with no log2 per fade, wherever
+2**(l * rate) is a finite double (l * rate < 1024); a product that overflows
+to inf is then rightly not an event.  Grid points with l * rate >= 1024 are
+decided by the log-sum itself.  The product and log-sum forms round
+differently, so they can disagree only on a trial whose summed rate lies
+within rounding of the threshold.  For l >= 8 the sums also add the l terms
+in a different order than the first 0.2.0 kernels (one after another
+instead of numpy's pairwise row sum), so a trial whose mean fade or summed
+rate lies within rounding of its threshold can count differently.
+
 Configurations whose analytic outage probability is below 1e-8 at some grid
 point are refused up front: no affordable number of trials could resolve
 them, and the power-law formulas cover that regime analytically.
@@ -23,6 +37,7 @@ them, and the power-law formulas cover that regime analytically.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -117,6 +132,11 @@ class SlopeFit(NamedTuple):
     stderr: float
 
 
+@functools.lru_cache(maxsize=8)
+def _normal_quantile(q: float) -> float:
+    return float(stats.norm.ppf(q))
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
@@ -125,7 +145,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _normal_quantile(0.5 + confidence / 2.0)
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -185,41 +205,56 @@ def _block_fades(seed: int, block_index: int, variance: float, out: np.ndarray) 
 
 
 def _count_events(
-    cfg: TrialConfig, events: Callable[[np.ndarray], np.ndarray], threads: int
+    cfg: TrialConfig,
+    events: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    threads: int,
 ) -> list[int]:
     """Per grid point, the number of trials in which the event occurs.
 
-    ``events`` maps rows of fades to a vector of event counts, one per grid
-    point.  Blocks are drawn once each and their count vectors are summed in
-    block order.  At most ``os.cpu_count()`` workers run."""
+    ``events(cols, work, row)`` maps a chunk of fades, copied to a
+    C-contiguous (l, rows) array ``cols``, to a vector of event counts, one
+    per grid point; ``work`` (shaped like ``cols``) and ``row`` (one value
+    per row) are scratch.  Blocks are drawn once each and their count vectors
+    are summed in block order.  At most ``os.cpu_count()`` workers run."""
     # wide trials shrink the block to keep one block of fades within
     # _MAX_BLOCK_VALUES doubles (8 MiB); TrialConfig bounds l by the same
     rows = min(_BLOCK, _MAX_BLOCK_VALUES // cfg.l)
     n_blocks = -(-cfg.trials // rows)
     # events run on row chunks of about 512 KiB, which stay in cache across
-    # the grid, and each worker draws every block into one reused buffer
+    # the grid; each worker draws every block into one reused buffer and
+    # reuses one scratch set for every chunk
     chunk = max(1, _CHUNK_VALUES // cfg.l)
     local = threading.local()
 
-    def work(block_index: int) -> np.ndarray:
+    def count_block(block_index: int) -> np.ndarray:
         start = block_index * rows
         count = min(rows, cfg.trials - start)
         if not hasattr(local, "fades"):
             local.fades = np.empty((rows, cfg.l))
+            local.cols = np.empty(cfg.l * chunk)
+            local.work = np.empty(cfg.l * chunk)
+            local.row = np.empty(chunk)
         fades = _block_fades(cfg.seed, block_index, cfg.fade_variance, local.fades[:count])
         counts = np.zeros(len(cfg.snr_grid), dtype=np.int64)
         for lo in range(0, count, chunk):
-            counts += events(fades[lo : lo + chunk])
+            part = fades[lo : lo + chunk]
+            n = len(part)
+            # a C-contiguous (l, rows) copy, so that reductions over l run
+            # across rows instead of along short rows
+            cols = local.cols[: part.size].reshape(cfg.l, n)
+            np.copyto(cols, part.T)
+            work = local.work[: part.size].reshape(cfg.l, n)
+            counts += events(cols, work, local.row[:n])
         return counts
 
     workers = min(threads, os.cpu_count() or 1, n_blocks)
     total = np.zeros(len(cfg.snr_grid), dtype=np.int64)
     if workers <= 1:
         for block_index in range(n_blocks):
-            total += work(block_index)
+            total += count_block(block_index)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(work, range(n_blocks)):
+            for counts in pool.map(count_block, range(n_blocks)):
                 total += counts
     return [int(c) for c in total]
 
@@ -274,14 +309,20 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     thresholds = np.array([1.0 / snr for snr in cfg.snr_grid])
     top = thresholds.max()
 
-    def events(fades: np.ndarray) -> np.ndarray:
+    def events(cols: np.ndarray, work: np.ndarray, means: np.ndarray) -> np.ndarray:
         # Only means below the largest threshold can count anywhere; sorting
         # just those lets one searchsorted serve every threshold.
-        means = fades.mean(axis=1)
+        np.add.reduce(cols, axis=0, out=means)
+        means /= cfg.l
         below = np.sort(means[means < top])
         return np.searchsorted(below, thresholds, side="left")
 
     return _assemble(cfg, _count_events(cfg, events, threads))
+
+
+def _pow2(x: float) -> float:
+    """2**x, or inf where it exceeds the largest double (x >= 1024)."""
+    return 2.0**x if x < 1024 else math.inf
 
 
 def default_secret_rate(multiplex_ratio: float, snr: float) -> float:
@@ -300,25 +341,33 @@ def estimate_rate_outage(
     :func:`estimate_mean_fade_outage`."""
     _check_threads(threads)
     rates = [float(secret_rate_fn(cfg.multiplex_ratio, snr)) for snr in cfg.snr_grid]
-    if any(r < 0 for r in rates):
-        raise ValueError("secret_rate_fn must return non-negative rates")
+    bad = [r for r in rates if not (math.isfinite(r) and r >= 0)]
+    if bad:
+        raise ValueError(f"secret_rate_fn must return finite non-negative rates, got {bad[0]}")
     for snr, rate in zip(cfg.snr_grid, rates):
-        threshold = (2.0**rate - 1.0) / snr
+        threshold = (_pow2(rate) - 1.0) / snr
         analytic = float(
             special.gammainc(cfg.l, cfg.l * threshold / cfg.fade_variance)
         )
         _refuse_rare(analytic, snr, "rate outage")
     targets = [cfg.l * rate for rate in rates]
+    # where 2**target is no finite double, the log-sum decides
+    bounds = [_pow2(target) for target in targets]
 
-    def events(fades: np.ndarray) -> list[int]:
-        # log2(1 + f * snr) per snr, in one scratch chunk reused across the grid
-        work = np.empty_like(fades)
+    def events(cols: np.ndarray, work: np.ndarray, row: np.ndarray) -> list[int]:
         counts = []
-        for snr, target in zip(cfg.snr_grid, targets):
-            np.multiply(fades, snr, out=work)
+        for snr, target, bound in zip(cfg.snr_grid, targets, bounds):
+            np.multiply(cols, snr, out=work)
             work += 1.0
-            np.log2(work, out=work)
-            counts.append(np.count_nonzero(work.sum(axis=1) < target))
+            if bound < math.inf:
+                # a product that overflows to inf is rightly not below the bound
+                with np.errstate(over="ignore"):
+                    np.multiply.reduce(work, axis=0, out=row)
+                counts.append(np.count_nonzero(row < bound))
+            else:
+                np.log2(work, out=work)
+                np.add.reduce(work, axis=0, out=row)
+                counts.append(np.count_nonzero(row < target))
         return counts
 
     return _assemble(cfg, _count_events(cfg, events, threads))

@@ -156,6 +156,18 @@ class TestPerr:
         cells = data_rows(lines)[0].split(",")
         assert cells[1] == "0.33"
 
+    @pytest.mark.parametrize("l_grid", ["2.7", "1,2.5", "0", "1:3:0.5"])
+    def test_l_must_be_integers_of_at_least_one(self, capsys, l_grid):
+        code = main(["perr", "--snr", "10", "--multiplex", "0.5", "--l", l_grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "l must be an integer" in captured.err
+
+    def test_integral_float_l_accepted(self, capsys):
+        code, lines = run(capsys, "perr", "--snr", "10", "--multiplex", "0.5", "--l", "2.0,4")
+        assert code == 0
+        assert [l for l in lines if not l.startswith("#")][0].endswith("p_amqd_l2,p_amqd_l4")
+
 
 class TestSvd:
     def test_eigenchannel_table(self, capsys, tmp_path):

@@ -285,6 +285,21 @@ class TestRateOutage:
         with pytest.raises(ValueError, match="non-negative"):
             estimate_rate_outage(cfg, secret_rate_fn=lambda ratio, snr: -1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_fn_rejected_before_sampling(self, monkeypatch, rate):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_block_fades", lambda *args: drawn.append(args))
+        cfg = TrialConfig(l=2, multiplex_ratio=0.5, snr_grid=GRID, trials=1000, seed=1)
+        with pytest.raises(ValueError, match="finite non-negative"):
+            estimate_rate_outage(cfg, secret_rate_fn=lambda ratio, snr: rate)
+        assert drawn == []
+
+    def test_rate_beyond_the_double_range_of_two_to_the_rate(self):
+        # 2**2000 overflows a double; every trial falls short of such a rate
+        cfg = TrialConfig(l=2, multiplex_ratio=0.5, snr_grid=GRID, trials=1000, seed=1)
+        out = estimate_rate_outage(cfg, secret_rate_fn=lambda ratio, snr: 2000.0)
+        assert out.successes == (1000, 1000, 1000)
+
     def test_thread_partitioning_is_invisible(self):
         cfg = TrialConfig(l=1, multiplex_ratio=0.5, snr_grid=GRID, trials=150_000, seed=9)
         serial = estimate_rate_outage(cfg, threads=1)
@@ -404,6 +419,122 @@ class TestThreadsAndBlocks:
         assert all(nbytes <= 8 << 20 for _, _, nbytes in blocks)
         assert sum(rows for rows, _, _ in blocks) == 1000
         assert all(l == 4096 for _, l, _ in blocks)
+
+
+def _trial_counts(cfg, event):
+    """Per grid point, the trials for which ``event(fades, snr)`` holds, on
+    the fades ``_block_fades`` draws for ``cfg``, one trial at a time."""
+    rows = min(montecarlo._BLOCK, montecarlo._MAX_BLOCK_VALUES // cfg.l)
+    counts = [0] * len(cfg.snr_grid)
+    for block, start in enumerate(range(0, cfg.trials, rows)):
+        fades = np.empty((min(rows, cfg.trials - start), cfg.l))
+        montecarlo._block_fades(cfg.seed, block, cfg.fade_variance, fades)
+        for trial in fades.tolist():
+            for i, snr in enumerate(cfg.snr_grid):
+                counts[i] += event(trial, snr)
+    return counts
+
+
+def _log_sum(trial, snr):
+    return math.fsum(math.log2(1.0 + f * snr) for f in trial)
+
+
+class TestEventKernels:
+    """The vectorized event counts against a per-trial Python count on the
+    same fades: exact sums of ``math.log2`` terms and the exact mean."""
+
+    @staticmethod
+    def _rate_counts(cfg):
+        return _trial_counts(
+            cfg, lambda t, snr: _log_sum(t, snr) < cfg.l * cfg.multiplex_ratio * math.log2(snr)
+        )
+
+    @pytest.mark.parametrize(
+        "l, grid, trials",
+        [
+            (1, GRID, 20_000),
+            (3, (3.0, 5.0, 8.0), 20_000),
+            (8, (1.5, 2.0, 2.5), 20_000),
+            (17, (1.2, 1.4, 1.6), 20_000),
+            (4096, (1.01, 1.02, 1.03), 1000),
+        ],
+    )
+    def test_mean_fade_counts(self, l, grid, trials):
+        cfg = TrialConfig(l=l, multiplex_ratio=0.0, snr_grid=grid, trials=trials, seed=21)
+        expected = _trial_counts(cfg, lambda t, snr: math.fsum(t) / l < 1.0 / snr)
+        assert min(expected) > 0
+        assert list(estimate_mean_fade_outage(cfg).successes) == expected
+
+    @pytest.mark.parametrize(
+        "l, ratio, grid, trials",
+        [
+            (1, 0.5, GRID, 20_000),
+            (3, 0.75, (10.0, 30.0, 100.0), 20_000),
+            (8, 0.9, (10.0, 30.0, 100.0), 20_000),
+            (17, 0.9, (10.0, 30.0, 100.0), 20_000),
+            (4096, 1.0, (1e3, 1e4, 1e5), 1000),
+        ],
+    )
+    def test_rate_counts(self, l, ratio, grid, trials):
+        cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=trials, seed=22)
+        expected = self._rate_counts(cfg)
+        assert min(expected) > 0
+        assert list(estimate_rate_outage(cfg).successes) == expected
+
+    def test_rate_counts_where_products_overflow_below_a_finite_bound(self):
+        # l * rate stays below 1024, so 2**(l * rate) is finite, while up to
+        # 2% of the products exceed the largest double
+        cfg = TrialConfig(
+            l=16, multiplex_ratio=1.0, snr_grid=(1.5e19, 1.7e19, 1.84e19), trials=20_000, seed=23
+        )
+        assert all(cfg.l * math.log2(snr) < 1024 for snr in cfg.snr_grid)
+        overflowing = _trial_counts(cfg, lambda t, snr: _log_sum(t, snr) > 1024.5)
+        assert min(overflowing) > 10
+        expected = self._rate_counts(cfg)
+        assert min(expected) > 0
+        assert list(estimate_rate_outage(cfg).successes) == expected
+
+    @pytest.mark.parametrize(
+        "l, ratio, grid",
+        [
+            # every product overflows and l * rate is far past 1024
+            (200, 0.9988, (1e150, 1e151, 1e152)),
+            # 2**(l * rate) is finite at the first two points only
+            (16, 1.0, (1e19, 1.37e19, 1e20)),
+        ],
+    )
+    def test_rate_counts_where_two_to_the_target_overflows(self, l, ratio, grid):
+        cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=2000, seed=24)
+        assert cfg.l * ratio * math.log2(grid[-1]) >= 1024
+        expected = self._rate_counts(cfg)
+        assert min(expected) > 0
+        assert list(estimate_rate_outage(cfg).successes) == expected
+
+
+class TestDeterminismPin:
+    """Success counts recorded from the 0.2.0 engine before the event kernels
+    were rewritten.  A regression pin on output bytes, not a correctness
+    oracle: a change here changes ``mc`` output and needs a version bump."""
+
+    @pytest.mark.parametrize(
+        "mode, l, ratio, grid, successes",
+        [
+            ("mean_fade", 1, 0.0, (10.0, 31.6, 100.0), (9571, 3145, 997)),
+            ("mean_fade", 4, 0.0, (2.0, 3.0, 5.0), (14216, 4519, 863)),
+            ("mean_fade", 16, 0.0, (1.2, 1.4, 1.6), (26742, 11841, 4872)),
+            ("mean_fade", 64, 0.0, (1.1, 1.2, 1.3), (24148, 8468, 2486)),
+            ("rate", 1, 0.5, (10.0, 31.6, 100.0), (19427, 13664, 8654)),
+            ("rate", 4, 0.75, (10.0, 30.0, 100.0), (26483, 22377, 14561)),
+            ("rate", 16, 0.75, (10.0, 30.0, 100.0), (10521, 6929, 2138)),
+            ("rate", 64, 0.9, (10.0, 30.0, 100.0), (69325, 78574, 66982)),
+        ],
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_recorded_counts(self, monkeypatch, mode, l, ratio, grid, successes, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=100_000, seed=2014)
+        estimate = estimate_mean_fade_outage if mode == "mean_fade" else estimate_rate_outage
+        assert estimate(cfg, threads=threads).successes == successes
 
 
 class TestEmpiricalOutage:
