@@ -38,6 +38,11 @@ CURVE_KINDS = (
 )
 
 
+def _check_z_exponent(z_exponent: float) -> None:
+    if not (math.isfinite(z_exponent) and z_exponent >= 1.0):
+        raise ValueError(f"z_exponent must be finite and >= 1, got {z_exponent}")
+
+
 @dataclass(frozen=True)
 class OutageParams:
     """Parameters of a power-law outage evaluation."""
@@ -57,8 +62,7 @@ class OutageParams:
             )
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
-        if not self.z_exponent >= 1.0:
-            raise ValueError(f"z_exponent must be >= 1, got {self.z_exponent}")
+        _check_z_exponent(self.z_exponent)
         if not 0.0 <= self.g_scale < 1.0:
             raise ValueError(f"g_scale must lie in [0, 1), got {self.g_scale}")
 
@@ -188,8 +192,7 @@ def tradeoff_single(multiplex_ratio: float, z_exponent: float = 1.0) -> float:
         raise DomainError(
             f"multiplex_ratio must lie in (0, 1], got {multiplex_ratio}"
         )
-    if not z_exponent >= 1.0:
-        raise ValueError(f"z_exponent must be >= 1, got {z_exponent}")
+    _check_z_exponent(z_exponent)
     return z_exponent * (1.0 - multiplex_ratio)
 
 
@@ -201,8 +204,7 @@ def tradeoff_multicarrier(
         raise DomainError(
             f"multiplex_ratio must lie in [0, 1], got {multiplex_ratio}"
         )
-    if not z_exponent >= 1.0:
-        raise ValueError(f"z_exponent must be >= 1, got {z_exponent}")
+    _check_z_exponent(z_exponent)
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     return l * z_exponent * (1.0 - multiplex_ratio)
@@ -217,8 +219,7 @@ def tradeoff_g_scaled(
         raise DomainError(
             f"multiplex_ratio must lie in [0, 1], got {multiplex_ratio}"
         )
-    if not z_exponent >= 1.0:
-        raise ValueError(f"z_exponent must be >= 1, got {z_exponent}")
+    _check_z_exponent(z_exponent)
     if not 0.0 <= g_scale < 1.0:
         raise DomainError(f"g_scale must lie in [0, 1), got {g_scale}")
     return z_exponent * (1.0 - multiplex_ratio) * (1.0 - g_scale)

@@ -1,12 +1,15 @@
 """Monte Carlo estimation of fading-outage probabilities and diversity slopes.
 
-Randomness contract: the fades of trial t are a pure function of (seed, t),
-shared by every SNR grid point.  Trials are generated in fixed-size blocks
-whose bit streams come from a counter-based Philox generator keyed by
-(seed, block index); each block is drawn once and every grid point counts
-its events from that one draw.  Estimates are therefore bit-identical no
-matter how many worker threads partition the blocks, and the count at one
-grid point does not depend on which other points are in the grid.
+Randomness contract (0.3.0): the fades of trial t are a pure function of
+(seed, t), shared by every SNR grid point.  Trials are generated in
+fixed-size blocks; block b of a run draws from an SFC64 generator seeded by
+``SeedSequence(entropy=seed, spawn_key=(b,))``, so every (seed, block) pair
+has its own stream and no generator state passes between blocks.  Seeds are
+the non-negative integers, without bound.  Each block is drawn once and
+every grid point counts its events from that one draw.  Estimates are
+therefore bit-identical no matter how many worker threads partition the
+blocks, and the count at one grid point does not depend on which other
+points are in the grid.
 
 Two outage events are supported over l i.i.d. exponential squared fades
 |F_i|^2 with mean ``fade_variance``:
@@ -54,7 +57,6 @@ from .errors import DegenerateInputError, InsufficientTrialsError
 _BLOCK = 1 << 16
 _MAX_BLOCK_VALUES = 1 << 20
 _CHUNK_VALUES = 1 << 16
-_MASK64 = (1 << 64) - 1
 _MIN_ANALYTIC_P = 1e-8
 
 
@@ -88,8 +90,11 @@ class TrialConfig:
             raise ValueError(
                 f"fade_variance must be finite and positive, got {self.fade_variance}"
             )
+        seed = int(self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "snr_grid", grid)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -197,8 +202,8 @@ def fit_diversity_slope(snr_grid, p_hats) -> SlopeFit:
 
 def _block_fades(seed: int, block_index: int, variance: float, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (trials x l) with the fades of one block and return it."""
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(block_index,))
-    rng = np.random.Generator(np.random.Philox(ss))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
+    rng = np.random.Generator(np.random.SFC64(ss))
     rng.standard_exponential(out=out)
     out *= variance
     return out

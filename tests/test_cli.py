@@ -65,6 +65,7 @@ class TestGridParsing:
         [
             ("tradeoff", "--kind", "single", "--grid", "0.5:inf:0.1"),
             ("perr", "--snr", "inf,10", "--multiplex", "0.6"),
+            ("tradeoff", "--kind", "multicarrier", "--l", "5", "--z", "inf", "--grid", "0:1:0.5"),
         ],
     )
     def test_non_finite_grid_exits_2(self, capsys, argv):
@@ -332,6 +333,7 @@ class TestMonteCarloCommand:
             ("--snr", "10,31.6,100", "--fade-variance", "inf"),
             ("--snr", "10,31.6,100", "--threads", "0"),
             ("--snr", "10,31.6,100", "--threads", "-3"),
+            ("--snr", "10,31.6,100", "--seed", "-1"),
         ],
     )
     def test_non_finite_or_bad_threads_exit_2(self, capsys, flags):

@@ -156,6 +156,7 @@ class TestTrialConfig:
             dict(fade_variance=0.0),
             dict(fade_variance=math.nan),
             dict(fade_variance=math.inf),
+            dict(seed=-1),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -215,6 +216,14 @@ class TestMeanFadeOutage:
         )
         a = estimate_mean_fade_outage(mk(1))
         b = estimate_mean_fade_outage(mk(2))
+        assert a.successes != b.successes
+
+    def test_seeds_two_to_the_64_apart_draw_different_samples(self):
+        mk = lambda seed: TrialConfig(
+            l=2, multiplex_ratio=0.0, snr_grid=GRID, trials=20_000, seed=seed
+        )
+        a = estimate_mean_fade_outage(mk(1))
+        b = estimate_mean_fade_outage(mk(2**64 + 1))
         assert a.successes != b.successes
 
     def test_unresolvable_probability_is_refused(self):
@@ -421,6 +430,26 @@ class TestThreadsAndBlocks:
         assert all(l == 4096 for _, l, _ in blocks)
 
 
+class TestBlockStream:
+    """The raw fades of ``_block_fades`` against the analytic exponential
+    law of |F|^2, and the independence of the (seed, block) keys."""
+
+    @staticmethod
+    def _draw(seed, block, variance=1.0):
+        return montecarlo._block_fades(seed, block, variance, np.empty((10_000, 4)))
+
+    @pytest.mark.parametrize("variance", [1.0, 2.5])
+    @pytest.mark.parametrize("seed, block", [(2014, 0), (7, 3)])
+    def test_fades_follow_the_exponential_law(self, seed, block, variance):
+        fades = self._draw(seed, block, variance)
+        assert stats.kstest(fades.ravel(), stats.expon(scale=variance).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("other", [(2015, 0), (2014, 1)])
+    def test_neighbouring_keys_share_no_value(self, other):
+        base = self._draw(2014, 0)
+        assert np.intersect1d(base, self._draw(*other)).size == 0
+
+
 def _trial_counts(cfg, event):
     """Per grid point, the trials for which ``event(fades, snr)`` holds, on
     the fades ``_block_fades`` draws for ``cfg``, one trial at a time."""
@@ -512,21 +541,22 @@ class TestEventKernels:
 
 
 class TestDeterminismPin:
-    """Success counts recorded from the 0.2.0 engine before the event kernels
-    were rewritten.  A regression pin on output bytes, not a correctness
-    oracle: a change here changes ``mc`` output and needs a version bump."""
+    """Success counts recorded from the 0.3.0 engine, whose blocks draw from
+    SFC64 streams keyed by ``SeedSequence(entropy=seed, spawn_key=(block,))``.
+    A regression pin on output bytes, not a correctness oracle: a change here
+    changes ``mc`` output and needs a version bump."""
 
     @pytest.mark.parametrize(
         "mode, l, ratio, grid, successes",
         [
-            ("mean_fade", 1, 0.0, (10.0, 31.6, 100.0), (9571, 3145, 997)),
-            ("mean_fade", 4, 0.0, (2.0, 3.0, 5.0), (14216, 4519, 863)),
-            ("mean_fade", 16, 0.0, (1.2, 1.4, 1.6), (26742, 11841, 4872)),
-            ("mean_fade", 64, 0.0, (1.1, 1.2, 1.3), (24148, 8468, 2486)),
-            ("rate", 1, 0.5, (10.0, 31.6, 100.0), (19427, 13664, 8654)),
-            ("rate", 4, 0.75, (10.0, 30.0, 100.0), (26483, 22377, 14561)),
-            ("rate", 16, 0.75, (10.0, 30.0, 100.0), (10521, 6929, 2138)),
-            ("rate", 64, 0.9, (10.0, 30.0, 100.0), (69325, 78574, 66982)),
+            ("mean_fade", 1, 0.0, (10.0, 31.6, 100.0), (9433, 3122, 970)),
+            ("mean_fade", 4, 0.0, (2.0, 3.0, 5.0), (14333, 4752, 952)),
+            ("mean_fade", 16, 0.0, (1.2, 1.4, 1.6), (26638, 11777, 4807)),
+            ("mean_fade", 64, 0.0, (1.1, 1.2, 1.3), (23998, 8598, 2524)),
+            ("rate", 1, 0.5, (10.0, 31.6, 100.0), (19442, 13691, 8559)),
+            ("rate", 4, 0.75, (10.0, 30.0, 100.0), (26414, 22390, 14818)),
+            ("rate", 16, 0.75, (10.0, 30.0, 100.0), (10542, 6983, 2048)),
+            ("rate", 64, 0.9, (10.0, 30.0, 100.0), (69075, 78516, 66731)),
         ],
     )
     @pytest.mark.parametrize("threads", [1, 2])
