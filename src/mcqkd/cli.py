@@ -144,6 +144,10 @@ def _run_perr(args) -> int:
     if not all(v >= 1 and v == int(v) for v in l_grid):
         raise ValueError(f"every l must be an integer >= 1, got {args.l!r}")
     l_values = [int(v) for v in l_grid]
+    if len(snr) * len(l_values) > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"{len(snr)} snr x {len(l_values)} l values exceed {_MAX_GRID_POINTS} table cells"
+        )
     columns = ["snr_db", "p_single"] + [f"p_amqd_l{v}" for v in l_values]
     rows = []
     for s in snr:

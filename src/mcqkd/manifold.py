@@ -18,6 +18,7 @@ All probabilities computed from power laws are clamped to [0, 1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,6 +44,13 @@ def _check_z_exponent(z_exponent: float) -> None:
         raise ValueError(f"z_exponent must be finite and >= 1, got {z_exponent}")
 
 
+def _check_g_scale(g_scale: float) -> None:
+    if not math.isfinite(g_scale):
+        raise ValueError(f"g_scale must be finite, got {g_scale}")
+    if not 0.0 <= g_scale < 1.0:
+        raise DomainError(f"g_scale must lie in [0, 1), got {g_scale}")
+
+
 @dataclass(frozen=True)
 class OutageParams:
     """Parameters of a power-law outage evaluation."""
@@ -63,8 +71,7 @@ class OutageParams:
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
         _check_z_exponent(self.z_exponent)
-        if not 0.0 <= self.g_scale < 1.0:
-            raise ValueError(f"g_scale must lie in [0, 1), got {self.g_scale}")
+        _check_g_scale(self.g_scale)
 
 
 @dataclass(frozen=True)
@@ -220,8 +227,7 @@ def tradeoff_g_scaled(
             f"multiplex_ratio must lie in [0, 1], got {multiplex_ratio}"
         )
     _check_z_exponent(z_exponent)
-    if not 0.0 <= g_scale < 1.0:
-        raise DomainError(f"g_scale must lie in [0, 1), got {g_scale}")
+    _check_g_scale(g_scale)
     return z_exponent * (1.0 - multiplex_ratio) * (1.0 - g_scale)
 
 
@@ -276,10 +282,16 @@ def tradeoff_multiaccess(k_in: int, k_out: int, multiplex_ratio: float) -> float
         raise DomainError(f"multiplex_ratio must be >= 0, got {multiplex_ratio}")
     if k_in > k_out:
         return max(0.0, 2.0 * (2.0 - multiplex_ratio))
-    n_min = min(k_in, k_out)
-    knots = np.arange(n_min + 1)
-    values = (k_in - knots) * (k_out - knots)
-    return float(np.interp(multiplex_ratio, knots, values, right=0.0))
+    # the largest knot value is the first, K_in * K_out
+    if not k_in * k_out <= sys.float_info.max:
+        raise ValueError("K_in * K_out must fit a double")
+    if multiplex_ratio >= min(k_in, k_out):
+        return 0.0
+    # only the knots i and i + 1 around sigma; np.interp on the offset
+    # sigma - i (exact) rounds as it does on the full knot list
+    i = math.floor(multiplex_ratio)
+    values = [float((k_in - j) * (k_out - j)) for j in (i, i + 1)]
+    return float(np.interp(multiplex_ratio - i, (0.0, 1.0), values))
 
 
 def interference_reduced_rate(secret_rate: float, r: float, k_in: int) -> float:

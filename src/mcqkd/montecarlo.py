@@ -6,10 +6,12 @@ fixed-size blocks; block b of a run draws from an SFC64 generator seeded by
 ``SeedSequence(entropy=seed, spawn_key=(b,))``, so every (seed, block) pair
 has its own stream and no generator state passes between blocks.  Seeds are
 the non-negative integers, without bound.  Each block is drawn once and
-every grid point counts its events from that one draw.  Estimates are
-therefore bit-identical no matter how many worker threads partition the
-blocks, and the count at one grid point does not depend on which other
-points are in the grid.
+every grid point counts its events from that one draw.  With W worker
+threads, worker w counts blocks w, w + W, w + 2W, ... into a fade buffer and
+scratch of its own, allocated for the call, and the caller sums the W
+integer count vectors.  Estimates are therefore bit-identical no matter how
+many worker threads partition the blocks, and the count at one grid point
+does not depend on which other points are in the grid.
 
 Two outage events are supported over l i.i.d. exponential squared fades
 |F_i|^2 with mean ``fade_variance``:
@@ -43,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -219,58 +220,55 @@ def _count_events(
     ``events(cols, work, row)`` maps a chunk of fades, copied to a
     C-contiguous (l, rows) array ``cols``, to a vector of event counts, one
     per grid point; ``work`` (shaped like ``cols``) and ``row`` (one value
-    per row) are scratch.  Blocks are drawn once each and their count vectors
-    are summed in block order.  At most ``os.cpu_count()`` workers run."""
+    per row) are scratch.  Each block is drawn once.  With W workers, worker
+    w counts blocks w, w + W, ... into its own buffers and the W count
+    vectors are summed.  At most ``os.cpu_count()`` workers run."""
     # wide trials shrink the block to keep one block of fades within
     # _MAX_BLOCK_VALUES doubles (8 MiB); TrialConfig bounds l by the same
     rows = min(_BLOCK, _MAX_BLOCK_VALUES // cfg.l)
     n_blocks = -(-cfg.trials // rows)
     # events run on row chunks of about 512 KiB, which stay in cache across
-    # the grid; each worker draws every block into one reused buffer and
-    # reuses one scratch set for every chunk
+    # the grid
     chunk = max(1, _CHUNK_VALUES // cfg.l)
-    local = threading.local()
+    workers = min(threads, os.cpu_count() or 1, n_blocks)
 
-    def count_block(block_index: int) -> np.ndarray:
-        start = block_index * rows
-        count = min(rows, cfg.trials - start)
-        if not hasattr(local, "fades"):
-            local.fades = np.empty((rows, cfg.l))
-            local.cols = np.empty(cfg.l * chunk)
-            local.work = np.empty(cfg.l * chunk)
-            local.row = np.empty(chunk)
-        fades = _block_fades(cfg.seed, block_index, cfg.fade_variance, local.fades[:count])
+    def count_blocks(first: int) -> np.ndarray:
+        fades = np.empty((rows, cfg.l))
+        cols = np.empty(cfg.l * chunk)
+        work = np.empty(cfg.l * chunk)
+        row = np.empty(chunk)
         counts = np.zeros(len(cfg.snr_grid), dtype=np.int64)
-        for lo in range(0, count, chunk):
-            part = fades[lo : lo + chunk]
-            n = len(part)
-            # a C-contiguous (l, rows) copy, so that reductions over l run
-            # across rows instead of along short rows
-            cols = local.cols[: part.size].reshape(cfg.l, n)
-            np.copyto(cols, part.T)
-            work = local.work[: part.size].reshape(cfg.l, n)
-            counts += events(cols, work, local.row[:n])
+        for block_index in range(first, n_blocks, workers):
+            count = min(rows, cfg.trials - block_index * rows)
+            block = _block_fades(cfg.seed, block_index, cfg.fade_variance, fades[:count])
+            for lo in range(0, count, chunk):
+                part = block[lo : lo + chunk]
+                n = len(part)
+                # a C-contiguous (l, rows) copy, so that reductions over l run
+                # across rows instead of along short rows
+                part_cols = cols[: part.size].reshape(cfg.l, n)
+                np.copyto(part_cols, part.T)
+                counts += events(part_cols, work[: part.size].reshape(cfg.l, n), row[:n])
         return counts
 
-    workers = min(threads, os.cpu_count() or 1, n_blocks)
-    total = np.zeros(len(cfg.snr_grid), dtype=np.int64)
-    if workers <= 1:
-        for block_index in range(n_blocks):
-            total += count_block(block_index)
+    if workers == 1:
+        total = count_blocks(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(count_block, range(n_blocks)):
-                total += counts
+            total = sum(pool.map(count_blocks, range(workers)))
     return [int(c) for c in total]
 
 
-def _refuse_rare(analytic: float, snr: float, what: str) -> None:
-    if 0.0 < analytic < _MIN_ANALYTIC_P:
-        raise InsufficientTrialsError(
-            f"refusing {what} at snr={snr:g}: analytic outage probability "
-            f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
-            "by sampling; use the closed-form power laws for this regime"
-        )
+def _refuse_rare(cfg: TrialConfig, args: list[float], what: str) -> None:
+    """Refuse the grid if the analytic outage P(l, arg) of some point is
+    positive but below _MIN_ANALYTIC_P; ``args`` holds one arg per point."""
+    for snr, analytic in zip(cfg.snr_grid, special.gammainc(cfg.l, args).tolist()):
+        if 0.0 < analytic < _MIN_ANALYTIC_P:
+            raise InsufficientTrialsError(
+                f"refusing {what} at snr={snr:g}: analytic outage probability "
+                f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
+                "by sampling; use the closed-form power laws for this regime"
+            )
 
 
 def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
@@ -308,9 +306,9 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     diversity slope of the estimates.  At most ``os.cpu_count()`` worker
     threads are used, whatever ``threads`` asks for."""
     _check_threads(threads)
-    for snr in cfg.snr_grid:
-        analytic = float(special.gammainc(cfg.l, cfg.l / (snr * cfg.fade_variance)))
-        _refuse_rare(analytic, snr, "mean-fade outage")
+    _refuse_rare(
+        cfg, [cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid], "mean-fade outage"
+    )
     thresholds = np.array([1.0 / snr for snr in cfg.snr_grid])
     top = thresholds.max()
 
@@ -349,12 +347,8 @@ def estimate_rate_outage(
     bad = [r for r in rates if not (math.isfinite(r) and r >= 0)]
     if bad:
         raise ValueError(f"secret_rate_fn must return finite non-negative rates, got {bad[0]}")
-    for snr, rate in zip(cfg.snr_grid, rates):
-        threshold = (_pow2(rate) - 1.0) / snr
-        analytic = float(
-            special.gammainc(cfg.l, cfg.l * threshold / cfg.fade_variance)
-        )
-        _refuse_rare(analytic, snr, "rate outage")
+    thresholds = [(_pow2(rate) - 1.0) / snr for snr, rate in zip(cfg.snr_grid, rates)]
+    _refuse_rare(cfg, [cfg.l * t / cfg.fade_variance for t in thresholds], "rate outage")
     targets = [cfg.l * rate for rate in rates]
     # where 2**target is no finite double, the log-sum decides
     bounds = [_pow2(target) for target in targets]

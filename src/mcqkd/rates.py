@@ -229,6 +229,9 @@ def rate_report(
     eavesdropper tap and excess noise are always derived from the static
     transmittances.
     """
+    for name, value in (("mod_variance", mod_variance), ("gain_c", gain_c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     active = channel.active
     if fades_sq is None:
         fades_sq = [abs(sub.transmittance) ** 2 for sub in active]

@@ -66,6 +66,8 @@ class TestGridParsing:
             ("tradeoff", "--kind", "single", "--grid", "0.5:inf:0.1"),
             ("perr", "--snr", "inf,10", "--multiplex", "0.6"),
             ("tradeoff", "--kind", "multicarrier", "--l", "5", "--z", "inf", "--grid", "0:1:0.5"),
+            ("tradeoff", "--kind", "g_scaled", "--g", "nan", "--grid", "0:1:0.5"),
+            ("tradeoff", "--kind", "g_scaled", "--g", "inf", "--grid", "0:1:0.5"),
         ],
     )
     def test_non_finite_grid_exits_2(self, capsys, argv):
@@ -123,8 +125,33 @@ class TestTradeoff:
         )
         assert code == 3
 
+    def test_multiaccess_knots_beyond_the_double_range_exit_2(self, capsys):
+        k = str(10**200)
+        code = main([
+            "tradeoff", "--kind", "multiaccess_in_le_out", "--grid", "0.5",
+            "--k-in", k, "--k-out", k,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "fit a double" in captured.err
+
 
 class TestPerr:
+    def test_table_cell_count_bounded(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 6)
+        assert main(["perr", "--snr", "10,100,1000", "--multiplex", "0", "--l", "1,2"]) == 0
+        capsys.readouterr()
+        code = main(["perr", "--snr", "10,100,1000", "--multiplex", "0", "--l", "1,2,3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceed 6 table cells" in captured.err
+
+    def test_a_million_snr_by_l_cells_refused_before_evaluation(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "perr_amqd", lambda params: pytest.fail("evaluated"))
+        code = main(["perr", "--snr", "1:1000:1", "--multiplex", "0.5", "--l", "1:1001:1"])
+        assert code == 2
+        assert "1000 snr x 1001 l values" in capsys.readouterr().err
+
     def test_power_law_columns(self, capsys):
         code, lines = run(
             capsys, "perr", "--snr", "10,100", "--multiplex", "0", "--l", "1,2"
@@ -227,6 +254,23 @@ class TestRates:
         p.write_text("re_t=0.5 noise_var=0.2\n")
         code, _ = run(capsys, "rates", "--channel", str(p), "--mod-variance", "2")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--mod-variance", "inf", "--gain-c", "0.5"), "mod_variance"),
+            (("--mod-variance", "nan", "--gain-c", "0.5"), "mod_variance"),
+            (("--mod-variance", "1.2", "--gain-c", "inf"), "gain_c"),
+            (("--mod-variance", "1.2", "--gain-c", "nan"), "gain_c"),
+        ],
+    )
+    def test_non_finite_inputs_exit_2_naming_the_input(self, capsys, tmp_path, flags, name):
+        p = tmp_path / "chan.txt"
+        p.write_text(CHANNEL_TEXT)
+        code = main(["rates", "--channel", str(p), *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{name} must be finite" in captured.err
 
 
 class TestConstellation:

@@ -1,5 +1,7 @@
 """Outage power laws, tradeoff curves, dimension counting and exponent fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -206,6 +208,16 @@ class TestTradeoffFamilies:
         with pytest.raises(DomainError):
             tradeoff_g_scaled(0.3, 1.0, 1.0)
 
+    @pytest.mark.parametrize("g_scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_g_scale_is_a_configuration_error(self, g_scale):
+        for check in (
+            lambda: tradeoff_g_scaled(0.3, 1.0, g_scale),
+            lambda: OutageParams(snr=10.0, multiplex_ratio=0.5, g_scale=g_scale),
+        ):
+            with pytest.raises(ValueError, match="finite") as excinfo:
+                check()
+            assert not isinstance(excinfo.value, DomainError)
+
     def test_multiaccess_in_gt_out(self):
         assert tradeoff_multiaccess(4, 2, 0.0) == pytest.approx(4.0)
         assert tradeoff_multiaccess(4, 2, 2.0) == pytest.approx(0.0)
@@ -222,6 +234,24 @@ class TestTradeoffFamilies:
 
     def test_multiaccess_beyond_last_knot_clamps_to_zero(self):
         assert tradeoff_multiaccess(2, 4, 2.5) == 0.0
+
+    def test_multiaccess_memory_does_not_grow_with_k(self):
+        k = 10**7
+        tracemalloc.start()
+        try:
+            values = [tradeoff_multiaccess(k, k + 3, s) for s in (0.25, 5e6 + 0.5, k - 0.5)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        exact = lambda i, t: (1 - t) * (k - i) * (k + 3 - i) + t * (k - i - 1) * (k + 2 - i)
+        assert values == pytest.approx([exact(0, 0.25), exact(5 * 10**6, 0.5), exact(k - 1, 0.5)])
+
+    def test_multiaccess_knots_beyond_the_double_range_rejected(self):
+        k = 10**200
+        with pytest.raises(ValueError, match="fit a double"):
+            tradeoff_multiaccess(k, k, 0.5)
+        assert tradeoff_multiaccess(k, k - 1, 0.5) == 2.0 * 1.5  # K_in > K_out
 
     def test_knots_equal_orthogonal_complement_dims(self):
         for k_in, k_out in [(1, 1), (2, 4), (3, 3), (4, 7)]:

@@ -7,6 +7,7 @@ targets before the seed was frozen.
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -323,6 +324,29 @@ class TestRateOutage:
             estimate_rate_outage(cfg)
 
 
+class TestRefusal:
+    """Both modes refuse a grid on its first point whose analytic outage is
+    positive but below 1e-8, before any fade is drawn."""
+
+    @pytest.mark.parametrize(
+        "estimate, ratio, grid, what",
+        [
+            (estimate_mean_fade_outage, 0.0, (2.0, 1e5, 3.0), "mean-fade outage"),
+            (estimate_rate_outage, 0.25, (10.0, 1e6, 20.0), "rate outage"),
+        ],
+    )
+    def test_only_the_middle_point_unresolvable(self, monkeypatch, estimate, ratio, grid, what):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_block_fades", lambda *args: drawn.append(args))
+        cfg = TrialConfig(l=4, multiplex_ratio=ratio, snr_grid=grid, trials=10_000, seed=1)
+        with pytest.raises(InsufficientTrialsError) as excinfo:
+            estimate(cfg)
+        message = str(excinfo.value)
+        assert message.startswith(f"refusing {what} at snr={grid[1]:g}: ")
+        assert "cannot be resolved by sampling" in message
+        assert drawn == []
+
+
 class TestSharedDraw:
     """Every grid point counts its events on the same fades: trial t draws
     the same |F_i|^2 whatever the grid, its order or the thread count."""
@@ -382,6 +406,43 @@ class TestThreadsAndBlocks:
         clamped = estimate_mean_fade_outage(cfg, threads=64)
         assert sizes == [2]
         assert clamped.successes == estimate_mean_fade_outage(cfg).successes
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_worker_w_counts_blocks_w_plus_multiples_of_the_worker_count(
+        self, monkeypatch, threads
+    ):
+        """One pool task per worker; the task started for worker w draws
+        blocks w, w + W, ... and every block is drawn once."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        tasks, drawn, running = [], [], {}
+        real_pool, real_fades = montecarlo.ThreadPoolExecutor, montecarlo._block_fades
+
+        class SpyPool(real_pool):
+            def map(self, fn, firsts):
+                firsts = list(firsts)
+                tasks.append(firsts)
+
+                def task(first):
+                    running[threading.get_ident()] = first
+                    return fn(first)
+
+                return super().map(task, firsts)
+
+        def spy(seed, block_index, variance, out):
+            drawn.append((running[threading.get_ident()], block_index))
+            return real_fades(seed, block_index, variance, out)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(montecarlo, "_block_fades", spy)
+        # 7 blocks of 65536 trials, the last one ragged
+        cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=400_000, seed=1)
+        pooled = estimate_mean_fade_outage(cfg, threads=threads)
+        assert tasks == [list(range(threads))]
+        for first in range(threads):
+            blocks = [b for w, b in drawn if w == first]
+            assert blocks == list(range(first, 7, threads))
+        monkeypatch.setattr(montecarlo, "_block_fades", real_fades)
+        assert pooled.successes == estimate_mean_fade_outage(cfg).successes
 
     def test_unknown_cpu_count_runs_serially(self, monkeypatch):
         sizes = self._pool_sizes(monkeypatch)

@@ -234,6 +234,13 @@ class TestRateReport:
         assert report.private_capacity >= 0
         assert report.svd_private_capacity >= 0
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["mod_variance", "gain_c"])
+    def test_non_finite_inputs_rejected_by_name(self, name, value):
+        kwargs = {"mod_variance": 1.2, "gain_c": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rate_report(self.make_model(), **kwargs)
+
     def test_svd_totals_dominate(self):
         report = rate_report(self.make_model(), 1.0, gain_c=0.7)
         assert report.svd_capacity > report.capacity
