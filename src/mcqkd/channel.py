@@ -23,6 +23,7 @@ eavesdropper port in the vacuum state).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ class SubchannelParams:
     ``transmittance`` must satisfy 0 <= Re T = Im T <= 1/sqrt(2) (hence
     |T|^2 <= 1), ``noise_variance`` is the per-quadrature noise variance of
     the sub-channel and ``eve_epr_variance`` >= 1 is the variance of the
-    eavesdropper's EPR ancilla input.
+    eavesdropper's EPR ancilla input.  All three must be finite.
     """
 
     transmittance: complex
@@ -51,6 +52,13 @@ class SubchannelParams:
 
     def __post_init__(self):
         t = complex(self.transmittance)
+        for name, value in (
+            ("transmittance real part", t.real),
+            ("noise_variance", self.noise_variance),
+            ("eve_epr_variance", self.eve_epr_variance),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if t.real != t.imag:
             raise ValueError(
                 f"transmittance quadratures must be equal, got {t.real} and {t.imag}"
@@ -92,6 +100,8 @@ class ChannelModel:
             raise ValueError(
                 f"active_count must lie in [1, {len(subs)}], got {self.active_count}"
             )
+        if not math.isfinite(self.vacuum_variance):
+            raise ValueError(f"vacuum_variance must be finite, got {self.vacuum_variance}")
         if not self.vacuum_variance > 0:
             raise ValueError(f"vacuum_variance must be positive, got {self.vacuum_variance}")
         object.__setattr__(self, "subchannels", subs)

@@ -31,17 +31,18 @@ from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_ou
 from .rates import SUBCHANNEL_COLUMNS, rate_report
 from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
 
-_MC_CONFIG_KEYS = (
-    "mode",
-    "l",
-    "multiplex",
-    "snr",
-    "snr_unit",
-    "trials",
-    "seed",
-    "fade_variance",
-    "threads",
-)
+# mc settings and the type each config-file value is converted to
+_MC_CONFIG_KEYS = {
+    "mode": str,
+    "l": int,
+    "multiplex": float,
+    "snr": str,
+    "snr_unit": str,
+    "trials": int,
+    "seed": int,
+    "fade_variance": float,
+    "threads": int,
+}
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -87,20 +88,13 @@ def _to_linear(values: list[float], unit: str) -> list[float]:
     return values
 
 
-def _format_value(value, fmt: str) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt.format(float(value))
-    return str(value)
-
-
 def _table(columns, rows, precision: int) -> str:
     fmt = f"{{:.{precision}g}}"
     lines = [",".join(columns)]
-    lines.extend(",".join(_format_value(v, fmt) for v in row) for row in rows)
+    lines.extend(
+        ",".join(fmt.format(v) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -165,8 +159,8 @@ def _run_perr(args) -> int:
     return 0
 
 
-def _read_mc_config(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_mc_config(path) -> dict:
+    out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -182,20 +176,24 @@ def _read_mc_config(path) -> dict[str, str]:
                 )
             if key in out:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+            convert = _MC_CONFIG_KEYS[key]
+            try:
+                out[key] = convert(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be of type {convert.__name__}, got {value!r}"
+                ) from None
     return out
 
 
 def _run_mc(args) -> int:
-    settings: dict[str, str] = {}
-    if args.config:
-        settings = _read_mc_config(args.config)
+    settings = _read_mc_config(args.config) if args.config else {}
     for key in _MC_CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:
-            settings[key] = str(value)
-    defaults = {"l": "1", "multiplex": "0", "snr_unit": "linear",
-                "trials": "100000", "seed": "1", "fade_variance": "1", "threads": "1"}
+            settings[key] = value
+    defaults = {"l": 1, "multiplex": 0.0, "snr_unit": "linear",
+                "trials": 100000, "seed": 1, "fade_variance": 1.0, "threads": 1}
     for key, value in defaults.items():
         settings.setdefault(key, value)
     missing = [k for k in ("mode", "snr") if k not in settings]
@@ -208,14 +206,14 @@ def _run_mc(args) -> int:
         raise ValueError(f"snr_unit must be linear or db, got {settings['snr_unit']!r}")
     snr = _to_linear(_parse_grid(settings["snr"]), settings["snr_unit"])
     cfg = TrialConfig(
-        l=int(settings["l"]),
-        multiplex_ratio=float(settings["multiplex"]),
+        l=settings["l"],
+        multiplex_ratio=settings["multiplex"],
         snr_grid=tuple(snr),
-        trials=int(settings["trials"]),
-        seed=int(settings["seed"]),
-        fade_variance=float(settings["fade_variance"]),
+        trials=settings["trials"],
+        seed=settings["seed"],
+        fade_variance=settings["fade_variance"],
     )
-    threads = int(settings["threads"])
+    threads = settings["threads"]
     if mode == "mean_fade":
         outage = estimate_mean_fade_outage(cfg, threads=threads)
     else:
@@ -280,6 +278,11 @@ def _run_rates(args) -> int:
 
 def _run_constellation(args) -> int:
     base = build_constellation(args.bits)
+    if len(base.points) * args.l > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"{len(base.points)} points x {args.l} sub-channels exceed "
+            f"{_MAX_GRID_POINTS} table rows"
+        )
     params = {"bits": args.bits, "l": args.l, "seed": args.seed}
     if args.l == 1:
         columns = ("index", "re", "im")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateInputError, NegativeFadeError
 
@@ -148,7 +147,7 @@ def gaussian_q(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    return 0.5 * float(special.erfc(x / math.sqrt(2.0)))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def build_constellation(secret_rate: float) -> PhaseConstellation:

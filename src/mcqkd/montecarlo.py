@@ -42,7 +42,6 @@ them, and the power-law formulas cover that regime analytically.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import warnings
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DegenerateInputError, InsufficientTrialsError
 
@@ -138,11 +137,6 @@ class SlopeFit(NamedTuple):
     stderr: float
 
 
-@functools.lru_cache(maxsize=8)
-def _normal_quantile(q: float) -> float:
-    return float(stats.norm.ppf(q))
-
-
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
@@ -151,7 +145,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = _normal_quantile(0.5 + confidence / 2.0)
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n

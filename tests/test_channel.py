@@ -46,6 +46,17 @@ class TestSubchannelParams:
         with pytest.raises(ValueError):
             SubchannelParams.from_real(0.5, 1.0, eve_epr_variance=0.9)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "index, name",
+        [(0, "transmittance real part"), (1, "noise_variance"), (2, "eve_epr_variance")],
+    )
+    def test_non_finite_values_rejected_by_name(self, index, name, value):
+        args = [0.5, 1.0, 1.2]
+        args[index] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SubchannelParams.from_real(*args)
+
 
 @pytest.mark.parametrize(
     "re_t,expected",
@@ -165,6 +176,12 @@ class TestChannelModel:
         subs = tuple(SubchannelParams.from_real(0.1 * i, 1.0) for i in range(1, 5))
         model = ChannelModel(subs, active_count=2)
         assert model.active == subs[:2]
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_vacuum_variance_rejected(self, value):
+        subs = (SubchannelParams.from_real(0.5, 1.0),)
+        with pytest.raises(ValueError, match="vacuum_variance must be finite"):
+            ChannelModel(subs, active_count=1, vacuum_variance=value)
 
     def test_active_count_bounds(self):
         subs = (SubchannelParams.from_real(0.5, 1.0),)

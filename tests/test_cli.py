@@ -1,6 +1,10 @@
 """Command line interface: parsing, CSV layout, headers and exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
@@ -272,6 +276,31 @@ class TestRates:
         assert code == 2 and captured.out == ""
         assert f"{name} must be finite" in captured.err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("re_t={v} noise_var=0.2 eve_w=1.4\n", "transmittance real part"),
+            ("re_t=0.5 noise_var={v} eve_w=1.4\n", "noise_variance"),
+            ("re_t=0.5 noise_var=0.2 eve_w={v}\n", "eve_epr_variance"),
+            ("re_t=0.5 noise_var=0.2\nre_t=0.6 noise_var={v}\n", "noise_variance"),
+            ("vacuum_variance={v}\nre_t=0.5 noise_var=0.2 eve_w=1.4\n", "vacuum_variance"),
+        ],
+        ids=["re_t", "noise_var", "eve_w", "second_record", "vacuum_variance"],
+    )
+    def test_non_finite_channel_file_values_exit_2_naming_the_input(
+        self, capsys, tmp_path, text, name, value
+    ):
+        p = tmp_path / "chan.txt"
+        p.write_text(text.format(v=value))
+        code = main(["rates", "--channel", str(p), "--mod-variance", "1.2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{name} must be finite" in captured.err
+        if name != "vacuum_variance":
+            lineno = text.count("\n")
+            assert f"{p}:{lineno}:" in captured.err
+
 
 class TestConstellation:
     def test_single_channel_listing(self, capsys):
@@ -297,6 +326,24 @@ class TestConstellation:
     def test_bad_bits_rejected(self, capsys):
         code, _ = run(capsys, "constellation", "--bits", "0")
         assert code == 2
+
+    def test_row_count_bounded(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 8)
+        code, lines = run(capsys, "constellation", "--bits", "2", "--l", "2")
+        assert code == 0 and len(data_rows(lines)) == 8
+        code = main(["constellation", "--bits", "2", "--l", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceed 8 table rows" in captured.err
+
+    def test_oversized_table_refused_before_any_permutation(self, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "permute_constellation", lambda *a: drawn.append(a))
+        code = main(["constellation", "--bits", "2", "--l", "250001"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "4 points x 250001 sub-channels exceed 1000000 table rows" in captured.err
+        assert drawn == []
 
 
 class TestMonteCarloCommand:
@@ -362,6 +409,20 @@ class TestMonteCarloCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert ":3:" in err and "bogus" in err
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("l=2.5", "l"), ("trials=1e6", "trials"), ("fade_variance=x", "fade_variance")],
+    )
+    def test_config_value_of_wrong_type_rejected_with_location(
+        self, capsys, tmp_path, line, key
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode=mean_fade\nsnr=5,10,20\n{line}\n")
+        code = main(["mc", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{cfg}:3: {key} must be of type" in captured.err
 
     def test_missing_mode_and_snr(self, capsys):
         code = main(["mc", "--trials", "2000"])
@@ -431,3 +492,19 @@ class TestExitCodes:
         assert main([*argv, "--precision", precision]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--precision" in captured.err
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = (
+        "import sys\n"
+        "from mcqkd import cli\n"
+        "cli.build_parser()\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    # the fresh interpreter imports the same package this test imported
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "False"
