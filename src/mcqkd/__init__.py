@@ -7,4 +7,4 @@ the module that defines them, for example ``from mcqkd.rates import
 rate_report``.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

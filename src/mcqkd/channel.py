@@ -209,10 +209,27 @@ def _parse_assignments(line: str) -> dict[str, str]:
     return out
 
 
+def _parse_directive(key: str, text: str) -> float | int:
+    """The value of directive ``key``, checked as far as it can be before
+    the records are read."""
+    kind = int if key == "active_count" else float
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
+    if kind is int and value < 1:
+        raise ValueError(f"active_count must be >= 1, got {value}")
+    if kind is float and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"vacuum_variance must be finite and positive, got {value}")
+    return value
+
+
 def load_channel_model(path) -> ChannelModel:
     """Read a channel model from the flat key=value text format documented in
     the module docstring."""
-    directives: dict[str, str] = {}
+    directives: dict[str, float | int] = {}
+    where: dict[str, int] = {}
     records: list[SubchannelParams] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -241,11 +258,17 @@ def load_channel_model(path) -> ChannelModel:
                         raise ValueError(f"unknown directive keys {sorted(unknown)}")
                     if records:
                         raise ValueError("directives must precede sub-channel records")
-                    directives.update(fields)
+                    for key, value in fields.items():
+                        directives[key] = _parse_directive(key, value)
+                        where[key] = lineno
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not records:
         raise ValueError(f"{path}: no sub-channel records found")
-    active = int(directives.get("active_count", len(records)))
-    vacuum = float(directives.get("vacuum_variance", 1.0))
-    return ChannelModel(tuple(records), active, vacuum)
+    active = directives.get("active_count", len(records))
+    if active > len(records):
+        raise ValueError(
+            f"{path}:{where['active_count']}: active_count must lie in "
+            f"[1, {len(records)}], got {active}"
+        )
+    return ChannelModel(tuple(records), active, directives.get("vacuum_variance", 1.0))

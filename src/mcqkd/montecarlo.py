@@ -1,43 +1,56 @@
 """Monte Carlo estimation of fading-outage probabilities and diversity slopes.
 
-Randomness contract (0.3.0): the fades of trial t are a pure function of
+Randomness contract (0.4.0): the values of trial t are a pure function of
 (seed, t), shared by every SNR grid point.  Trials are generated in
-fixed-size blocks; block b of a run draws from an SFC64 generator seeded by
+fixed-size blocks of at most 65536 trials and 2**20 values; block b of a run
+draws from an SFC64 generator seeded by
 ``SeedSequence(entropy=seed, spawn_key=(b,))``, so every (seed, block) pair
-has its own stream and no generator state passes between blocks.  Seeds are
-the non-negative integers, without bound.  Each block is drawn once and
-every grid point counts its events from that one draw.  With W worker
-threads, worker w counts blocks w, w + W, w + 2W, ... into a fade buffer and
-scratch of its own, allocated for the call, and the caller sums the W
-integer count vectors.  Estimates are therefore bit-identical no matter how
-many worker threads partition the blocks, and the count at one grid point
-does not depend on which other points are in the grid.
+has its own stream and no generator state passes between blocks.  Trial t
+takes the next l values of its block's stream.  Seeds are the non-negative
+integers, without bound.  Each block is drawn once, row chunk by row chunk
+into one buffer of about 512 KiB; a stream drawn in pieces gives the same
+values as one drawn whole, so the chunk size is invisible.  Every grid point
+counts its events from that one draw.  With W worker threads, worker w
+counts blocks w, w + W, w + 2W, ... into buffers of its own, allocated for
+the call, and the caller sums the W integer count vectors.  Estimates are
+therefore bit-identical no matter how many worker threads partition the
+blocks, and the count at one grid point does not depend on which other
+points are in the grid.
 
 Two outage events are supported over l i.i.d. exponential squared fades
-|F_i|^2 with mean ``fade_variance``:
+|F_i|^2 with mean v = ``fade_variance``:
 
   * mean-fade outage:  (1/l) * sum_i |F_i|^2 < 1/snr
-    (analytically the regularised gamma P(l, l/(snr*fade_variance)))
+    (analytically the regularised gamma P(l, l/(snr*v)))
   * rate outage:       sum_i log2(1 + |F_i|^2 * snr) < l * rate(snr)
     with the threshold rate(snr) = multiplex_ratio * log2(snr)
 
-Both events reduce over the l fades of a trial on a transposed copy of
+The two modes draw different streams.  Rate mode draws ziggurat
+exponentials, |F_i|^2 = v * E_i, as in 0.3.0.  Mean-fade mode draws
+uniforms U_i in [0, 1) and defines |F_i|^2 = -v * ln U_i (a zero uniform is
+an infinite fade), so the event is -sum_i ln U_i < l/(snr*v), decided as
+prod_i U_i > exp(-l/(snr*v)) with no log per fade.  Where that floor is no
+normal double (l/(snr*v) above about 708) the product may underflow, and the
+log-sum itself decides.  The product and log-sum forms round differently, so
+they can disagree only on a trial whose sum lies within rounding of the
+threshold.
+
+Both events reduce over the l values of a trial on a transposed copy of
 each row chunk, an (l, rows) array, so that the sums and products run
-across rows instead of along short rows.  The mean is the row sum divided
-by l.  The rate event is compared as a product,
-prod_i (1 + |F_i|^2 * snr) < 2**(l * rate), with no log2 per fade, wherever
-2**(l * rate) is a finite double (l * rate < 1024); a product that overflows
-to inf is then rightly not an event.  Grid points with l * rate >= 1024 are
-decided by the log-sum itself.  The product and log-sum forms round
-differently, so they can disagree only on a trial whose summed rate lies
-within rounding of the threshold.  For l >= 8 the sums also add the l terms
-in a different order than the first 0.2.0 kernels (one after another
-instead of numpy's pairwise row sum), so a trial whose mean fade or summed
-rate lies within rounding of its threshold can count differently.
+across rows instead of along short rows.  The rate event is compared as a
+product, prod_i (1 + |F_i|^2 * snr) < 2**(l * rate), with no log2 per
+fade, wherever 2**(l * rate) is a finite double (l * rate < 1024); a
+product that overflows to inf is then rightly not an event.  Grid points
+with l * rate >= 1024 are decided by the log-sum itself.  For l >= 8 the
+rate log-sum also adds the l terms in a different order than the first
+0.2.0 kernels (one after another instead of numpy's pairwise row sum), so a
+trial whose summed rate lies within rounding of its threshold can count
+differently.
 
 Configurations whose analytic outage probability is below 1e-8 at some grid
-point are refused up front: no affordable number of trials could resolve
-them, and the power-law formulas cover that regime analytically.
+point, zero included, are refused up front: no affordable number of trials
+could resolve them, and the power-law formulas cover that regime
+analytically.
 """
 
 from __future__ import annotations
@@ -195,54 +208,65 @@ def fit_diversity_slope(snr_grid, p_hats) -> SlopeFit:
     return SlopeFit(slope, stderr)
 
 
-def _block_fades(seed: int, block_index: int, variance: float, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (trials x l) with the fades of one block and return it."""
+def _block_rng(seed: int, block_index: int) -> np.random.Generator:
+    """The SFC64 generator of block ``block_index`` in a run seeded ``seed``."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    rng = np.random.Generator(np.random.SFC64(ss))
-    rng.standard_exponential(out=out)
-    out *= variance
+    return np.random.Generator(np.random.SFC64(ss))
+
+
+def _block_fades(
+    rng: np.random.Generator, draw: Callable[[np.random.Generator, np.ndarray], None],
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill ``out`` (rows x l) with the next values of a block's stream ``rng``,
+    as ``draw(rng, out)`` makes them, and return it.  Every chunk of both
+    modes is drawn through here, so one wrapper sees every draw."""
+    draw(rng, out)
     return out
 
 
 def _count_events(
     cfg: TrialConfig,
+    draw: Callable[[np.random.Generator, np.ndarray], None],
     events: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     threads: int,
 ) -> list[int]:
     """Per grid point, the number of trials in which the event occurs.
 
-    ``events(cols, work, row)`` maps a chunk of fades, copied to a
-    C-contiguous (l, rows) array ``cols``, to a vector of event counts, one
-    per grid point; ``work`` (shaped like ``cols``) and ``row`` (one value
-    per row) are scratch.  Each block is drawn once.  With W workers, worker
-    w counts blocks w, w + W, ... into its own buffers and the W count
-    vectors are summed.  At most ``os.cpu_count()`` workers run."""
-    # wide trials shrink the block to keep one block of fades within
-    # _MAX_BLOCK_VALUES doubles (8 MiB); TrialConfig bounds l by the same
+    ``draw(rng, out)`` fills a C-contiguous (rows, l) array with the next
+    values of a block's stream, one row per trial.  ``events(cols, work,
+    row)`` maps a chunk of them, copied to a C-contiguous (l, rows) array
+    ``cols``, to a vector of event counts, one per grid point; ``work``
+    (shaped like ``cols``) and ``row`` (one value per row) are scratch.  Each
+    block is drawn once, in row chunks.  With W workers, worker w counts
+    blocks w, w + W, ... into its own buffers and the W count vectors are
+    summed.  At most ``os.cpu_count()`` workers run."""
+    # the block size keys the streams; wide trials shrink the block to at
+    # most _MAX_BLOCK_VALUES values, and TrialConfig bounds l by the same
     rows = min(_BLOCK, _MAX_BLOCK_VALUES // cfg.l)
     n_blocks = -(-cfg.trials // rows)
-    # events run on row chunks of about 512 KiB, which stay in cache across
-    # the grid
+    # a block is drawn and counted in row chunks of about 512 KiB, which stay
+    # in cache from the draw through every grid point
     chunk = max(1, _CHUNK_VALUES // cfg.l)
     workers = min(threads, os.cpu_count() or 1, n_blocks)
 
     def count_blocks(first: int) -> np.ndarray:
-        fades = np.empty((rows, cfg.l))
+        drawn = np.empty(cfg.l * chunk)
         cols = np.empty(cfg.l * chunk)
-        work = np.empty(cfg.l * chunk)
         row = np.empty(chunk)
         counts = np.zeros(len(cfg.snr_grid), dtype=np.int64)
         for block_index in range(first, n_blocks, workers):
+            rng = _block_rng(cfg.seed, block_index)
             count = min(rows, cfg.trials - block_index * rows)
-            block = _block_fades(cfg.seed, block_index, cfg.fade_variance, fades[:count])
             for lo in range(0, count, chunk):
-                part = block[lo : lo + chunk]
-                n = len(part)
+                n = min(chunk, count - lo)
+                part = _block_fades(rng, draw, drawn[: n * cfg.l].reshape(n, cfg.l))
                 # a C-contiguous (l, rows) copy, so that reductions over l run
-                # across rows instead of along short rows
+                # across rows instead of along short rows; the drawn chunk is
+                # then spent and serves as scratch
                 part_cols = cols[: part.size].reshape(cfg.l, n)
                 np.copyto(part_cols, part.T)
-                counts += events(part_cols, work[: part.size].reshape(cfg.l, n), row[:n])
+                counts += events(part_cols, drawn[: part.size].reshape(cfg.l, n), row[:n])
         return counts
 
     if workers == 1:
@@ -254,10 +278,10 @@ def _count_events(
 
 
 def _refuse_rare(cfg: TrialConfig, args: list[float], what: str) -> None:
-    """Refuse the grid if the analytic outage P(l, arg) of some point is
-    positive but below _MIN_ANALYTIC_P; ``args`` holds one arg per point."""
+    """Refuse the grid if the analytic outage P(l, arg) of some point is below
+    _MIN_ANALYTIC_P, zero included; ``args`` holds one arg per point."""
     for snr, analytic in zip(cfg.snr_grid, special.gammainc(cfg.l, args).tolist()):
-        if 0.0 < analytic < _MIN_ANALYTIC_P:
+        if analytic < _MIN_ANALYTIC_P:
             raise InsufficientTrialsError(
                 f"refusing {what} at snr={snr:g}: analytic outage probability "
                 f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
@@ -295,26 +319,48 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
+def _count_above(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per bound, how many ``values`` exceed it.  Only values above the
+    lowest bound can count anywhere; sorting just those lets one searchsorted
+    serve every bound.  ``compress`` selects them faster than a boolean
+    index does."""
+    above = np.sort(np.compress(values > bounds.min(), values))
+    return above.size - np.searchsorted(above, bounds, side="right")
+
+
 def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     """Estimate Pr[(1/l) * sum |F_i|^2 < 1/snr] over the SNR grid and fit the
     diversity slope of the estimates.  At most ``os.cpu_count()`` worker
     threads are used, whatever ``threads`` asks for."""
     _check_threads(threads)
-    _refuse_rare(
-        cfg, [cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid], "mean-fade outage"
-    )
-    thresholds = np.array([1.0 / snr for snr in cfg.snr_grid])
-    top = thresholds.max()
+    limits = np.array([cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid])
+    _refuse_rare(cfg, limits.tolist(), "mean-fade outage")
+    # With F_i = -v ln U_i a trial is an outage where -sum_i ln U_i < limit,
+    # that is where prod_i U_i > exp(-limit).  Where that floor is no normal
+    # double the product may underflow, and the log-sum decides.  math.exp
+    # rounds the same on every machine; numpy's SIMD exp need not.
+    floors = np.array([math.exp(-limit) for limit in limits.tolist()])
+    by_product = floors >= np.finfo(float).tiny
+    product_at, log_at = np.flatnonzero(by_product), np.flatnonzero(~by_product)
+    product_floors, log_bounds = floors[product_at], -limits[log_at]
 
-    def events(cols: np.ndarray, work: np.ndarray, means: np.ndarray) -> np.ndarray:
-        # Only means below the largest threshold can count anywhere; sorting
-        # just those lets one searchsorted serve every threshold.
-        np.add.reduce(cols, axis=0, out=means)
-        means /= cfg.l
-        below = np.sort(means[means < top])
-        return np.searchsorted(below, thresholds, side="left")
+    def events(cols: np.ndarray, work: np.ndarray, row: np.ndarray) -> np.ndarray:
+        counts = np.empty(len(cfg.snr_grid), dtype=np.int64)
+        if product_at.size:
+            np.multiply.reduce(cols, axis=0, out=row)
+            counts[product_at] = _count_above(row, product_floors)
+        if log_at.size:
+            # a zero uniform is an infinite fade: its log-sum is -inf, no event
+            with np.errstate(divide="ignore"):
+                np.log(cols, out=work)
+            np.add.reduce(work, axis=0, out=row)
+            counts[log_at] = _count_above(row, log_bounds)
+        return counts
 
-    return _assemble(cfg, _count_events(cfg, events, threads))
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=out)
+
+    return _assemble(cfg, _count_events(cfg, draw, events, threads))
 
 
 def _pow2(x: float) -> float:
@@ -363,4 +409,8 @@ def estimate_rate_outage(
                 counts.append(np.count_nonzero(row < target))
         return counts
 
-    return _assemble(cfg, _count_events(cfg, events, threads))
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_exponential(out=out)
+        out *= cfg.fade_variance
+
+    return _assemble(cfg, _count_events(cfg, draw, events, threads))

@@ -297,9 +297,27 @@ class TestRates:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"{name} must be finite" in captured.err
-        if name != "vacuum_variance":
-            lineno = text.count("\n")
-            assert f"{p}:{lineno}:" in captured.err
+        lineno = 1 if name == "vacuum_variance" else text.count("\n")
+        assert f"{p}:{lineno}:" in captured.err
+
+    @pytest.mark.parametrize(
+        "directive, message",
+        [
+            ("active_count=2.5", "active_count must be an integer, got '2.5'"),
+            ("active_count=0", "active_count must be >= 1, got 0"),
+            ("active_count=3", "active_count must lie in [1, 1], got 3"),
+            ("vacuum_variance=inf", "vacuum_variance must be finite and positive, got inf"),
+            ("vacuum_variance=0", "vacuum_variance must be finite and positive, got 0.0"),
+            ("vacuum_variance=one", "vacuum_variance must be a number, got 'one'"),
+        ],
+    )
+    def test_bad_channel_directive_exits_2_at_its_line(self, capsys, tmp_path, directive, message):
+        p = tmp_path / "chan.txt"
+        p.write_text(f"# one record\n{directive}\nre_t=0.5 noise_var=0.2 eve_w=1.4\n")
+        code = main(["rates", "--channel", str(p), "--mod-variance", "1.2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {p}:2: {message}\n"
 
 
 class TestConstellation:

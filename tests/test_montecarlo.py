@@ -7,7 +7,9 @@ targets before the seed was frozen.
 
 import math
 import os
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,13 +252,15 @@ class TestMeanFadeOutage:
 
 
 class TestRateOutage:
-    def test_zero_multiplex_event_never_occurs(self):
+    def test_zero_multiplex_event_never_occurs(self, monkeypatch):
+        """A zero rate is never missed: the event is impossible, so the grid
+        is refused before any fade is drawn."""
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_block_fades", lambda *args: drawn.append(args))
         cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=1000, seed=1)
-        with pytest.raises(InsufficientTrialsError) as excinfo:
+        with pytest.raises(InsufficientTrialsError, match="probability 0.000e[+]00 is below"):
             estimate_rate_outage(cfg)
-        partial = excinfo.value.outage
-        assert partial.p_hat == (0.0, 0.0, 0.0)
-        assert math.isnan(partial.slope)
+        assert drawn == []
 
     def test_half_multiplex_calibration(self):
         """l=1 at half multiplexing: outage below snr^(1/2) bits is the
@@ -326,7 +330,7 @@ class TestRateOutage:
 
 class TestRefusal:
     """Both modes refuse a grid on its first point whose analytic outage is
-    positive but below 1e-8, before any fade is drawn."""
+    below 1e-8, before any fade is drawn."""
 
     @pytest.mark.parametrize(
         "estimate, ratio, grid, what",
@@ -344,6 +348,26 @@ class TestRefusal:
         message = str(excinfo.value)
         assert message.startswith(f"refusing {what} at snr={grid[1]:g}: ")
         assert "cannot be resolved by sampling" in message
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "grid, variance",
+        [((1e90, 1e95, 1e100), 1.0), ((2.0, 3.0, 4.0), 1e300)],
+        ids=["huge_snr", "huge_fade_variance"],
+    )
+    def test_underflowed_outage_refused_before_sampling(self, monkeypatch, grid, variance):
+        """P(l, l/(snr v)) underflows to 0.0 here: a sample of any size
+        counts no event, so the grid is refused up front."""
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_block_fades", lambda *args: drawn.append(args))
+        cfg = TrialConfig(
+            l=4, multiplex_ratio=0.0, snr_grid=grid, trials=4_000_000, seed=1,
+            fade_variance=variance,
+        )
+        assert special.gammainc(cfg.l, cfg.l / (grid[0] * variance)) == 0.0
+        with pytest.raises(InsufficientTrialsError) as excinfo:
+            estimate_mean_fade_outage(cfg)
+        assert str(excinfo.value).startswith(f"refusing mean-fade outage at snr={grid[0]:g}: ")
         assert drawn == []
 
 
@@ -412,10 +436,10 @@ class TestThreadsAndBlocks:
         self, monkeypatch, threads
     ):
         """One pool task per worker; the task started for worker w draws
-        blocks w, w + W, ... and every block is drawn once."""
+        blocks w, w + W, ... and every block's generator is made once."""
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         tasks, drawn, running = [], [], {}
-        real_pool, real_fades = montecarlo.ThreadPoolExecutor, montecarlo._block_fades
+        real_pool, real_rng = montecarlo.ThreadPoolExecutor, montecarlo._block_rng
 
         class SpyPool(real_pool):
             def map(self, fn, firsts):
@@ -428,12 +452,12 @@ class TestThreadsAndBlocks:
 
                 return super().map(task, firsts)
 
-        def spy(seed, block_index, variance, out):
+        def spy(seed, block_index):
             drawn.append((running[threading.get_ident()], block_index))
-            return real_fades(seed, block_index, variance, out)
+            return real_rng(seed, block_index)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SpyPool)
-        monkeypatch.setattr(montecarlo, "_block_fades", spy)
+        monkeypatch.setattr(montecarlo, "_block_rng", spy)
         # 7 blocks of 65536 trials, the last one ragged
         cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=400_000, seed=1)
         pooled = estimate_mean_fade_outage(cfg, threads=threads)
@@ -441,7 +465,7 @@ class TestThreadsAndBlocks:
         for first in range(threads):
             blocks = [b for w, b in drawn if w == first]
             assert blocks == list(range(first, 7, threads))
-        monkeypatch.setattr(montecarlo, "_block_fades", real_fades)
+        monkeypatch.setattr(montecarlo, "_block_rng", real_rng)
         assert pooled.successes == estimate_mean_fade_outage(cfg).successes
 
     def test_unknown_cpu_count_runs_serially(self, monkeypatch):
@@ -490,38 +514,84 @@ class TestThreadsAndBlocks:
         assert sum(rows for rows, _, _ in blocks) == 1000
         assert all(l == 4096 for _, l, _ in blocks)
 
+    def test_worker_memory_stays_chunk_sized(self):
+        """A worker draws and counts row chunks of about 512 KiB in place; no
+        buffer grows with the block (65536 x 16 fades, 8 MiB, here)."""
+        cfg = TrialConfig(
+            l=16, multiplex_ratio=0.75, snr_grid=(10.0, 30.0, 100.0), trials=131_072, seed=1
+        )
+        tracemalloc.start()
+        try:
+            estimate_rate_outage(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+
+
+def _exponential_draw(variance):
+    """The rate-mode stream: |F|^2 = variance * Exp(1), ziggurat draws."""
+
+    def draw(rng, out):
+        rng.standard_exponential(out=out)
+        out *= variance
+
+    return draw
+
+
+def _uniform_draw(rng, out):
+    """The mean-fade stream: uniforms U in [0, 1), with |F|^2 = -v ln U."""
+    rng.random(out=out)
+
+
+def _block_values(seed, block, draw, rows=10_000, l=4):
+    out = np.empty((rows, l))
+    return montecarlo._block_fades(montecarlo._block_rng(seed, block), draw, out)
+
 
 class TestBlockStream:
-    """The raw fades of ``_block_fades`` against the analytic exponential
-    law of |F|^2, and the independence of the (seed, block) keys."""
-
-    @staticmethod
-    def _draw(seed, block, variance=1.0):
-        return montecarlo._block_fades(seed, block, variance, np.empty((10_000, 4)))
+    """The raw values of ``_block_fades`` against the analytic laws of the
+    fades, and the independence of the (seed, block) keys."""
 
     @pytest.mark.parametrize("variance", [1.0, 2.5])
     @pytest.mark.parametrize("seed, block", [(2014, 0), (7, 3)])
-    def test_fades_follow_the_exponential_law(self, seed, block, variance):
-        fades = self._draw(seed, block, variance)
+    def test_rate_fades_follow_the_exponential_law(self, seed, block, variance):
+        fades = _block_values(seed, block, _exponential_draw(variance))
         assert stats.kstest(fades.ravel(), stats.expon(scale=variance).cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("variance", [1.0, 2.5])
+    @pytest.mark.parametrize("seed, block", [(2014, 0), (7, 3)])
+    def test_mean_fade_fades_follow_the_exponential_law(self, seed, block, variance):
+        uniforms = _block_values(seed, block, _uniform_draw)
+        assert stats.kstest(uniforms.ravel(), stats.uniform.cdf).pvalue > 1e-3
+        fades = -variance * np.log(uniforms.ravel())
+        assert stats.kstest(fades, stats.expon(scale=variance).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("draw", [_exponential_draw(1.0), _uniform_draw])
     @pytest.mark.parametrize("other", [(2015, 0), (2014, 1)])
-    def test_neighbouring_keys_share_no_value(self, other):
-        base = self._draw(2014, 0)
-        assert np.intersect1d(base, self._draw(*other)).size == 0
+    def test_neighbouring_keys_share_no_value(self, other, draw):
+        base = _block_values(2014, 0, draw)
+        assert np.intersect1d(base, _block_values(*other, draw)).size == 0
+
+    @pytest.mark.parametrize("draw", [_exponential_draw(0.7), _uniform_draw])
+    def test_a_stream_drawn_in_pieces_gives_the_same_values(self, draw):
+        whole = _block_values(11, 2, draw, rows=1000, l=3)
+        rng = montecarlo._block_rng(11, 2)
+        pieces = [montecarlo._block_fades(rng, draw, np.empty((n, 3))) for n in (1, 400, 7, 592)]
+        assert np.array_equal(np.concatenate(pieces), whole)
 
 
-def _trial_counts(cfg, event):
-    """Per grid point, the trials for which ``event(fades, snr)`` holds, on
-    the fades ``_block_fades`` draws for ``cfg``, one trial at a time."""
+def _trial_counts(cfg, draw, event):
+    """Per grid point, the trials for which the event holds, on the values
+    ``draw`` makes for ``cfg`` (each block drawn whole), one trial at a time;
+    ``event(values)`` says per grid point whether a trial is an event."""
     rows = min(montecarlo._BLOCK, montecarlo._MAX_BLOCK_VALUES // cfg.l)
     counts = [0] * len(cfg.snr_grid)
     for block, start in enumerate(range(0, cfg.trials, rows)):
-        fades = np.empty((min(rows, cfg.trials - start), cfg.l))
-        montecarlo._block_fades(cfg.seed, block, cfg.fade_variance, fades)
-        for trial in fades.tolist():
-            for i, snr in enumerate(cfg.snr_grid):
-                counts[i] += event(trial, snr)
+        values = _block_values(cfg.seed, block, draw, min(rows, cfg.trials - start), cfg.l)
+        for trial in values.tolist():
+            for i, hit in enumerate(event(trial)):
+                counts[i] += hit
     return counts
 
 
@@ -529,31 +599,92 @@ def _log_sum(trial, snr):
     return math.fsum(math.log2(1.0 + f * snr) for f in trial)
 
 
+def _mean_fade_counts(cfg, draw=_uniform_draw):
+    """Trials whose fades -v ln U_i have a mean below 1/snr, with the sum
+    -sum_i ln U_i compared with l/(snr v); a zero uniform is an infinite fade."""
+    limits = [cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid]
+
+    def event(trial):
+        total = math.fsum(-math.log(u) if u > 0.0 else math.inf for u in trial)
+        return [total < limit for limit in limits]
+
+    return _trial_counts(cfg, draw, event)
+
+
+@pytest.mark.filterwarnings("error")
 class TestEventKernels:
     """The vectorized event counts against a per-trial Python count on the
-    same fades: exact sums of ``math.log2`` terms and the exact mean."""
+    same stream: exact sums of ``math.log2`` terms for the rate event, and
+    exact sums of ``-math.log`` terms for the mean-fade event.  Warnings are
+    errors: neither an overflowing product nor the log of a zero uniform may
+    warn."""
 
     @staticmethod
     def _rate_counts(cfg):
         return _trial_counts(
-            cfg, lambda t, snr: _log_sum(t, snr) < cfg.l * cfg.multiplex_ratio * math.log2(snr)
+            cfg, _exponential_draw(cfg.fade_variance),
+            lambda t: [_log_sum(t, snr) < cfg.l * cfg.multiplex_ratio * math.log2(snr)
+                       for snr in cfg.snr_grid],
         )
 
     @pytest.mark.parametrize(
-        "l, grid, trials",
+        "l, grid, trials, variance",
         [
-            (1, GRID, 20_000),
-            (3, (3.0, 5.0, 8.0), 20_000),
-            (8, (1.5, 2.0, 2.5), 20_000),
-            (17, (1.2, 1.4, 1.6), 20_000),
-            (4096, (1.01, 1.02, 1.03), 1000),
+            (1, GRID, 20_000, 1.0),
+            (3, (3.0, 5.0, 8.0), 20_000, 1.0),
+            (8, (1.5, 2.0, 2.5), 20_000, 2.5),
+            (17, (1.2, 1.4, 1.6), 20_000, 1.0),
+            (200, (1.05, 1.1, 1.2), 2000, 1.0),
+            # l/(snr v) > 708 at every point: each floor exp(-l/(snr v)) is
+            # below the smallest normal double and the log-sum decides
+            (4096, (1.01, 1.02, 1.03), 1000, 1.0),
+            # the floor underflows at the first point only
+            (700, (1.05, 1.1, 1.15), 2000, 0.9),
         ],
     )
-    def test_mean_fade_counts(self, l, grid, trials):
-        cfg = TrialConfig(l=l, multiplex_ratio=0.0, snr_grid=grid, trials=trials, seed=21)
-        expected = _trial_counts(cfg, lambda t, snr: math.fsum(t) / l < 1.0 / snr)
+    def test_mean_fade_counts(self, l, grid, trials, variance):
+        cfg = TrialConfig(
+            l=l, multiplex_ratio=0.0, snr_grid=grid, trials=trials, seed=21,
+            fade_variance=variance,
+        )
+        expected = _mean_fade_counts(cfg)
         assert min(expected) > 0
         assert list(estimate_mean_fade_outage(cfg).successes) == expected
+
+    @pytest.mark.parametrize(
+        "l, grid, trials, cut",
+        [(3, (3.0, 5.0, 8.0), 20_000, 1e-3), (4096, (1.01, 1.02, 1.03), 1000, 1e-5)],
+    )
+    def test_zero_uniforms_are_infinite_fades(self, monkeypatch, l, grid, trials, cut):
+        """``random`` can return 0.0, an infinite fade that is never an
+        outage.  Uniforms above 1 - cut are set to 0.0 here: they sit mostly
+        in trials that would be outages otherwise."""
+        zeroed = []
+
+        def zeroing(rng, out):
+            rng.random(out=out)
+            high = out > 1.0 - cut
+            zeroed.append(np.count_nonzero(high))
+            out[high] = 0.0
+
+        cfg = TrialConfig(l=l, multiplex_ratio=0.0, snr_grid=grid, trials=trials, seed=25)
+        expected = _mean_fade_counts(cfg, zeroing)
+        assert sum(zeroed) > 0
+        assert sum(expected) < sum(_mean_fade_counts(cfg))
+        real = montecarlo._block_fades
+        monkeypatch.setattr(
+            montecarlo, "_block_fades", lambda rng, draw, out: real(rng, zeroing, out)
+        )
+        assert list(estimate_mean_fade_outage(cfg).successes) == expected
+
+    def test_mean_fade_where_every_floor_underflows_matches_gamma(self):
+        """On l=4096, where the log-sum decides every point, the estimates
+        sit inside the 3-sigma band of the regularised gamma."""
+        grid = (1.01, 1.02, 1.05)
+        cfg = TrialConfig(l=4096, multiplex_ratio=0.0, snr_grid=grid, trials=20_000, seed=2014)
+        assert all(math.exp(-cfg.l / snr) < sys.float_info.min for snr in grid)
+        out = estimate_mean_fade_outage(cfg)
+        assert analytic_inside_3sigma(out, lambda s: float(special.gammainc(4096, 4096 / s)))
 
     @pytest.mark.parametrize(
         "l, ratio, grid, trials",
@@ -578,7 +709,10 @@ class TestEventKernels:
             l=16, multiplex_ratio=1.0, snr_grid=(1.5e19, 1.7e19, 1.84e19), trials=20_000, seed=23
         )
         assert all(cfg.l * math.log2(snr) < 1024 for snr in cfg.snr_grid)
-        overflowing = _trial_counts(cfg, lambda t, snr: _log_sum(t, snr) > 1024.5)
+        overflowing = _trial_counts(
+            cfg, _exponential_draw(cfg.fade_variance),
+            lambda t: [_log_sum(t, snr) > 1024.5 for snr in cfg.snr_grid],
+        )
         assert min(overflowing) > 10
         expected = self._rate_counts(cfg)
         assert min(expected) > 0
@@ -602,18 +736,21 @@ class TestEventKernels:
 
 
 class TestDeterminismPin:
-    """Success counts recorded from the 0.3.0 engine, whose blocks draw from
-    SFC64 streams keyed by ``SeedSequence(entropy=seed, spawn_key=(block,))``.
-    A regression pin on output bytes, not a correctness oracle: a change here
-    changes ``mc`` output and needs a version bump."""
+    """Success counts recorded from SFC64 streams keyed by
+    ``SeedSequence(entropy=seed, spawn_key=(block,))``: the rate counts from
+    the 0.3.0 exponential streams, which 0.4.0 keeps, and the mean-fade
+    counts from the 0.4.0 uniform streams (each within 1.4 sigma of the
+    regularised gamma when recorded).  A regression pin on output bytes, not
+    a correctness oracle: a change here changes ``mc`` output and needs a
+    version bump."""
 
     @pytest.mark.parametrize(
         "mode, l, ratio, grid, successes",
         [
-            ("mean_fade", 1, 0.0, (10.0, 31.6, 100.0), (9433, 3122, 970)),
-            ("mean_fade", 4, 0.0, (2.0, 3.0, 5.0), (14333, 4752, 952)),
-            ("mean_fade", 16, 0.0, (1.2, 1.4, 1.6), (26638, 11777, 4807)),
-            ("mean_fade", 64, 0.0, (1.1, 1.2, 1.3), (23998, 8598, 2524)),
+            ("mean_fade", 1, 0.0, (10.0, 31.6, 100.0), (9580, 3156, 967)),
+            ("mean_fade", 4, 0.0, (2.0, 3.0, 5.0), (14237, 4710, 907)),
+            ("mean_fade", 16, 0.0, (1.2, 1.4, 1.6), (26582, 11712, 4782)),
+            ("mean_fade", 64, 0.0, (1.1, 1.2, 1.3), (24109, 8570, 2459)),
             ("rate", 1, 0.5, (10.0, 31.6, 100.0), (19442, 13691, 8559)),
             ("rate", 4, 0.75, (10.0, 30.0, 100.0), (26414, 22390, 14818)),
             ("rate", 16, 0.75, (10.0, 30.0, 100.0), (10542, 6983, 2048)),
