@@ -31,17 +31,19 @@ from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_ou
 from .rates import SUBCHANNEL_COLUMNS, rate_report
 from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
 
-# mc settings and the type each config-file value is converted to
-_MC_CONFIG_KEYS = {
-    "mode": str,
-    "l": int,
-    "multiplex": float,
-    "snr": str,
-    "snr_unit": str,
-    "trials": int,
-    "seed": int,
-    "fade_variance": float,
-    "threads": int,
+# every mc setting: the type a flag or config-file value is converted to, the
+# default (None where the setting is required) and the allowed values (None
+# for any); the flag of key ``snr_unit`` is ``--snr-unit``
+_MC_SETTINGS = {
+    "mode": (str, None, ("mean_fade", "rate")),
+    "l": (int, 1, None),
+    "multiplex": (float, 0.0, None),
+    "snr": (str, None, None),
+    "snr_unit": (str, "linear", ("linear", "db")),
+    "trials": (int, 100000, None),
+    "seed": (int, 1, None),
+    "fade_variance": (float, 1.0, None),
+    "threads": (int, 1, None),
 }
 _MAX_GRID_POINTS = 1_000_000
 
@@ -83,9 +85,15 @@ def _precision(text: str) -> int:
 
 
 def _to_linear(values: list[float], unit: str) -> list[float]:
-    if unit == "db":
-        return [10.0 ** (v / 10.0) for v in values]
-    return values
+    if unit == "linear":
+        return values
+    linear = []
+    for v in values:
+        try:
+            linear.append(10.0 ** (v / 10.0))
+        except OverflowError:
+            raise ValueError(f"snr {v:g} dB exceeds the largest double") from None
+    return linear
 
 
 def _table(columns, rows, precision: int) -> str:
@@ -170,40 +178,37 @@ def _read_mc_config(path) -> dict:
             key, value = key.strip(), value.strip()
             if not sep or not key or not value:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key not in _MC_CONFIG_KEYS:
+            if key not in _MC_SETTINGS:
                 raise ValueError(
-                    f"{path}:{lineno}: unknown key {key!r}; allowed: {', '.join(_MC_CONFIG_KEYS)}"
+                    f"{path}:{lineno}: unknown key {key!r}; allowed: {', '.join(_MC_SETTINGS)}"
                 )
             if key in out:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            convert = _MC_CONFIG_KEYS[key]
+            convert, _, choices = _MC_SETTINGS[key]
             try:
                 out[key] = convert(value)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: {key} must be of type {convert.__name__}, got {value!r}"
                 ) from None
+            if choices and out[key] not in choices:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {value!r}"
+                )
     return out
 
 
 def _run_mc(args) -> int:
-    settings = _read_mc_config(args.config) if args.config else {}
-    for key in _MC_CONFIG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    defaults = {"l": 1, "multiplex": 0.0, "snr_unit": "linear",
-                "trials": 100000, "seed": 1, "fade_variance": 1.0, "threads": 1}
-    for key, value in defaults.items():
-        settings.setdefault(key, value)
-    missing = [k for k in ("mode", "snr") if k not in settings]
+    from_file = _read_mc_config(args.config) if args.config else {}
+    # a flag overrides the config file, which overrides the default
+    settings = {}
+    for key, (_, default, _) in _MC_SETTINGS.items():
+        flag = getattr(args, key)
+        settings[key] = from_file.get(key, default) if flag is None else flag
+    missing = [key for key, value in settings.items() if value is None]
     if missing:
         raise ValueError(f"missing mc settings: {', '.join(missing)}")
     mode = settings["mode"]
-    if mode not in ("mean_fade", "rate"):
-        raise ValueError(f"mode must be mean_fade or rate, got {mode!r}")
-    if settings["snr_unit"] not in ("linear", "db"):
-        raise ValueError(f"snr_unit must be linear or db, got {settings['snr_unit']!r}")
     snr = _to_linear(_parse_grid(settings["snr"]), settings["snr_unit"])
     cfg = TrialConfig(
         l=settings["l"],
@@ -283,17 +288,17 @@ def _run_constellation(args) -> int:
             f"{len(base.points)} points x {args.l} sub-channels exceed "
             f"{_MAX_GRID_POINTS} table rows"
         )
-    params = {"bits": args.bits, "l": args.l, "seed": args.seed}
+    spread = permute_constellation(base, args.l, args.seed)
+    columns = ("subchannel", "index", "re", "im")
+    rows = [
+        (sub, i, p.real, p.imag)
+        for sub in range(1, spread.subchannel_count + 1)
+        for i, p in enumerate(spread.subchannel_points(sub))
+    ]
     if args.l == 1:
-        columns = ("index", "re", "im")
-        rows = [(i, p.real, p.imag) for i, p in enumerate(base.points)]
-    else:
-        spread = permute_constellation(base, args.l, args.seed)
-        columns = ("subchannel", "index", "re", "im")
-        rows = []
-        for sub in range(1, spread.subchannel_count + 1):
-            for i, p in enumerate(spread.subchannel_points(sub)):
-                rows.append((sub, i, p.real, p.imag))
+        # one sub-channel: a plain listing of the base points
+        columns, rows = columns[1:], [row[1:] for row in rows]
+    params = {"bits": args.bits, "l": args.l, "seed": args.seed}
     _emit(args.output, "constellation", params, _table(columns, rows, args.precision))
     return 0
 
@@ -333,15 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo outage estimation")
     p.add_argument("--config", help="flat key=value settings file")
-    p.add_argument("--mode", choices=("mean_fade", "rate"))
-    p.add_argument("--l", type=int)
-    p.add_argument("--multiplex", type=float)
-    p.add_argument("--snr")
-    p.add_argument("--snr-unit", choices=("linear", "db"))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fade-variance", type=float)
-    p.add_argument("--threads", type=int, help="worker threads (never changes results)")
+    for key, (convert, _, choices) in _MC_SETTINGS.items():
+        p.add_argument(
+            "--" + key.replace("_", "-"), type=convert, choices=choices,
+            help="worker threads (never changes results)" if key == "threads" else None,
+        )
     add_common(p)
     p.set_defaults(handler=_run_mc)
 

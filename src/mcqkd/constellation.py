@@ -175,6 +175,8 @@ def permute_constellation(
     permutation for each sub-channel after the first.  Reproducible by seed."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = len(base.points)
     perms = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(l - 1))
@@ -332,12 +334,3 @@ def pairwise_error_multiaccess(
     arg = 0.5 * lam**2 * k_in * (2.0**secret_rate - 1.0)
     return gaussian_q(math.sqrt(arg) if sqrt_argument else arg)
 
-
-def constellation_to_csv(c: PhaseConstellation, precision: int = 9) -> str:
-    """Render a constellation as ``index,re,im`` CSV rows (no comment header)."""
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    lines = ["index,re,im"]
-    for i, p in enumerate(c.points):
-        lines.append(f"{i},{p.real:.{precision}g},{p.imag:.{precision}g}")
-    return "\n".join(lines) + "\n"

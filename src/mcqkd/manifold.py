@@ -26,7 +26,6 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateInputError, DomainError
-from .rates import KeyRateConfig
 from .singular_layer import TransmittanceMatrix
 
 CURVE_KINDS = (
@@ -58,8 +57,6 @@ class OutageParams:
     snr: float
     multiplex_ratio: float
     l: int = 1
-    z_exponent: float = 1.0
-    g_scale: float = 0.0
 
     def __post_init__(self):
         if not self.snr > 0:
@@ -70,8 +67,6 @@ class OutageParams:
             )
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
-        _check_z_exponent(self.z_exponent)
-        _check_g_scale(self.g_scale)
 
 
 @dataclass(frozen=True)
@@ -166,19 +161,14 @@ def perr_exponential_outage(secret_rate: float, snr: float) -> ExponentialOutage
     return ExponentialOutage(_clamp_probability(x), -math.expm1(-x))
 
 
-def manifold_exponent(
-    cfg: KeyRateConfig, perr_fn: Callable[[float], float], snr_grid
-) -> float:
+def manifold_exponent(perr_fn: Callable[[float], float], snr_grid) -> float:
     """Finite-SNR estimate of the diversity exponent of ``perr_fn``.
 
     The asymptotic definition normalises -log2(p_err) by the per-eigenchannel
     rate share, which itself scales as log2(snr); at that scaling the estimate
     reduces to the least-squares slope of -log2(p_err) against log2(snr),
-    which is what is computed.  ``cfg`` fixes the rate-share interpretation
-    and is validated but does not rescale the slope.
+    which is what is computed.
     """
-    if not isinstance(cfg, KeyRateConfig):
-        raise ValueError("cfg must be a KeyRateConfig")
     grid = np.asarray(snr_grid, dtype=float)
     if grid.size < 3:
         raise ValueError("snr_grid needs at least three points")

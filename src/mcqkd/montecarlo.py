@@ -47,10 +47,13 @@ rate log-sum also adds the l terms in a different order than the first
 trial whose summed rate lies within rounding of its threshold can count
 differently.
 
-Configurations whose analytic outage probability is below 1e-8 at some grid
-point, zero included, are refused up front: no affordable number of trials
-could resolve them, and the power-law formulas cover that regime
-analytically.
+Configurations whose outage probability is below 1e-8 at some grid point,
+zero included, are refused up front: no affordable number of trials could
+resolve them, and the power-law formulas cover that regime analytically.
+Mean-fade mode refuses on the exact P(l, l/(snr*v)).  Rate mode refuses on
+an upper bound on its outage, the Chernoff bound at theta = 1, so that it
+refuses only points that sampling truly cannot resolve; a zero rate is an
+impossible event.
 """
 
 from __future__ import annotations
@@ -277,11 +280,12 @@ def _count_events(
     return [int(c) for c in total]
 
 
-def _refuse_rare(cfg: TrialConfig, args: list[float], what: str) -> None:
-    """Refuse the grid if the analytic outage P(l, arg) of some point is below
-    _MIN_ANALYTIC_P, zero included; ``args`` holds one arg per point."""
-    for snr, analytic in zip(cfg.snr_grid, special.gammainc(cfg.l, args).tolist()):
-        if analytic < _MIN_ANALYTIC_P:
+def _refuse_rare(cfg: TrialConfig, probabilities: list[float], what: str) -> None:
+    """Refuse the grid if the outage probability of some point is below
+    _MIN_ANALYTIC_P, zero and NaN included; ``probabilities`` holds one value
+    per point."""
+    for snr, analytic in zip(cfg.snr_grid, probabilities):
+        if not analytic >= _MIN_ANALYTIC_P:
             raise InsufficientTrialsError(
                 f"refusing {what} at snr={snr:g}: analytic outage probability "
                 f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
@@ -334,7 +338,7 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     threads are used, whatever ``threads`` asks for."""
     _check_threads(threads)
     limits = np.array([cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid])
-    _refuse_rare(cfg, limits.tolist(), "mean-fade outage")
+    _refuse_rare(cfg, special.gammainc(cfg.l, limits).tolist(), "mean-fade outage")
     # With F_i = -v ln U_i a trial is an outage where -sum_i ln U_i < limit,
     # that is where prod_i U_i > exp(-limit).  Where that floor is no normal
     # double the product may underflow, and the log-sum decides.  math.exp
@@ -368,27 +372,30 @@ def _pow2(x: float) -> float:
     return 2.0**x if x < 1024 else math.inf
 
 
-def default_secret_rate(multiplex_ratio: float, snr: float) -> float:
-    """Threshold rate in bits per sub-channel: multiplex_ratio * log2(snr)."""
-    return multiplex_ratio * math.log2(snr)
+def _rate_outage_bound(cfg: TrialConfig) -> list[float]:
+    """Per grid point, the Chernoff bound at theta = 1 on the rate outage
+    Pr[prod_i (1 + a E_i) < 2**(l * rate)], a = snr * v, E_i ~ Exp(1):
+    2**(l * rate) * E[1/(1 + a E)]**l, with E[1/(1 + a E)] = U(1, 1, 1/a)/a
+    and U(1, 1, x) = e**x * E1(x) Tricomi's confluent hypergeometric
+    function.  It is formed in log2 and capped at 1; a zero rate gives 0."""
+    with np.errstate(over="ignore"):
+        a = np.asarray(cfg.snr_grid) * cfg.fade_variance
+    # E[1/(1 + a E)] falls as a grows, so a capped a still bounds from above;
+    # below a = 1e-300 the mean is 1 to double precision
+    a = np.clip(a, 1e-300, 1e300)
+    rates = cfg.multiplex_ratio * np.log2(cfg.snr_grid)
+    log2_bound = cfg.l * (rates + np.log2(special.hyperu(1.0, 1.0, 1.0 / a) / a))
+    return np.where(rates > 0, np.exp2(np.minimum(log2_bound, 0.0)), 0.0).tolist()
 
 
-def estimate_rate_outage(
-    cfg: TrialConfig,
-    secret_rate_fn: Callable[[float, float], float] = default_secret_rate,
-    threads: int = 1,
-) -> EmpiricalOutage:
+def estimate_rate_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     """Estimate Pr[sum_i log2(1 + |F_i|^2 * snr) < l * rate] over the SNR grid,
-    where rate = secret_rate_fn(multiplex_ratio, snr), and fit the diversity
-    slope of the estimates.  Threads are capped as in
+    where rate = multiplex_ratio * log2(snr), and fit the diversity slope of
+    the estimates.  Threads are capped as in
     :func:`estimate_mean_fade_outage`."""
     _check_threads(threads)
-    rates = [float(secret_rate_fn(cfg.multiplex_ratio, snr)) for snr in cfg.snr_grid]
-    bad = [r for r in rates if not (math.isfinite(r) and r >= 0)]
-    if bad:
-        raise ValueError(f"secret_rate_fn must return finite non-negative rates, got {bad[0]}")
-    thresholds = [(_pow2(rate) - 1.0) / snr for snr, rate in zip(cfg.snr_grid, rates)]
-    _refuse_rare(cfg, [cfg.l * t / cfg.fade_variance for t in thresholds], "rate outage")
+    _refuse_rare(cfg, _rate_outage_bound(cfg), "rate outage")
+    rates = [cfg.multiplex_ratio * math.log2(snr) for snr in cfg.snr_grid]
     targets = [cfg.l * rate for rate in rates]
     # where 2**target is no finite double, the log-sum decides
     bounds = [_pow2(target) for target in targets]

@@ -101,3 +101,11 @@ def rate_outage_l2_quad(snr, multiplex):
 
     value, _ = quad(integrand, 0.0, (target - 1.0) / snr, epsabs=0.0, epsrel=1e-12)
     return value
+
+
+def inverse_fade_mean_quad(a):
+    """E[1/(1 + a*x)] for a unit-mean exponential x, by quadrature of
+    exp(-x)/(1 + a*x) over [0, inf)."""
+    value, _ = quad(lambda x: math.exp(-x) / (1.0 + a * x), 0.0, np.inf,
+                    epsabs=0.0, epsrel=1e-12, limit=200)
+    return value

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcqkd import __version__, cli
+from mcqkd.constellation import build_constellation
 from mcqkd.cli import _parse_grid, _to_linear, main
 
 CHANNEL_TEXT = (
@@ -329,6 +330,9 @@ class TestConstellation:
         rows = data_rows(lines)
         assert len(rows) == 4
         assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
+        cells = [float(c) for r in rows for c in r.split(",")[1:]]
+        points = build_constellation(2).points
+        assert_allclose(cells, [v for p in points for v in (p.real, p.imag)], rtol=1e-8)
 
     def test_permuted_channels_share_point_set(self, capsys):
         code, lines = run(capsys, "constellation", "--bits", "2", "--l", "2", "--seed", "3")
@@ -340,6 +344,13 @@ class TestConstellation:
         first = {(r[2], r[3]) for r in rows if r[0] == "1"}
         second = {(r[2], r[3]) for r in rows if r[0] == "2"}
         assert first == second
+
+    @pytest.mark.parametrize("l", ["1", "2"])
+    def test_negative_seed_rejected_for_every_l(self, capsys, l):
+        code = main(["constellation", "--bits", "1", "--l", l, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     def test_bad_bits_rejected(self, capsys):
         code, _ = run(capsys, "constellation", "--bits", "0")
@@ -405,6 +416,22 @@ class TestMonteCarloCommand:
         assert main(["mc", "--config", str(cfg), "-o", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_config_setting_every_key_equals_the_flags(self, capsys, tmp_path, threads):
+        settings = {
+            "mode": "rate", "l": "3", "multiplex": "0.4", "snr": "10,20,30",
+            "snr_unit": "db", "trials": "30000", "seed": "9", "fade_variance": "1.5",
+            "threads": threads,
+        }
+        assert set(settings) == set(cli._MC_SETTINGS)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        flags = [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)]
+        f1, f2 = tmp_path / "flags.csv", tmp_path / "cfg.csv"
+        assert main(["mc", *flags, "-o", str(f1)]) == 0
+        assert main(["mc", "--config", str(cfg), "-o", str(f2)]) == 0
+        assert f1.read_bytes() == f2.read_bytes()
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode=mean_fade\nsnr=5,10,20\ntrials=2000\nseed=4\n")
@@ -442,6 +469,28 @@ class TestMonteCarloCommand:
         assert code == 2 and captured.out == ""
         assert f"{cfg}:3: {key} must be of type" in captured.err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mode=fast", "mode must be mean_fade or rate, got 'fast'"),
+            ("snr_unit=dB", "snr_unit must be linear or db, got 'dB'"),
+        ],
+    )
+    def test_config_value_outside_its_choices_rejected_with_location(
+        self, capsys, tmp_path, line, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"snr=5,10,20\n{line}\n")
+        code = main(["mc", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {cfg}:2: {message}\n"
+
+    def test_help_keeps_the_threads_text(self, capsys):
+        assert main(["mc", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--threads THREADS worker threads (never changes results)" in out
+
     def test_missing_mode_and_snr(self, capsys):
         code = main(["mc", "--trials", "2000"])
         err = capsys.readouterr().err
@@ -464,6 +513,17 @@ class TestMonteCarloCommand:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    def test_rate_grid_below_the_mean_fade_probability_is_sampled(self, capsys):
+        """At snr=2000 the mean-fade probability, a lower bound on this rate
+        outage, is 5.6e-9; the rate outage itself is about 1e-4."""
+        code, lines = run(
+            capsys,
+            "mc", "--mode", "rate", "--l", "16", "--multiplex", "0.75",
+            "--snr", "1000,2000,4000", "--trials", "200000", "--seed", "1",
+        )
+        assert code == 0
+        assert all(float(r.split(",")[1]) > 0 for r in data_rows(lines)[:3])
+
     def test_refusal_exit_code(self, capsys):
         code = main([
             "mc", "--mode", "mean_fade", "--l", "4", "--snr", "1e3,1e4,1e5",
@@ -484,6 +544,19 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("perr", "--snr-unit", "db", "--snr", "4000", "--multiplex", "0.5"),
+            ("mc", "--mode", "mean_fade", "--snr-unit", "db", "--snr", "4000,4001,4002"),
+        ],
+    )
+    def test_db_value_beyond_the_double_range_exits_2(self, capsys, argv):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: snr 4000 dB exceeds the largest double\n"
 
     def test_missing_required_argument(self, capsys):
         assert main(["perr", "--multiplex", "0"]) == 2

@@ -11,7 +11,6 @@ from mcqkd.constellation import (
     CodewordPair,
     PhaseConstellation,
     build_constellation,
-    constellation_to_csv,
     diff_matrix,
     gaussian_q,
     normalized_difference,
@@ -338,13 +337,3 @@ class TestGaussianQ:
         with pytest.raises(ValueError):
             gaussian_q(np.inf)
 
-
-def test_csv_export():
-    c = build_constellation(1.0)
-    text = constellation_to_csv(c)
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,re,im"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == pytest.approx(c.points[0].real)

@@ -27,7 +27,7 @@ from mcqkd.montecarlo import (
 )
 from mcqkd import montecarlo
 
-from oracles import ls_slope, rate_outage_l2_quad, wilson_direct
+from oracles import inverse_fade_mean_quad, ls_slope, rate_outage_l2_quad, wilson_direct
 
 GRID = (10.0, 31.6, 100.0)
 HIGH_GRID = (1e4, 1e5, 1e6)
@@ -287,33 +287,6 @@ class TestRateOutage:
         assert analytic_inside_3sigma(out, lambda s: rate_outage_l2_quad(s, 0.5))
         assert 0.85 <= out.slope <= 1.15
 
-    def test_custom_rate_fn_reproduces_exponential_outage(self):
-        """A constant one-bit rate turns the event into |F|^2 < 1/snr, whose
-        probability is 1 - exp(-1/snr)."""
-        cfg = TrialConfig(l=1, multiplex_ratio=0.5, snr_grid=GRID, trials=200_000, seed=17)
-        out = estimate_rate_outage(cfg, secret_rate_fn=lambda ratio, snr: 1.0)
-        assert analytic_inside_3sigma(out, lambda s: 1.0 - math.exp(-1.0 / s))
-
-    def test_negative_rate_fn_rejected(self):
-        cfg = TrialConfig(l=1, multiplex_ratio=0.5, snr_grid=GRID, trials=1000, seed=1)
-        with pytest.raises(ValueError, match="non-negative"):
-            estimate_rate_outage(cfg, secret_rate_fn=lambda ratio, snr: -1.0)
-
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rate_fn_rejected_before_sampling(self, monkeypatch, rate):
-        drawn = []
-        monkeypatch.setattr(montecarlo, "_block_fades", lambda *args: drawn.append(args))
-        cfg = TrialConfig(l=2, multiplex_ratio=0.5, snr_grid=GRID, trials=1000, seed=1)
-        with pytest.raises(ValueError, match="finite non-negative"):
-            estimate_rate_outage(cfg, secret_rate_fn=lambda ratio, snr: rate)
-        assert drawn == []
-
-    def test_rate_beyond_the_double_range_of_two_to_the_rate(self):
-        # 2**2000 overflows a double; every trial falls short of such a rate
-        cfg = TrialConfig(l=2, multiplex_ratio=0.5, snr_grid=GRID, trials=1000, seed=1)
-        out = estimate_rate_outage(cfg, secret_rate_fn=lambda ratio, snr: 2000.0)
-        assert out.successes == (1000, 1000, 1000)
-
     def test_thread_partitioning_is_invisible(self):
         cfg = TrialConfig(l=1, multiplex_ratio=0.5, snr_grid=GRID, trials=150_000, seed=9)
         serial = estimate_rate_outage(cfg, threads=1)
@@ -329,8 +302,8 @@ class TestRateOutage:
 
 
 class TestRefusal:
-    """Both modes refuse a grid on its first point whose analytic outage is
-    below 1e-8, before any fade is drawn."""
+    """Both modes refuse a grid on its first point whose outage is below 1e-8
+    (in rate mode, whose upper bound is), before any fade is drawn."""
 
     @pytest.mark.parametrize(
         "estimate, ratio, grid, what",
@@ -369,6 +342,52 @@ class TestRefusal:
             estimate_mean_fade_outage(cfg)
         assert str(excinfo.value).startswith(f"refusing mean-fade outage at snr={grid[0]:g}: ")
         assert drawn == []
+
+
+class TestRateOutageBound:
+    """Rate mode refuses on the Chernoff bound at theta = 1,
+    2**(l * rate) * E[1/(1 + a E)]**l with a = snr * v and E ~ Exp(1)."""
+
+    @pytest.mark.parametrize("a", [1e-6, 0.5, 1.0, 10.0, 1e3, 1e6])
+    def test_mean_of_the_inverse_is_the_tricomi_function(self, a):
+        assert special.hyperu(1.0, 1.0, 1.0 / a) / a == pytest.approx(
+            inverse_fade_mean_quad(a), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_bound_matches_quadrature(self, l):
+        grid = (1e4, 1e5, 1e6)
+        cfg = TrialConfig(l=l, multiplex_ratio=0.5, snr_grid=grid, trials=1000, seed=1,
+                          fade_variance=2.0)
+        expected = [(s**0.5 * inverse_fade_mean_quad(2.0 * s)) ** l for s in grid]
+        assert max(expected) < 1.0
+        assert_allclose(montecarlo._rate_outage_bound(cfg), expected, rtol=1e-8)
+
+    # at ratio 0.9 and snr >= 3e5 the quadrature reports roundoff; the bound
+    # is 1 there, at least 1.9 times the outage
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.9])
+    def test_bound_is_above_the_two_channel_outage(self, ratio):
+        grid = tuple(np.logspace(1.0, 6.0, 11))
+        cfg = TrialConfig(l=2, multiplex_ratio=ratio, snr_grid=grid, trials=1000, seed=1)
+        bounds = montecarlo._rate_outage_bound(cfg)
+        for snr, bound in zip(grid, bounds):
+            assert bound >= rate_outage_l2_quad(snr, ratio)
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_arguments_raise_no_warning(self):
+        bound = lambda l, ratio, grid, v: montecarlo._rate_outage_bound(
+            TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=1000, seed=1,
+                        fade_variance=v)
+        )
+        # 2**(l * rate) is far beyond the double range: capped at 1
+        assert bound(2**20, 1.0, (1e300, 1e301, 1e302), 1.0) == [1.0] * 3
+        # a = snr * v below 1e-300: E[1/(1 + a E)] is 1, so the bound is too
+        assert bound(1, 0.5, (2.0, 3.0, 4.0), 1e-320) == [1.0] * 3
+        # a = snr * v overflows: still a positive bound, far below 1e-8
+        assert all(0.0 < b < 1e-100 for b in bound(1, 0.5, (1e300, 2e300, 3e300), 1e10))
+        # a zero rate is an impossible event
+        assert bound(4, 0.0, (10.0, 20.0, 30.0), 1.0) == [0.0] * 3
 
 
 class TestSharedDraw:
