@@ -26,7 +26,9 @@ from . import __version__
 from .channel import load_channel_model
 from .constellation import build_constellation, permute_constellation
 from .errors import DomainError, InsufficientTrialsError
-from .manifold import CURVE_KINDS, OutageParams, perr_amqd, perr_single, tradeoff_curve
+from .manifold import (
+    CURVE_KINDS, OutageParams, perr_amqd, perr_single, require_unit_snr, tradeoff_curve,
+)
 from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_outage
 from .rates import SUBCHANNEL_COLUMNS, rate_report
 from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
@@ -153,6 +155,8 @@ def _run_perr(args) -> int:
     columns = ["snr_db", "p_single"] + [f"p_amqd_l{v}" for v in l_values]
     rows = []
     for s in snr:
+        # before log10, which fails on a zero snr without naming it
+        require_unit_snr(s)
         row = [10.0 * math.log10(s), perr_single(OutageParams(s, args.multiplex))]
         row.extend(
             perr_amqd(OutageParams(s, args.multiplex, l=v)) for v in l_values

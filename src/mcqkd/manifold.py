@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateInputError, DomainError
 from .singular_layer import TransmittanceMatrix
@@ -80,11 +79,6 @@ class ManifoldDims:
     dim_s: float
 
 
-class Chi2Outage(NamedTuple):
-    approx: float
-    exact: float
-
-
 class ExponentialOutage(NamedTuple):
     q_form: float
     exp_form: float
@@ -113,38 +107,23 @@ def _clamp_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _require_unit_snr(snr: float) -> None:
+def require_unit_snr(snr: float) -> None:
+    """Raise :class:`DomainError` unless snr >= 1, where the power laws hold."""
     if snr < 1.0:
         raise DomainError(f"power-law outage needs snr >= 1, got {snr}")
 
 
 def perr_single(p: OutageParams) -> float:
     """Single-carrier outage power law snr ** -(1 - multiplex_ratio)."""
-    _require_unit_snr(p.snr)
+    require_unit_snr(p.snr)
     return _clamp_probability(p.snr ** -(1.0 - p.multiplex_ratio))
 
 
 def perr_amqd(p: OutageParams) -> float:
     """Multicarrier outage power law snr ** -(l * (1 - multiplex_ratio)):
     the l active sub-channels multiply the decay exponent."""
-    _require_unit_snr(p.snr)
+    require_unit_snr(p.snr)
     return _clamp_probability(p.snr ** -(p.l * (1.0 - p.multiplex_ratio)))
-
-
-def chi2_outage(l: int, epsilon: float) -> Chi2Outage:
-    """Outage of the averaged fade of l sub-channels below ``epsilon``.
-
-    ``approx`` is the small-threshold expansion epsilon**l / l!; ``exact`` is
-    the regularised lower incomplete gamma P(l, epsilon) of the underlying
-    chi-square-type density.  Both are probabilities in [0, 1].
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    approx = _clamp_probability(epsilon**l / math.factorial(l))
-    exact = float(special.gammainc(l, epsilon))
-    return Chi2Outage(approx, exact)
 
 
 def perr_exponential_outage(secret_rate: float, snr: float) -> ExponentialOutage:
@@ -254,7 +233,7 @@ def perr_rank_outage(
 ) -> float:
     """Outage power law of losing rank below the multiplex target:
     snr ** -((K_in - sigma) * (K_out - sigma))."""
-    _require_unit_snr(snr)
+    require_unit_snr(snr)
     dims = manifold_dims(k_in, k_out, multiplex_ratio)
     return _clamp_probability(snr**-dims.n_dim_perp)
 

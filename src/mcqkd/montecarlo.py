@@ -54,6 +54,11 @@ Mean-fade mode refuses on the exact P(l, l/(snr*v)).  Rate mode refuses on
 an upper bound on its outage, the Chernoff bound at theta = 1, so that it
 refuses only points that sampling truly cannot resolve; a zero rate is an
 impossible event.
+
+``scipy.special`` is imported inside the three functions that call it
+(:func:`wilson_interval`, :func:`estimate_mean_fade_outage` and
+``_rate_outage_bound``), not at module level: loading it takes about 0.3 s
+and 300 modules, and the CLI's table subcommands never reach it.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateInputError, InsufficientTrialsError
 
@@ -161,6 +165,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    from scipy import special
+
     z = float(special.ndtri(0.5 + confidence / 2.0))
     n = float(trials)
     p = successes / n
@@ -280,14 +286,15 @@ def _count_events(
     return [int(c) for c in total]
 
 
-def _refuse_rare(cfg: TrialConfig, probabilities: list[float], what: str) -> None:
+def _refuse_rare(cfg: TrialConfig, probabilities: list[float], what: str, measure: str) -> None:
     """Refuse the grid if the outage probability of some point is below
     _MIN_ANALYTIC_P, zero and NaN included; ``probabilities`` holds one value
-    per point."""
+    per point, and ``measure`` names what it is (the probability itself or an
+    upper bound on it)."""
     for snr, analytic in zip(cfg.snr_grid, probabilities):
         if not analytic >= _MIN_ANALYTIC_P:
             raise InsufficientTrialsError(
-                f"refusing {what} at snr={snr:g}: analytic outage probability "
+                f"refusing {what} at snr={snr:g}: {measure} "
                 f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
                 "by sampling; use the closed-form power laws for this regime"
             )
@@ -336,9 +343,14 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     """Estimate Pr[(1/l) * sum |F_i|^2 < 1/snr] over the SNR grid and fit the
     diversity slope of the estimates.  At most ``os.cpu_count()`` worker
     threads are used, whatever ``threads`` asks for."""
+    from scipy import special
+
     _check_threads(threads)
     limits = np.array([cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid])
-    _refuse_rare(cfg, special.gammainc(cfg.l, limits).tolist(), "mean-fade outage")
+    _refuse_rare(
+        cfg, special.gammainc(cfg.l, limits).tolist(), "mean-fade outage",
+        "analytic outage probability",
+    )
     # With F_i = -v ln U_i a trial is an outage where -sum_i ln U_i < limit,
     # that is where prod_i U_i > exp(-limit).  Where that floor is no normal
     # double the product may underflow, and the log-sum decides.  math.exp
@@ -378,6 +390,8 @@ def _rate_outage_bound(cfg: TrialConfig) -> list[float]:
     2**(l * rate) * E[1/(1 + a E)]**l, with E[1/(1 + a E)] = U(1, 1, 1/a)/a
     and U(1, 1, x) = e**x * E1(x) Tricomi's confluent hypergeometric
     function.  It is formed in log2 and capped at 1; a zero rate gives 0."""
+    from scipy import special
+
     with np.errstate(over="ignore"):
         a = np.asarray(cfg.snr_grid) * cfg.fade_variance
     # E[1/(1 + a E)] falls as a grows, so a capped a still bounds from above;
@@ -394,7 +408,7 @@ def estimate_rate_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     the estimates.  Threads are capped as in
     :func:`estimate_mean_fade_outage`."""
     _check_threads(threads)
-    _refuse_rare(cfg, _rate_outage_bound(cfg), "rate outage")
+    _refuse_rare(cfg, _rate_outage_bound(cfg), "rate outage", "outage upper bound")
     rates = [cfg.multiplex_ratio * math.log2(snr) for snr in cfg.snr_grid]
     targets = [cfg.l * rate for rate in rates]
     # where 2**target is no finite double, the log-sum decides

@@ -56,7 +56,9 @@ class TransmittanceMatrix:
 
 
 def _check_unitary(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    gram = m.conj().T @ m
+    # m^dagger m without BLAS: OpenBLAS runs a 64 x 64 product on two
+    # threads, and on a busy host the second can wait milliseconds to run
+    gram = np.einsum("ki,kj->ij", m.conj(), m)
     err = np.max(np.abs(gram - np.eye(m.shape[0])))
     if err > tol:
         raise ValueError(f"{name} is not unitary (max deviation {err:.3e})")

@@ -182,6 +182,18 @@ class TestPerr:
         code, _ = run(capsys, "perr", "--snr", "0.5", "--multiplex", "0")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "snr_args",
+        [("--snr", "0"), ("--snr-unit", "db", "--snr", "-4000")],
+        ids=["zero", "db_underflow"],
+    )
+    def test_zero_snr_is_domain_error_naming_the_value(self, capsys, snr_args):
+        # checked before the snr_db column takes log10 of it
+        code = main(["perr", *snr_args, "--multiplex", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "power-law outage needs snr >= 1, got 0.0" in captured.err
+
     def test_precision_flag(self, capsys):
         _, lines = run(
             capsys, "perr", "--snr", "3", "--multiplex", "0", "--precision", "2"
@@ -599,3 +611,40 @@ def test_cli_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_special",
+    [
+        ((), False),
+        (("tradeoff", "--kind", "single", "--grid", "0.5,1"), False),
+        (("perr", "--snr", "10,100", "--multiplex", "0.5", "--l", "1,2"), False),
+        (("rates", "--channel", "{channel}", "--mod-variance", "1.2"), False),
+        (("svd", "--matrix", "{matrix}"), False),
+        (("constellation", "--bits", "2", "--l", "3"), False),
+        (("mc", "--mode", "mean_fade", "--snr", "2,3,4", "--trials", "1000"), True),
+    ],
+    ids=["build_parser", "tradeoff", "perr", "rates", "svd", "constellation", "mc"],
+)
+def test_only_mc_loads_scipy_special(tmp_path, argv, loads_special):
+    """scipy.special takes about 0.3 s to import; the closed-form tables
+    never need it, so only a Monte Carlo run may load it."""
+    (tmp_path / "m.csv").write_text(MATRIX_TEXT)
+    (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
+    paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
+    args = [a.format(**paths) for a in argv]
+    if args:
+        args += ["-o", str(tmp_path / "out.csv")]
+    code = (
+        "import sys\n"
+        "from mcqkd import cli\n"
+        "cli.build_parser()\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, 'scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.split() == ["0", str(loads_special)]

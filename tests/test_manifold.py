@@ -10,7 +10,6 @@ from mcqkd.errors import DegenerateInputError, DomainError
 from mcqkd.manifold import (
     OutageParams,
     TradeoffCurve,
-    chi2_outage,
     interference_outage_threshold,
     interference_reduced_rate,
     log_det_rate,
@@ -27,7 +26,7 @@ from mcqkd.manifold import (
     tradeoff_single,
 )
 from mcqkd.singular_layer import TransmittanceMatrix, svd_decompose
-from oracles import gamma_cdf_series, ls_slope
+from oracles import ls_slope
 
 
 class TestPowerLaws:
@@ -71,44 +70,6 @@ class TestPowerLaws:
 
     def test_probability_clamped(self):
         assert 0.0 <= perr_amqd(OutageParams(snr=1.0, multiplex_ratio=0.0, l=4)) <= 1.0
-
-
-class TestChi2Outage:
-    def test_l1_values(self):
-        approx, exact = chi2_outage(1, 0.1)
-        assert approx == pytest.approx(0.1)
-        assert exact == pytest.approx(gamma_cdf_series(1, 0.1), abs=1e-12)
-
-    def test_l2_values(self):
-        approx, exact = chi2_outage(2, 0.1)
-        assert approx == pytest.approx(0.005)
-        assert exact == pytest.approx(gamma_cdf_series(2, 0.1), abs=1e-12)
-        assert exact == pytest.approx(0.004678840160444474, abs=1e-14)
-
-    def test_small_epsilon_limit(self):
-        approx, exact = chi2_outage(1, 1e-4)
-        assert approx / exact == pytest.approx(1.0, abs=0.01)
-
-    def test_exact_matches_series_oracle(self):
-        for l in (1, 2, 3, 5):
-            for eps in (0.01, 0.2, 0.8):
-                _, exact = chi2_outage(l, eps)
-                assert exact == pytest.approx(gamma_cdf_series(l, eps), abs=1e-12)
-
-    def test_monotone_in_epsilon_and_l(self):
-        eps = np.linspace(0.01, 1.0, 30)
-        exact = [chi2_outage(2, e).exact for e in eps]
-        assert np.all(np.diff(exact) > 0)
-        at_fixed = [chi2_outage(l, 0.5).exact for l in (1, 2, 3, 4)]
-        assert np.all(np.diff(at_fixed) < 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chi2_outage(0, 0.1)
-        with pytest.raises(ValueError):
-            chi2_outage(1, 0.0)
-        with pytest.raises(ValueError):
-            chi2_outage(1, 1.5)
 
 
 class TestExponentialOutage:

@@ -7,6 +7,7 @@ targets before the seed was frozen.
 
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -27,7 +28,9 @@ from mcqkd.montecarlo import (
 )
 from mcqkd import montecarlo
 
-from oracles import inverse_fade_mean_quad, ls_slope, rate_outage_l2_quad, wilson_direct
+from oracles import (
+    gamma_cdf_series, inverse_fade_mean_quad, ls_slope, rate_outage_l2_quad, wilson_direct,
+)
 
 GRID = (10.0, 31.6, 100.0)
 HIGH_GRID = (1e4, 1e5, 1e6)
@@ -258,7 +261,9 @@ class TestRateOutage:
         drawn = []
         monkeypatch.setattr(montecarlo, "_block_fades", lambda *args: drawn.append(args))
         cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=1000, seed=1)
-        with pytest.raises(InsufficientTrialsError, match="probability 0.000e[+]00 is below"):
+        with pytest.raises(
+            InsufficientTrialsError, match="outage upper bound 0.000e[+]00 is below"
+        ):
             estimate_rate_outage(cfg)
         assert drawn == []
 
@@ -322,6 +327,47 @@ class TestRefusal:
         assert message.startswith(f"refusing {what} at snr={grid[1]:g}: ")
         assert "cannot be resolved by sampling" in message
         assert drawn == []
+
+    def test_mean_fade_refuses_on_the_gamma_series_oracle(self, monkeypatch):
+        """The probabilities mean-fade mode tests are P(l, l/(snr v)), checked
+        against the closed-form series rather than scipy's gammainc."""
+        seen = []
+
+        def refuse(cfg, probabilities, what, measure):
+            seen.extend(probabilities)
+            raise InsufficientTrialsError("stop before sampling")
+
+        monkeypatch.setattr(montecarlo, "_refuse_rare", refuse)
+        grid = (1.5, 4.0, 10.0, 300.0)
+        cfg = TrialConfig(
+            l=3, multiplex_ratio=0.0, snr_grid=grid, trials=10_000, seed=1, fade_variance=0.8
+        )
+        with pytest.raises(InsufficientTrialsError, match="stop before sampling"):
+            estimate_mean_fade_outage(cfg)
+        expected = [gamma_cdf_series(3, 3.0 / (snr * 0.8)) for snr in grid]
+        assert seen == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "estimate, ratio, measure",
+        [
+            (estimate_mean_fade_outage, 0.0, "analytic outage probability"),
+            (estimate_rate_outage, 0.25, "outage upper bound"),
+        ],
+        ids=["mean_fade", "rate"],
+    )
+    def test_message_names_the_quantity_compared(self, estimate, ratio, measure):
+        """Mean-fade compares the exact P(l, l/(snr v)); rate mode only an
+        upper bound on its outage, and says so."""
+        cfg = TrialConfig(
+            l=4, multiplex_ratio=ratio, snr_grid=(10.0, 1e6, 20.0), trials=10_000, seed=1
+        )
+        with pytest.raises(InsufficientTrialsError) as excinfo:
+            estimate(cfg)
+        message = str(excinfo.value)
+        value = r"\d\.\d{3}e[-+]\d+"
+        pattern = rf"refusing \S+ outage at snr=1e\+06: {measure} {value} is below 1e-08 "
+        assert re.match(pattern, message)
+        assert ("analytic" in message) == (estimate is estimate_mean_fade_outage)
 
     @pytest.mark.parametrize(
         "grid, variance",

@@ -129,6 +129,15 @@ class TestEigenDecompositionType:
                 np.eye(2, dtype=complex),
             )
 
+    def test_unitary_perturbed_by_1e_9_rejected(self):
+        d = svd_decompose(random_matrix(64, 64, seed=11))
+        EigenDecomposition(d.u2, d.lambdas, d.f1_inv)
+        u2 = d.u2.copy()
+        # column 5 grows by 1e-9 relative: its Gram diagonal moves by 2e-9
+        u2[:, 5] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="u2 is not unitary"):
+            EigenDecomposition(u2, d.lambdas, d.f1_inv)
+
 
 class TestPartition:
     def test_zero_rate_puts_everything_in_tail(self):
