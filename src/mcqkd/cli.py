@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -222,11 +223,16 @@ def _run_mc(args) -> int:
         seed=settings["seed"],
         fade_variance=settings["fade_variance"],
     )
-    threads = settings["threads"]
-    if mode == "mean_fade":
-        outage = estimate_mean_fade_outage(cfg, threads=threads)
-    else:
-        outage = estimate_rate_outage(cfg, threads=threads)
+    estimate = estimate_mean_fade_outage if mode == "mean_fade" else estimate_rate_outage
+    # the slope fit warns when it leaves zero estimates out; each warning is
+    # one stderr line, printed also when the run then fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outage = estimate(cfg, threads=settings["threads"])
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     params = {
         "mode": mode,
         "l": cfg.l,

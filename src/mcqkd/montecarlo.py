@@ -1,51 +1,44 @@
 """Monte Carlo estimation of fading-outage probabilities and diversity slopes.
 
-Randomness contract (0.4.0): the values of trial t are a pure function of
-(seed, t), shared by every SNR grid point.  Trials are generated in
-fixed-size blocks of at most 65536 trials and 2**20 values; block b of a run
-draws from an SFC64 generator seeded by
+Randomness contract (0.5.0): both modes draw one stream of uniforms, and the
+values of trial t are a pure function of (seed, t), shared by every SNR grid
+point.  Trials are generated in blocks of min(65536, 2**20 // l) trials;
+block b of a run draws from an SFC64 generator seeded by
 ``SeedSequence(entropy=seed, spawn_key=(b,))``, so every (seed, block) pair
-has its own stream and no generator state passes between blocks.  Trial t
-takes the next l values of its block's stream.  Seeds are the non-negative
-integers, without bound.  Each block is drawn once, row chunk by row chunk
-into one buffer of about 512 KiB; a stream drawn in pieces gives the same
-values as one drawn whole, so the chunk size is invisible.  Every grid point
-counts its events from that one draw.  With W worker threads, worker w
-counts blocks w, w + W, w + 2W, ... into buffers of its own, allocated for
-the call, and the caller sums the W integer count vectors.  Estimates are
-therefore bit-identical no matter how many worker threads partition the
+has its own stream.  Seeds are the non-negative integers, without bound.
+Each block is drawn in chunks of n = max(1, 65536 // l) trials, the last one
+ragged; a chunk takes the next l * n ``rng.random`` uniforms U in [0, 1) of
+its block's stream, in C order, into an (l, n) array, so fade i of the
+chunk's trial j is value i * n + j.  That layout is part of the contract,
+as the block size is, and every event reduces over a trial's l fades
+across the chunk.  Every grid point counts its events from that one draw.
+With W worker threads, worker w counts blocks w, w + W, w + 2W, ... into
+buffers of its own and the caller sums the W integer count vectors.  Counts
+are therefore bit-identical no matter how many worker threads partition the
 blocks, and the count at one grid point does not depend on which other
 points are in the grid.
 
 Two outage events are supported over l i.i.d. exponential squared fades
-|F_i|^2 with mean v = ``fade_variance``:
+|F_i|^2 = -v ln U_i with mean v = ``fade_variance``; a zero uniform is an
+infinite fade and never an event:
 
   * mean-fade outage:  (1/l) * sum_i |F_i|^2 < 1/snr
     (analytically the regularised gamma P(l, l/(snr*v)))
   * rate outage:       sum_i log2(1 + |F_i|^2 * snr) < l * rate(snr)
     with the threshold rate(snr) = multiplex_ratio * log2(snr)
 
-The two modes draw different streams.  Rate mode draws ziggurat
-exponentials, |F_i|^2 = v * E_i, as in 0.3.0.  Mean-fade mode draws
-uniforms U_i in [0, 1) and defines |F_i|^2 = -v * ln U_i (a zero uniform is
-an infinite fade), so the event is -sum_i ln U_i < l/(snr*v), decided as
-prod_i U_i > exp(-l/(snr*v)) with no log per fade.  Where that floor is no
-normal double (l/(snr*v) above about 708) the product may underflow, and the
-log-sum itself decides.  The product and log-sum forms round differently, so
-they can disagree only on a trial whose sum lies within rounding of the
-threshold.
-
-Both events reduce over the l values of a trial on a transposed copy of
-each row chunk, an (l, rows) array, so that the sums and products run
-across rows instead of along short rows.  The rate event is compared as a
-product, prod_i (1 + |F_i|^2 * snr) < 2**(l * rate), with no log2 per
-fade, wherever 2**(l * rate) is a finite double (l * rate < 1024); a
-product that overflows to inf is then rightly not an event.  Grid points
-with l * rate >= 1024 are decided by the log-sum itself.  For l >= 8 the
-rate log-sum also adds the l terms in a different order than the first
-0.2.0 kernels (one after another instead of numpy's pairwise row sum), so a
-trial whose summed rate lies within rounding of its threshold can count
-differently.
+Mean-fade mode decides -sum_i ln U_i < l/(snr*v) as
+prod_i U_i > exp(-l/(snr*v)), with no log per fade, wherever that floor is
+a normal double (l/(snr*v) below about 708); elsewhere the log-sum decides.
+Rate mode takes ln U in place once per chunk for every grid point.  With
+a = snr * v its event is prod_i (1/a - ln U_i) < (2**rate / a)**l: one
+subtraction pass and one product per point, wherever the bound is a normal
+double and no partial product can leave the normal range; elsewhere the
+log-sum decides.  The two forms round differently, so they can disagree
+only on a trial within rounding of its threshold.  So can two CPUs: on an
+AVX-512 host numpy's float64 log differs from ``math.log`` by one ulp on
+7,032 of the 2,000,000 uniforms of seed 2014, block 0.  Thread-count
+invariance stays exact.
 
 Configurations whose outage probability is below 1e-8 at some grid point,
 zero included, are refused up front: no affordable number of trials could
@@ -78,6 +71,8 @@ _BLOCK = 1 << 16
 _MAX_BLOCK_VALUES = 1 << 20
 _CHUNK_VALUES = 1 << 16
 _MIN_ANALYTIC_P = 1e-8
+# -ln U is at most -ln(2**-53) = 36.74 for a nonzero uniform of rng.random
+_MAX_FADE = 36.8
 
 
 @dataclass(frozen=True)
@@ -223,45 +218,40 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _block_fades(
-    rng: np.random.Generator, draw: Callable[[np.random.Generator, np.ndarray], None],
-    out: np.ndarray,
-) -> np.ndarray:
-    """Fill ``out`` (rows x l) with the next values of a block's stream ``rng``,
-    as ``draw(rng, out)`` makes them, and return it.  Every chunk of both
-    modes is drawn through here, so one wrapper sees every draw."""
-    draw(rng, out)
+def _block_fades(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a C-contiguous (l, n) chunk, with the next l * n uniforms
+    of a block's stream ``rng`` in C order and return it; column j holds the
+    uniforms of the chunk's trial j.  Every chunk of both modes is drawn
+    here, so one wrapper sees every draw."""
+    rng.random(out=out)
     return out
 
 
 def _count_events(
     cfg: TrialConfig,
-    draw: Callable[[np.random.Generator, np.ndarray], None],
     events: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     threads: int,
 ) -> list[int]:
     """Per grid point, the number of trials in which the event occurs.
 
-    ``draw(rng, out)`` fills a C-contiguous (rows, l) array with the next
-    values of a block's stream, one row per trial.  ``events(cols, work,
-    row)`` maps a chunk of them, copied to a C-contiguous (l, rows) array
-    ``cols``, to a vector of event counts, one per grid point; ``work``
-    (shaped like ``cols``) and ``row`` (one value per row) are scratch.  Each
-    block is drawn once, in row chunks.  With W workers, worker w counts
-    blocks w, w + W, ... into its own buffers and the W count vectors are
-    summed.  At most ``os.cpu_count()`` workers run."""
+    ``events(uniforms, work, row)`` maps one chunk of n trials, the (l, n)
+    uniforms of :func:`_block_fades`, to a vector of event counts, one per
+    grid point; it may overwrite ``uniforms``, and ``work`` (shaped like
+    ``uniforms``) and ``row`` (n values) are scratch.  With W workers,
+    worker w counts blocks w, w + W, ... into its own buffers and the W
+    count vectors are summed.  At most ``os.cpu_count()`` workers run."""
     # the block size keys the streams; wide trials shrink the block to at
     # most _MAX_BLOCK_VALUES values, and TrialConfig bounds l by the same
     rows = min(_BLOCK, _MAX_BLOCK_VALUES // cfg.l)
     n_blocks = -(-cfg.trials // rows)
-    # a block is drawn and counted in row chunks of about 512 KiB, which stay
-    # in cache from the draw through every grid point
+    # the chunk size fixes which values each trial takes; a chunk of about
+    # 512 KiB stays in cache from the draw through every grid point
     chunk = max(1, _CHUNK_VALUES // cfg.l)
     workers = min(threads, os.cpu_count() or 1, n_blocks)
 
     def count_blocks(first: int) -> np.ndarray:
         drawn = np.empty(cfg.l * chunk)
-        cols = np.empty(cfg.l * chunk)
+        work = np.empty(cfg.l * chunk)
         row = np.empty(chunk)
         counts = np.zeros(len(cfg.snr_grid), dtype=np.int64)
         for block_index in range(first, n_blocks, workers):
@@ -269,13 +259,8 @@ def _count_events(
             count = min(rows, cfg.trials - block_index * rows)
             for lo in range(0, count, chunk):
                 n = min(chunk, count - lo)
-                part = _block_fades(rng, draw, drawn[: n * cfg.l].reshape(n, cfg.l))
-                # a C-contiguous (l, rows) copy, so that reductions over l run
-                # across rows instead of along short rows; the drawn chunk is
-                # then spent and serves as scratch
-                part_cols = cols[: part.size].reshape(cfg.l, n)
-                np.copyto(part_cols, part.T)
-                counts += events(part_cols, drawn[: part.size].reshape(cfg.l, n), row[:n])
+                uniforms = _block_fades(rng, drawn[: cfg.l * n].reshape(cfg.l, n))
+                counts += events(uniforms, work[: cfg.l * n].reshape(cfg.l, n), row[:n])
         return counts
 
     if workers == 1:
@@ -360,28 +345,34 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     product_at, log_at = np.flatnonzero(by_product), np.flatnonzero(~by_product)
     product_floors, log_bounds = floors[product_at], -limits[log_at]
 
-    def events(cols: np.ndarray, work: np.ndarray, row: np.ndarray) -> np.ndarray:
+    def events(uniforms: np.ndarray, work: np.ndarray, row: np.ndarray) -> np.ndarray:
         counts = np.empty(len(cfg.snr_grid), dtype=np.int64)
         if product_at.size:
-            np.multiply.reduce(cols, axis=0, out=row)
+            np.multiply.reduce(uniforms, axis=0, out=row)
             counts[product_at] = _count_above(row, product_floors)
         if log_at.size:
             # a zero uniform is an infinite fade: its log-sum is -inf, no event
             with np.errstate(divide="ignore"):
-                np.log(cols, out=work)
-            np.add.reduce(work, axis=0, out=row)
+                np.log(uniforms, out=uniforms)
+            np.add.reduce(uniforms, axis=0, out=row)
             counts[log_at] = _count_above(row, log_bounds)
         return counts
 
-    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
-        rng.random(out=out)
-
-    return _assemble(cfg, _count_events(cfg, draw, events, threads))
+    return _assemble(cfg, _count_events(cfg, events, threads))
 
 
-def _pow2(x: float) -> float:
-    """2**x, or inf where it exceeds the largest double (x >= 1024)."""
-    return 2.0**x if x < 1024 else math.inf
+def _product_bound(l: int, rate: float, a: float) -> float | None:
+    """(2**rate / a)**l, which prod_i (1/a - ln U_i) stays below exactly in a
+    rate outage; None where the log-sum must decide instead, because that
+    bound is no normal double or a partial product could leave the normal
+    range (one binade is spared at each end for rounding)."""
+    inv = 1.0 / a
+    # every factor lies in [1/a, 1/a + _MAX_FADE] or is inf
+    exponents = (l * math.log2(min(inv, 1.0)) if inv > 0.0 else -math.inf,
+                 l * math.log2(inv + _MAX_FADE), l * (rate - math.log2(a)))
+    if all(-1021 < e < 1023 for e in exponents):
+        return (2.0**rate / a) ** l
+    return None
 
 
 def _rate_outage_bound(cfg: TrialConfig) -> list[float]:
@@ -409,29 +400,30 @@ def estimate_rate_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     :func:`estimate_mean_fade_outage`."""
     _check_threads(threads)
     _refuse_rare(cfg, _rate_outage_bound(cfg), "rate outage", "outage upper bound")
-    rates = [cfg.multiplex_ratio * math.log2(snr) for snr in cfg.snr_grid]
-    targets = [cfg.l * rate for rate in rates]
-    # where 2**target is no finite double, the log-sum decides
-    bounds = [_pow2(target) for target in targets]
+    points = []
+    for snr in cfg.snr_grid:
+        rate = cfg.multiplex_ratio * math.log2(snr)
+        a = snr * cfg.fade_variance
+        points.append((a, _product_bound(cfg.l, rate, a), cfg.l * rate))
 
-    def events(cols: np.ndarray, work: np.ndarray, row: np.ndarray) -> list[int]:
+    def events(uniforms: np.ndarray, work: np.ndarray, row: np.ndarray) -> list[int]:
+        # ln U once per fade for every point; a zero uniform gives -inf, an
+        # infinite fade and never an event
+        with np.errstate(divide="ignore"):
+            logs = np.log(uniforms, out=uniforms)
         counts = []
-        for snr, target, bound in zip(cfg.snr_grid, targets, bounds):
-            np.multiply(cols, snr, out=work)
-            work += 1.0
-            if bound < math.inf:
-                # a product that overflows to inf is rightly not below the bound
-                with np.errstate(over="ignore"):
-                    np.multiply.reduce(work, axis=0, out=row)
+        for a, bound, target in points:
+            if bound is not None:
+                np.subtract(1.0 / a, logs, out=work)
+                np.multiply.reduce(work, axis=0, out=row)
                 counts.append(np.count_nonzero(row < bound))
             else:
+                # sum_i log2(1 + a E_i) < l * rate with E_i = -ln U_i
+                np.multiply(logs, -a, out=work)
+                work += 1.0
                 np.log2(work, out=work)
                 np.add.reduce(work, axis=0, out=row)
                 counts.append(np.count_nonzero(row < target))
         return counts
 
-    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
-        rng.standard_exponential(out=out)
-        out *= cfg.fade_variance
-
-    return _assemble(cfg, _count_events(cfg, draw, events, threads))
+    return _assemble(cfg, _count_events(cfg, events, threads))

@@ -109,3 +109,20 @@ def inverse_fade_mean_quad(a):
     value, _ = quad(lambda x: math.exp(-x) / (1.0 + a * x), 0.0, np.inf,
                     epsabs=0.0, epsrel=1e-12, limit=200)
     return value
+
+
+def rate_outage_convolution(l, snr, multiplex, step=2e-4):
+    """Rate outage of l unit-mean exponential fades at multiplex ratio r:
+    P[sum_i log2(1 + x_i*snr) < l*r*log2(snr)].  Each term has the exact law
+    P[log2(1 + x*snr) <= y] = 1 - exp(-(2**y - 1)/snr); its probabilities on
+    bins of width ``step`` (up to x = 60) are convolved l times by one FFT,
+    each bin standing at its midpoint.  Accurate to about 1e-5 at the
+    default step, for l up to about 64."""
+    target = l * multiplex * math.log2(snr)
+    edges = np.arange(0.0, math.log2(1.0 + 60.0 * snr) + step, step)
+    pmf = np.diff(-np.expm1(-(np.exp2(edges) - 1.0) / snr))
+    size = l * pmf.size
+    n = 1 << (size - 1).bit_length()
+    sums = np.fft.irfft(np.fft.rfft(pmf, n) ** l, n)[:size]
+    at = (np.arange(size) + l / 2.0) * step
+    return float(np.sum(sums[at < target]))

@@ -536,6 +536,25 @@ class TestMonteCarloCommand:
         assert code == 0
         assert all(float(r.split(",")[1]) > 0 for r in data_rows(lines)[:3])
 
+    @pytest.mark.parametrize(
+        "snr, code, last",
+        [
+            ("1.2,1.5,2", 4, "error: slope fit needs at least 3 nonzero points, got 2"),
+            ("1.2,1.3,1.4,2", 0, None),
+        ],
+        ids=["fit_fails", "fit_succeeds"],
+    )
+    def test_zero_estimates_give_one_warning_line(self, capsys, snr, code, last):
+        """A zero estimate left out of the slope fit is reported as one
+        ``warning:`` line, with no Python warning text, whether or not the
+        fit then has enough points."""
+        argv = ["mc", "--mode", "mean_fade", "--l", "64", "--snr", snr,
+                "--trials", "100000", "--seed", "9"]
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        warning = "warning: excluding 1 zero outage estimate(s) from the slope fit"
+        assert err == [warning] + ([last] if last else [])
+
     def test_refusal_exit_code(self, capsys):
         code = main([
             "mc", "--mode", "mean_fade", "--l", "4", "--snr", "1e3,1e4,1e5",

@@ -29,7 +29,8 @@ from mcqkd.montecarlo import (
 from mcqkd import montecarlo
 
 from oracles import (
-    gamma_cdf_series, inverse_fade_mean_quad, ls_slope, rate_outage_l2_quad, wilson_direct,
+    gamma_cdf_series, inverse_fade_mean_quad, ls_slope, rate_outage_convolution,
+    rate_outage_l2_quad, wilson_direct,
 )
 
 GRID = (10.0, 31.6, 100.0)
@@ -292,6 +293,26 @@ class TestRateOutage:
         assert analytic_inside_3sigma(out, lambda s: rate_outage_l2_quad(s, 0.5))
         assert 0.85 <= out.slope <= 1.15
 
+    @pytest.mark.parametrize(
+        "l, ratio, variance, grid, reference",
+        [
+            (1, 0.5, 0.7, (3.0, 10.0, 30.0),
+             lambda s: -math.expm1(-(math.sqrt(s) - 1.0) / (0.7 * s))),
+            (2, 0.5, 1.0, (10.0, 100.0, 1000.0), lambda s: rate_outage_l2_quad(s, 0.5)),
+            (16, 0.75, 1.0, (10.0, 30.0, 100.0),
+             lambda s: rate_outage_convolution(16, s, 0.75)),
+        ],
+        ids=["l1_closed_form", "l2_quadrature", "l16_convolution"],
+    )
+    @pytest.mark.parametrize("seed", [1203, 1204])
+    def test_fresh_seeds_sit_within_three_sigma(self, seed, l, ratio, variance, grid, reference):
+        """At a million trials the estimates sit inside the 3-sigma Wilson
+        band of the l=1 closed form 1 - exp(-(snr**r - 1)/(snr v)), the l=2
+        quadrature and the l=16 convolution."""
+        cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=1_000_000,
+                          seed=seed, fade_variance=variance)
+        assert analytic_inside_3sigma(estimate_rate_outage(cfg), reference)
+
     def test_thread_partitioning_is_invisible(self):
         cfg = TrialConfig(l=1, multiplex_ratio=0.5, snr_grid=GRID, trials=150_000, seed=9)
         serial = estimate_rate_outage(cfg, threads=1)
@@ -540,18 +561,24 @@ class TestThreadsAndBlocks:
         estimate_mean_fade_outage(cfg, threads=8)
         assert sizes == []
 
-    def test_row_chunks_count_like_whole_blocks(self, monkeypatch):
-        # l=3 leaves a ragged last chunk in every block, and 150_001 trials a
-        # ragged last block
+    @pytest.mark.parametrize(
+        "estimate", [estimate_mean_fade_outage, estimate_rate_outage], ids=["mean_fade", "rate"]
+    )
+    def test_ragged_chunks_ignore_threads_and_grid(self, monkeypatch, estimate):
+        """l=3 gives chunks of 21845 trials, so every block of 65536 ends in
+        a ragged chunk of one trial, and 150_001 trials a ragged last block.
+        The counts are the same at 1, 2 and 3 threads, and a point counts
+        the same beside any other points."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         cfg = TrialConfig(
             l=3, multiplex_ratio=0.5, snr_grid=(2.0, 4.0, 8.0), trials=150_001, seed=6
         )
-        chunked = [estimate(cfg).successes
-                   for estimate in (estimate_mean_fade_outage, estimate_rate_outage)]
-        monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", montecarlo._MAX_BLOCK_VALUES)
-        whole = [estimate(cfg).successes
-                 for estimate in (estimate_mean_fade_outage, estimate_rate_outage)]
-        assert chunked == whole
+        runs = {estimate(cfg, threads=t).successes for t in (1, 2, 3)}
+        assert len(runs) == 1
+        other = TrialConfig(
+            l=3, multiplex_ratio=0.5, snr_grid=(50.0, 4.0, 3.0, 2.5), trials=150_001, seed=6
+        )
+        assert estimate(other, threads=2).successes[1] == runs.pop()[1]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -576,11 +603,11 @@ class TestThreadsAndBlocks:
         estimate_rate_outage(cfg)
         assert len(blocks) > 1
         assert all(nbytes <= 8 << 20 for _, _, nbytes in blocks)
-        assert sum(rows for rows, _, _ in blocks) == 1000
-        assert all(l == 4096 for _, l, _ in blocks)
+        assert all(l == 4096 for l, _, _ in blocks)
+        assert sum(n for _, n, _ in blocks) == 1000
 
     def test_worker_memory_stays_chunk_sized(self):
-        """A worker draws and counts row chunks of about 512 KiB in place; no
+        """A worker draws and counts chunks of about 512 KiB in place; no
         buffer grows with the block (65536 x 16 fades, 8 MiB, here)."""
         cfg = TrialConfig(
             l=16, multiplex_ratio=0.75, snr_grid=(10.0, 30.0, 100.0), trials=131_072, seed=1
@@ -594,24 +621,10 @@ class TestThreadsAndBlocks:
         assert peak < 3 << 20
 
 
-def _exponential_draw(variance):
-    """The rate-mode stream: |F|^2 = variance * Exp(1), ziggurat draws."""
-
-    def draw(rng, out):
-        rng.standard_exponential(out=out)
-        out *= variance
-
-    return draw
-
-
-def _uniform_draw(rng, out):
-    """The mean-fade stream: uniforms U in [0, 1), with |F|^2 = -v ln U."""
-    rng.random(out=out)
-
-
-def _block_values(seed, block, draw, rows=10_000, l=4):
-    out = np.empty((rows, l))
-    return montecarlo._block_fades(montecarlo._block_rng(seed, block), draw, out)
+def _block_values(seed, block, l=4, rows=10_000):
+    """The first ``rows`` trials of block ``block``, one (l, rows) chunk as
+    ``_block_fades`` draws it."""
+    return montecarlo._block_fades(montecarlo._block_rng(seed, block), np.empty((l, rows)))
 
 
 class TestBlockStream:
@@ -620,51 +633,80 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("variance", [1.0, 2.5])
     @pytest.mark.parametrize("seed, block", [(2014, 0), (7, 3)])
-    def test_rate_fades_follow_the_exponential_law(self, seed, block, variance):
-        fades = _block_values(seed, block, _exponential_draw(variance))
-        assert stats.kstest(fades.ravel(), stats.expon(scale=variance).cdf).pvalue > 1e-3
+    def test_rate_fades_follow_the_exponential_law(self, monkeypatch, seed, block, variance):
+        """Rate mode draws the mean-fade stream whatever the fade variance:
+        its chunks of block ``block`` are that block's uniforms, and
+        -v ln U follows Exp(v)."""
+        drawn = []
+        real = montecarlo._block_fades
+
+        def spy(rng, out):
+            drawn.append(real(rng, out).copy())
+            return out
+
+        monkeypatch.setattr(montecarlo, "_block_fades", spy)
+        cfg = TrialConfig(l=4, multiplex_ratio=0.5, snr_grid=GRID, trials=(block + 1) << 16,
+                          seed=seed, fade_variance=variance)
+        estimate_rate_outage(cfg)
+        # at l=4 a block of 65536 trials is drawn in four chunks of 16384
+        uniforms = np.concatenate([chunk.ravel() for chunk in drawn[-4:]])
+        assert np.array_equal(uniforms, _block_values(seed, block, rows=1 << 16).ravel())
+        fades = -variance * np.log(uniforms)
+        assert stats.kstest(fades, stats.expon(scale=variance).cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("variance", [1.0, 2.5])
     @pytest.mark.parametrize("seed, block", [(2014, 0), (7, 3)])
     def test_mean_fade_fades_follow_the_exponential_law(self, seed, block, variance):
-        uniforms = _block_values(seed, block, _uniform_draw)
-        assert stats.kstest(uniforms.ravel(), stats.uniform.cdf).pvalue > 1e-3
-        fades = -variance * np.log(uniforms.ravel())
+        uniforms = _block_values(seed, block).ravel()
+        assert stats.kstest(uniforms, stats.uniform.cdf).pvalue > 1e-3
+        fades = -variance * np.log(uniforms)
         assert stats.kstest(fades, stats.expon(scale=variance).cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("draw", [_exponential_draw(1.0), _uniform_draw])
     @pytest.mark.parametrize("other", [(2015, 0), (2014, 1)])
-    def test_neighbouring_keys_share_no_value(self, other, draw):
-        base = _block_values(2014, 0, draw)
-        assert np.intersect1d(base, _block_values(*other, draw)).size == 0
+    def test_neighbouring_keys_share_no_value(self, other):
+        assert np.intersect1d(_block_values(2014, 0), _block_values(*other)).size == 0
 
-    @pytest.mark.parametrize("draw", [_exponential_draw(0.7), _uniform_draw])
-    def test_a_stream_drawn_in_pieces_gives_the_same_values(self, draw):
-        whole = _block_values(11, 2, draw, rows=1000, l=3)
+    def test_a_stream_drawn_in_pieces_gives_the_same_values(self):
+        """An (l, n) chunk takes the next l * n values of its block's stream
+        in C order, whatever the chunks drawn before it."""
+        whole = _block_values(11, 2, l=3, rows=1000).ravel()
         rng = montecarlo._block_rng(11, 2)
-        pieces = [montecarlo._block_fades(rng, draw, np.empty((n, 3))) for n in (1, 400, 7, 592)]
+        pieces = [montecarlo._block_fades(rng, np.empty((3, n))).ravel() for n in (1, 400, 7, 592)]
         assert np.array_equal(np.concatenate(pieces), whole)
 
 
-def _trial_counts(cfg, draw, event):
-    """Per grid point, the trials for which the event holds, on the values
-    ``draw`` makes for ``cfg`` (each block drawn whole), one trial at a time;
-    ``event(values)`` says per grid point whether a trial is an event."""
-    rows = min(montecarlo._BLOCK, montecarlo._MAX_BLOCK_VALUES // cfg.l)
-    counts = [0] * len(cfg.snr_grid)
+def _oracle_trials(cfg, cut):
+    """The uniforms of every trial of ``cfg``, one list per trial, laid out
+    by the randomness contract and built here from it alone.  Block b holds
+    min(65536, 2**20 // l) trials and draws from SFC64 seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(b,))``, in chunks of
+    max(1, 65536 // l) trials, the last one ragged; a chunk of n trials
+    takes the next l * n values, fade i of its trial j at value i * n + j.
+    Uniforms above 1 - ``cut`` read as 0.0."""
+    rows = min(1 << 16, (1 << 20) // cfg.l)
+    chunk = max(1, (1 << 16) // cfg.l)
     for block, start in enumerate(range(0, cfg.trials, rows)):
-        values = _block_values(cfg.seed, block, draw, min(rows, cfg.trials - start), cfg.l)
-        for trial in values.tolist():
-            for i, hit in enumerate(event(trial)):
-                counts[i] += hit
+        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,))
+        rng = np.random.Generator(np.random.SFC64(ss))
+        count = min(rows, cfg.trials - start)
+        for lo in range(0, count, chunk):
+            n = min(chunk, count - lo)
+            values = [0.0 if u > 1.0 - cut else u for u in rng.random(cfg.l * n).tolist()]
+            for j in range(n):
+                yield values[j::n]
+
+
+def _oracle_counts(cfg, event, cut=0.0):
+    """Per grid point, the trials for which ``event(uniforms)`` holds;
+    ``event`` says per grid point whether one trial is an event."""
+    counts = [0] * len(cfg.snr_grid)
+    for trial in _oracle_trials(cfg, cut):
+        for i, hit in enumerate(event(trial)):
+            counts[i] += hit
     return counts
 
 
-def _log_sum(trial, snr):
-    return math.fsum(math.log2(1.0 + f * snr) for f in trial)
-
-
-def _mean_fade_counts(cfg, draw=_uniform_draw):
+def _mean_fade_counts(cfg, cut=0.0):
     """Trials whose fades -v ln U_i have a mean below 1/snr, with the sum
     -sum_i ln U_i compared with l/(snr v); a zero uniform is an infinite fade."""
     limits = [cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid]
@@ -673,24 +715,49 @@ def _mean_fade_counts(cfg, draw=_uniform_draw):
         total = math.fsum(-math.log(u) if u > 0.0 else math.inf for u in trial)
         return [total < limit for limit in limits]
 
-    return _trial_counts(cfg, draw, event)
+    return _oracle_counts(cfg, event, cut)
+
+
+def _rate_counts(cfg, cut=0.0):
+    """Trials with sum_i log2(1 + snr |F_i|^2) below l * rate, where
+    |F_i|^2 = -v ln U_i (infinite for a zero uniform)."""
+    targets = [cfg.l * cfg.multiplex_ratio * math.log2(snr) for snr in cfg.snr_grid]
+
+    def event(trial):
+        fades = [-cfg.fade_variance * math.log(u) if u > 0.0 else math.inf for u in trial]
+        return [math.fsum(math.log2(1.0 + f * snr) for f in fades) < target
+                for snr, target in zip(cfg.snr_grid, targets)]
+
+    return _oracle_counts(cfg, event, cut)
+
+
+def _zero_high_uniforms(monkeypatch, cut):
+    """Make every chunk read uniforms above 1 - ``cut`` as 0.0, as
+    ``_oracle_trials`` does, and return the per-chunk numbers zeroed.
+    ``random`` can return 0.0; the uniforms zeroed here sit mostly in trials
+    that would be outages otherwise."""
+    zeroed = []
+    real = montecarlo._block_fades
+
+    def zeroing(rng, out):
+        real(rng, out)
+        high = out > 1.0 - cut
+        zeroed.append(np.count_nonzero(high))
+        out[high] = 0.0
+        return out
+
+    monkeypatch.setattr(montecarlo, "_block_fades", zeroing)
+    return zeroed
 
 
 @pytest.mark.filterwarnings("error")
 class TestEventKernels:
     """The vectorized event counts against a per-trial Python count on the
-    same stream: exact sums of ``math.log2`` terms for the rate event, and
-    exact sums of ``-math.log`` terms for the mean-fade event.  Warnings are
-    errors: neither an overflowing product nor the log of a zero uniform may
+    uniforms that ``_oracle_trials`` reads from the (l, n) chunk layout:
+    exact sums of ``-math.log`` terms for the mean-fade event and of
+    ``math.log2(1 + snr |F_i|^2)`` terms for the rate event.  Warnings are
+    errors: neither the log of a zero uniform nor an infinite fade may
     warn."""
-
-    @staticmethod
-    def _rate_counts(cfg):
-        return _trial_counts(
-            cfg, _exponential_draw(cfg.fade_variance),
-            lambda t: [_log_sum(t, snr) < cfg.l * cfg.multiplex_ratio * math.log2(snr)
-                       for snr in cfg.snr_grid],
-        )
 
     @pytest.mark.parametrize(
         "l, grid, trials, variance",
@@ -721,26 +788,29 @@ class TestEventKernels:
         [(3, (3.0, 5.0, 8.0), 20_000, 1e-3), (4096, (1.01, 1.02, 1.03), 1000, 1e-5)],
     )
     def test_zero_uniforms_are_infinite_fades(self, monkeypatch, l, grid, trials, cut):
-        """``random`` can return 0.0, an infinite fade that is never an
-        outage.  Uniforms above 1 - cut are set to 0.0 here: they sit mostly
-        in trials that would be outages otherwise."""
-        zeroed = []
-
-        def zeroing(rng, out):
-            rng.random(out=out)
-            high = out > 1.0 - cut
-            zeroed.append(np.count_nonzero(high))
-            out[high] = 0.0
-
         cfg = TrialConfig(l=l, multiplex_ratio=0.0, snr_grid=grid, trials=trials, seed=25)
-        expected = _mean_fade_counts(cfg, zeroing)
-        assert sum(zeroed) > 0
+        expected = _mean_fade_counts(cfg, cut)
         assert sum(expected) < sum(_mean_fade_counts(cfg))
-        real = montecarlo._block_fades
-        monkeypatch.setattr(
-            montecarlo, "_block_fades", lambda rng, draw, out: real(rng, zeroing, out)
-        )
+        zeroed = _zero_high_uniforms(monkeypatch, cut)
         assert list(estimate_mean_fade_outage(cfg).successes) == expected
+        assert sum(zeroed) > 0
+
+    @pytest.mark.parametrize(
+        "l, ratio, grid, trials, cut",
+        [
+            # the product form decides every point
+            (3, 0.75, (10.0, 30.0, 100.0), 20_000, 1e-3),
+            # the log-sum decides every point
+            (200, 0.9, (10.0, 30.0, 100.0), 2000, 1e-4),
+        ],
+    )
+    def test_zero_uniforms_are_never_rate_outages(self, monkeypatch, l, ratio, grid, trials, cut):
+        cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=trials, seed=26)
+        expected = _rate_counts(cfg, cut)
+        assert sum(expected) < sum(_rate_counts(cfg))
+        zeroed = _zero_high_uniforms(monkeypatch, cut)
+        assert list(estimate_rate_outage(cfg).successes) == expected
+        assert sum(zeroed) > 0
 
     def test_mean_fade_where_every_floor_underflows_matches_gamma(self):
         """On l=4096, where the log-sum decides every point, the estimates
@@ -763,23 +833,65 @@ class TestEventKernels:
     )
     def test_rate_counts(self, l, ratio, grid, trials):
         cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=trials, seed=22)
-        expected = self._rate_counts(cfg)
+        expected = _rate_counts(cfg)
         assert min(expected) > 0
         assert list(estimate_rate_outage(cfg).successes) == expected
 
+    @pytest.mark.parametrize(
+        "l, ratio, grid, variance, trials, regimes",
+        [
+            (3, 0.75, (10.0, 30.0, 100.0), 1.0, 20_000, ("product",) * 3),
+            # (2**R/a)**l = 1.78**-1536 is below the smallest normal double
+            (1536, 1.0, (1e3, 1e4, 1e5), 1.78, 1000, ("bound",) * 3),
+            # the bound is normal, but (1/a + 36.8)**200 is above 2**1023
+            (200, 0.9, (10.0, 30.0, 100.0), 1.0, 2000, ("partial",) * 3),
+            # (1/a)**16 is below 2**-1021 at snr = 1e20 only
+            (16, 1.0, (1e19, 1.37e19, 1e20), 1.0, 2000, ("product", "product", "partial")),
+        ],
+        ids=["product", "bound_not_normal", "partial_above", "partial_below"],
+    )
+    def test_rate_counts_in_each_regime(
+        self, monkeypatch, l, ratio, grid, variance, trials, regimes
+    ):
+        """Each point is decided by the product prod_i (1/a - ln U_i) against
+        (2**R/a)**l, a = snr v, only where that bound is a normal double and
+        no partial product can leave the normal range; the log-sum decides
+        elsewhere.  Every regime is hit, with counts strictly between 0 and
+        the trials."""
+        decided = []
+        real = montecarlo._product_bound
+
+        def spy(*args):
+            decided.append(real(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(montecarlo, "_product_bound", spy)
+        cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=trials, seed=27,
+                          fade_variance=variance)
+        expected = _rate_counts(cfg)
+        assert 0 < min(expected) and max(expected) < trials
+        assert list(estimate_rate_outage(cfg).successes) == expected
+        assert [bound is not None for bound in decided] == [r == "product" for r in regimes]
+        for snr, regime in zip(grid, regimes):
+            log2_bound = l * (ratio * math.log2(snr) - math.log2(snr * variance))
+            assert (-1022 < log2_bound < 1024) == (regime != "bound")
+
     def test_rate_counts_where_products_overflow_below_a_finite_bound(self):
-        # l * rate stays below 1024, so 2**(l * rate) is finite, while up to
-        # 2% of the products exceed the largest double
+        # l * rate stays below 1024, while up to 2% of the products
+        # prod_i (1 + snr |F_i|^2) exceed the largest double; divided by a**l
+        # they stay normal at the first point, and the guard hands the
+        # others to the log-sum
         cfg = TrialConfig(
             l=16, multiplex_ratio=1.0, snr_grid=(1.5e19, 1.7e19, 1.84e19), trials=20_000, seed=23
         )
         assert all(cfg.l * math.log2(snr) < 1024 for snr in cfg.snr_grid)
-        overflowing = _trial_counts(
-            cfg, _exponential_draw(cfg.fade_variance),
-            lambda t: [_log_sum(t, snr) > 1024.5 for snr in cfg.snr_grid],
+        overflowing = _oracle_counts(
+            cfg,
+            lambda t: [math.fsum(math.log2(1.0 - snr * math.log(u)) for u in t) > 1024.5
+                       for snr in cfg.snr_grid],
         )
         assert min(overflowing) > 10
-        expected = self._rate_counts(cfg)
+        expected = _rate_counts(cfg)
         assert min(expected) > 0
         assert list(estimate_rate_outage(cfg).successes) == expected
 
@@ -795,31 +907,42 @@ class TestEventKernels:
     def test_rate_counts_where_two_to_the_target_overflows(self, l, ratio, grid):
         cfg = TrialConfig(l=l, multiplex_ratio=ratio, snr_grid=grid, trials=2000, seed=24)
         assert cfg.l * ratio * math.log2(grid[-1]) >= 1024
-        expected = self._rate_counts(cfg)
+        expected = _rate_counts(cfg)
         assert min(expected) > 0
         assert list(estimate_rate_outage(cfg).successes) == expected
 
 
 class TestDeterminismPin:
-    """Success counts recorded from SFC64 streams keyed by
-    ``SeedSequence(entropy=seed, spawn_key=(block,))``: the rate counts from
-    the 0.3.0 exponential streams, which 0.4.0 keeps, and the mean-fade
-    counts from the 0.4.0 uniform streams (each within 1.4 sigma of the
-    regularised gamma when recorded).  A regression pin on output bytes, not
-    a correctness oracle: a change here changes ``mc`` output and needs a
-    version bump."""
+    """Success counts recorded from the 0.5.0 streams: uniforms from SFC64
+    keyed by ``SeedSequence(entropy=seed, spawn_key=(block,))``, drawn in
+    (l, n) chunks of n = max(1, 65536 // l) trials, shared by both modes.  A
+    regression pin on output bytes, not a correctness oracle: a change here
+    changes ``mc`` output and needs a version bump.  Each count's z-score,
+    (p_hat - p) / sqrt(p (1 - p) / trials), against its reference p when
+    recorded is in the comment beside it: the regularised gamma
+    P(l, l/snr) for mean-fade, 1 - exp(-(snr**r - 1)/snr) for rate at l=1,
+    and for rate at l > 1 the law of sum_i log2(1 + snr |F_i|^2) by FFT
+    convolution (``oracles.rate_outage_convolution``)."""
 
     @pytest.mark.parametrize(
         "mode, l, ratio, grid, successes",
         [
+            # z = +0.69, +0.75, -0.89
             ("mean_fade", 1, 0.0, (10.0, 31.6, 100.0), (9580, 3156, 967)),
-            ("mean_fade", 4, 0.0, (2.0, 3.0, 5.0), (14237, 4710, 907)),
-            ("mean_fade", 16, 0.0, (1.2, 1.4, 1.6), (26582, 11712, 4782)),
-            ("mean_fade", 64, 0.0, (1.1, 1.2, 1.3), (24109, 8570, 2459)),
-            ("rate", 1, 0.5, (10.0, 31.6, 100.0), (19442, 13691, 8559)),
-            ("rate", 4, 0.75, (10.0, 30.0, 100.0), (26414, 22390, 14818)),
-            ("rate", 16, 0.75, (10.0, 30.0, 100.0), (10542, 6983, 2048)),
-            ("rate", 64, 0.9, (10.0, 30.0, 100.0), (69075, 78516, 66731)),
+            # z = +1.23, -0.89, +0.13
+            ("mean_fade", 4, 0.0, (2.0, 3.0, 5.0), (14424, 4590, 912)),
+            # z = -0.98, -0.56, +0.29
+            ("mean_fade", 16, 0.0, (1.2, 1.4, 1.6), (26524, 11668, 4894)),
+            # z = +1.56, +0.82, +0.99
+            ("mean_fade", 64, 0.0, (1.1, 1.2, 1.3), (24141, 8556, 2499)),
+            # z = +1.10, +0.79, +0.81
+            ("rate", 1, 0.5, (10.0, 31.6, 100.0), (19583, 13691, 8679)),
+            # z = +0.44, +0.63, +0.95
+            ("rate", 4, 0.75, (10.0, 30.0, 100.0), (26596, 22513, 14866)),
+            # z = +0.62, +0.54, +0.48
+            ("rate", 16, 0.75, (10.0, 30.0, 100.0), (10522, 7021, 2164)),
+            # z = +0.24, -0.55, -0.06
+            ("rate", 64, 0.9, (10.0, 30.0, 100.0), (69300, 78596, 66837)),
         ],
     )
     @pytest.mark.parametrize("threads", [1, 2])
