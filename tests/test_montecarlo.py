@@ -627,6 +627,20 @@ def _block_values(seed, block, l=4, rows=10_000):
     return montecarlo._block_fades(montecarlo._block_rng(seed, block), np.empty((l, rows)))
 
 
+def _exponential_draw(variance):
+    """The rate-mode view of the stream: fades |F|^2 = -variance ln U."""
+
+    def draw(uniforms):
+        return -variance * np.log(uniforms)
+
+    return draw
+
+
+def _uniform_draw(uniforms):
+    """The mean-fade view of the stream: the uniforms U themselves."""
+    return uniforms
+
+
 class TestBlockStream:
     """The raw values of ``_block_fades`` against the analytic laws of the
     fades, and the independence of the (seed, block) keys."""
@@ -662,16 +676,23 @@ class TestBlockStream:
         fades = -variance * np.log(uniforms)
         assert stats.kstest(fades, stats.expon(scale=variance).cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("draw", [_exponential_draw(1.0), _uniform_draw])
     @pytest.mark.parametrize("other", [(2015, 0), (2014, 1)])
-    def test_neighbouring_keys_share_no_value(self, other):
-        assert np.intersect1d(_block_values(2014, 0), _block_values(*other)).size == 0
+    def test_neighbouring_keys_share_no_value(self, other, draw):
+        """Neither the uniforms nor the rate-mode fades of two neighbouring
+        (seed, block) keys share a value."""
+        base = draw(_block_values(2014, 0))
+        assert np.intersect1d(base, draw(_block_values(*other))).size == 0
 
-    def test_a_stream_drawn_in_pieces_gives_the_same_values(self):
+    @pytest.mark.parametrize("draw", [_exponential_draw(0.7), _uniform_draw])
+    def test_a_stream_drawn_in_pieces_gives_the_same_values(self, draw):
         """An (l, n) chunk takes the next l * n values of its block's stream
-        in C order, whatever the chunks drawn before it."""
-        whole = _block_values(11, 2, l=3, rows=1000).ravel()
+        in C order, whatever the chunks drawn before it, in either mode's
+        view of the stream."""
+        whole = draw(_block_values(11, 2, l=3, rows=1000).ravel())
         rng = montecarlo._block_rng(11, 2)
-        pieces = [montecarlo._block_fades(rng, np.empty((3, n))).ravel() for n in (1, 400, 7, 592)]
+        pieces = [draw(montecarlo._block_fades(rng, np.empty((3, n))).ravel())
+                  for n in (1, 400, 7, 592)]
         assert np.array_equal(np.concatenate(pieces), whole)
 
 
