@@ -3,7 +3,10 @@
 Every subcommand writes CSV, either to stdout or to ``-o PATH``.  The file
 starts with ``#``-prefixed comment lines recording the tool version and the
 full resolved configuration, so a result file is self-describing and two runs
-with identical configurations produce identical bytes.  The Monte Carlo
+with identical configurations produce identical bytes.  ``--precision N``
+sets the significant digits of float cells, printed as ``%.Ng``; every other
+cell prints as ``str``.  N must lie in [1, 2**31 - 1], the largest precision
+a format string takes; any other value exits 2 before any work.  The Monte Carlo
 thread count is deliberately not part of the recorded configuration: results
 are bit-identical for any thread count.
 
@@ -77,13 +80,18 @@ def _parse_grid(text: str) -> list[float]:
     return [start + i * step for i in range(int(math.floor(span)) + 1)]
 
 
+_MAX_PRECISION = 2**31 - 1  # the largest precision a format string takes
+
+
 def _precision(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    if not 1 <= value <= _MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [1, {_MAX_PRECISION}], got {text!r}"
+        )
     return value
 
 
@@ -99,14 +107,30 @@ def _to_linear(values: list[float], unit: str) -> list[float]:
     return linear
 
 
+def _format_rows(rows, precision: int) -> list[str]:
+    """Each row as one CSV line: a float cell (numpy ``float64`` included)
+    prints as ``%.<precision>g``, any other cell as ``str``.  A row is one
+    ``%`` operation, with one format string per distinct tuple of cell types."""
+    formats = {}
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                f"%.{precision}g" if issubclass(t, float) else "%s" for t in types
+            )
+        lines.append(fmt % row)
+    return lines
+
+
+def _csv(columns, lines: list[str]) -> str:
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
 def _table(columns, rows, precision: int) -> str:
-    fmt = f"{{:.{precision}g}}"
-    lines = [",".join(columns)]
-    lines.extend(
-        ",".join(fmt.format(v) if isinstance(v, float) else str(v) for v in row)
-        for row in rows
-    )
-    return "\n".join(lines) + "\n"
+    return _csv(columns, _format_rows(rows, precision))
 
 
 def _emit(output, subcommand: str, params: dict, body: str) -> None:
@@ -299,17 +323,19 @@ def _run_constellation(args) -> int:
             f"{_MAX_GRID_POINTS} table rows"
         )
     spread = permute_constellation(base, args.l, args.seed)
-    columns = ("subchannel", "index", "re", "im")
-    rows = [
-        (sub, i, p.real, p.imag)
-        for sub in range(1, spread.subchannel_count + 1)
-        for i, p in enumerate(spread.subchannel_points(sub))
-    ]
+    # each base point's "re,im" cells, formatted once for every sub-channel
+    points = _format_rows(((p.real, p.imag) for p in base.points), args.precision)
     if args.l == 1:
         # one sub-channel: a plain listing of the base points
-        columns, rows = columns[1:], [row[1:] for row in rows]
+        columns = ("index", "re", "im")
+        lines = [f"{i},{point}" for i, point in enumerate(points)]
+    else:
+        columns = ("subchannel", "index", "re", "im")
+        lines = [f"1,{i},{point}" for i, point in enumerate(points)]
+        for sub, perm in enumerate(spread.perms, start=2):
+            lines.extend(f"{sub},{i},{points[j]}" for i, j in enumerate(perm))
     params = {"bits": args.bits, "l": args.l, "seed": args.seed}
-    _emit(args.output, "constellation", params, _table(columns, rows, args.precision))
+    _emit(args.output, "constellation", params, _csv(columns, lines))
     return 0
 
 

@@ -66,9 +66,10 @@ class PermutationConstellation:
 
     def __post_init__(self):
         n = len(self.base.points)
-        perms = tuple(tuple(int(i) for i in p) for p in self.perms)
+        indices = set(range(n))
+        perms = tuple(map(tuple, self.perms))
         for p in perms:
-            if sorted(p) != list(range(n)):
+            if len(p) != n or set(p) != indices:
                 raise ValueError("each permutation must rearrange all point indices")
         object.__setattr__(self, "perms", perms)
 
@@ -179,7 +180,7 @@ def permute_constellation(
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = len(base.points)
-    perms = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(l - 1))
+    perms = tuple(tuple(rng.permutation(n).tolist()) for _ in range(l - 1))
     return PermutationConstellation(base, perms, int(seed))
 
 

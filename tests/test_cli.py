@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from numpy.testing import assert_allclose
 
-from mcqkd import __version__, cli
-from mcqkd.constellation import build_constellation
+from mcqkd import __version__, cli, montecarlo
+from mcqkd.constellation import build_constellation, permute_constellation
 from mcqkd.cli import _parse_grid, _to_linear, main
 
 CHANNEL_TEXT = (
@@ -377,6 +377,32 @@ class TestConstellation:
         assert code == 2 and captured.out == ""
         assert "exceed 8 table rows" in captured.err
 
+    @pytest.mark.parametrize("precision", [3, 9, 17])
+    @pytest.mark.parametrize("l", [1, 3])
+    @pytest.mark.parametrize("bits", ["1", "2.5", "12"])
+    def test_bytes_match_the_per_cell_layout(self, capsys, tmp_path, bits, l, precision):
+        # reference: every sub-channel's points in permuted order, each cell
+        # formatted on its own with str.format
+        spread = permute_constellation(build_constellation(float(bits)), l, 5)
+        fmt = f"{{:.{precision}g}}"
+        lines = [
+            f"# tool=mcqkd {__version__}", "# subcommand=constellation",
+            f"# bits={float(bits)}", f"# l={l}", "# seed=5",
+        ]
+        lines.append("index,re,im" if l == 1 else "subchannel,index,re,im")
+        for sub in range(1, l + 1):
+            for i, p in enumerate(spread.subchannel_points(sub)):
+                cells = [str(i), fmt.format(p.real), fmt.format(p.imag)]
+                lines.append(",".join(cells if l == 1 else [str(sub), *cells]))
+        want = "\n".join(lines) + "\n"
+        argv = ["constellation", "--bits", bits, "--l", str(l), "--seed", "5",
+                "--precision", str(precision)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / "c.csv"
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+
     def test_oversized_table_refused_before_any_permutation(self, capsys, monkeypatch):
         drawn = []
         monkeypatch.setattr(cli, "permute_constellation", lambda *a: drawn.append(a))
@@ -614,6 +640,36 @@ class TestExitCodes:
         assert main([*argv, "--precision", precision]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--precision" in captured.err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tradeoff", "--kind", "single", "--grid", "0.5"),
+            ("perr", "--snr", "3", "--multiplex", "0"),
+            ("mc", "--mode", "mean_fade", "--snr", "2,3,4", "--trials", "1000"),
+            ("svd", "--matrix", "{matrix}"),
+            ("rates", "--channel", "{channel}", "--mod-variance", "1.2"),
+            ("constellation", "--bits", "2"),
+        ],
+    )
+    def test_precision_beyond_the_format_limit_exits_2_before_any_work(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        (tmp_path / "m.csv").write_text(MATRIX_TEXT)
+        (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
+        paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
+        argv = [a.format(**paths) for a in argv]
+        # 2^31 - 1 is the largest precision a format string takes
+        assert main([*argv, "--precision", str(2**31 - 1)]) == 0
+        capsys.readouterr()
+        counted = []
+        monkeypatch.setattr(montecarlo, "_count_events", lambda *a: counted.append(a))
+        assert main([*argv, "--precision", str(2**31)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --precision: must be an integer in [1, 2147483647]" in captured.err
+        assert counted == []
 
 
 def test_cli_import_does_not_load_scipy_stats():

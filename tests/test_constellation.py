@@ -9,6 +9,7 @@ from scipy import stats
 
 from mcqkd.constellation import (
     CodewordPair,
+    PermutationConstellation,
     PhaseConstellation,
     build_constellation,
     diff_matrix,
@@ -109,6 +110,24 @@ class TestPermutations:
         for sub in range(1, 6):
             got = min_distance_exhaustive(pc.subchannel_points(sub))
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("bits, l, seed", [(2.0, 4, 3), (12.0, 3, 2014)])
+    def test_permutations_are_the_generators_draws_in_order(self, bits, l, seed):
+        base = build_constellation(bits)
+        rng = np.random.default_rng(seed)
+        n = len(base.points)
+        want = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(l - 1))
+        pc = permute_constellation(base, l, seed)
+        assert pc.perms == want
+        assert all(type(i) is int for p in pc.perms for i in p)
+
+    @pytest.mark.parametrize(
+        "perm", [(0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 3, 0), (1, 2, 3, 4), (0, 1, 2, 5)]
+    )
+    def test_a_perm_that_misses_an_index_is_rejected(self, perm):
+        base = build_constellation(2.0)
+        with pytest.raises(ValueError, match="rearrange all point indices"):
+            PermutationConstellation(base, ((3, 2, 1, 0), perm), 0)
 
     def test_uniform_over_permutation_group(self):
         # 4-point base: 24 possible orderings, swept over ten thousand seeds
