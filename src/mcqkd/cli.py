@@ -30,9 +30,7 @@ from . import __version__
 from .channel import load_channel_model
 from .constellation import build_constellation, permute_constellation
 from .errors import DomainError, InsufficientTrialsError
-from .manifold import (
-    CURVE_KINDS, OutageParams, perr_amqd, perr_single, require_unit_snr, tradeoff_curve,
-)
+from .manifold import CURVE_KINDS, perr_rows, tradeoff_curve
 from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_outage
 from .rates import SUBCHANNEL_COLUMNS, rate_report
 from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
@@ -146,7 +144,7 @@ def _emit(output, subcommand: str, params: dict, body: str) -> None:
 
 
 def _grid_param(values: list[float]) -> str:
-    return ",".join(f"{v:.9g}" for v in values)
+    return ("%.9g," * len(values) % tuple(values))[:-1]
 
 
 def _run_tradeoff(args) -> int:
@@ -178,15 +176,10 @@ def _run_perr(args) -> int:
             f"{len(snr)} snr x {len(l_values)} l values exceed {_MAX_GRID_POINTS} table cells"
         )
     columns = ["snr_db", "p_single"] + [f"p_amqd_l{v}" for v in l_values]
-    rows = []
-    for s in snr:
-        # before log10, which fails on a zero snr without naming it
-        require_unit_snr(s)
-        row = [10.0 * math.log10(s), perr_single(OutageParams(s, args.multiplex))]
-        row.extend(
-            perr_amqd(OutageParams(s, args.multiplex, l=v)) for v in l_values
-        )
-        rows.append(row)
+    # perr_rows checks every snr before log10, which fails on a zero snr
+    # without naming it
+    cells = perr_rows(snr, args.multiplex, l_values)
+    rows = [(10.0 * math.log10(s), *row) for s, row in zip(snr, cells)]
     params = {
         "snr": _grid_param(snr),
         "multiplex": args.multiplex,

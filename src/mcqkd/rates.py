@@ -14,6 +14,12 @@ The optimal collective attack pushes the usable noise to
 
 which only exists while the bracketed term is positive; otherwise the regime
 is degenerate and :class:`~mcqkd.errors.DegenerateRegimeError` is raised.
+
+Each scalar function checks its own arguments.  :func:`rate_report` checks
+``mod_variance`` and ``gain_c`` once, before any sub-channel, and per row
+only what depends on the row: a negative fade, the eavesdropper tap of the
+row's transmittance and the attack bracket.  Its rates are the expressions
+of the scalar functions, so every cell and total rounds as they give it.
 """
 
 from __future__ import annotations
@@ -130,12 +136,25 @@ def _check_positive(**kwargs) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _capacity(mod_variance: float, fade_sq: float, noise_variance: float) -> float:
+    return 0.5 * math.log2(1.0 + mod_variance * fade_sq / noise_variance)
+
+
+def _check_fade_sq(fade_sq: float) -> None:
+    if not fade_sq >= 0:
+        raise ValueError(f"fade_sq must be >= 0, got {fade_sq}")
+
+
 def subchannel_capacity(mod_variance: float, fade_sq: float, noise_variance: float) -> float:
     """Classical capacity (1/2) * log2(1 + mod_variance*fade_sq/noise_variance)."""
     _check_positive(mod_variance=mod_variance, noise_variance=noise_variance)
-    if not fade_sq >= 0:
-        raise ValueError(f"fade_sq must be >= 0, got {fade_sq}")
-    return 0.5 * math.log2(1.0 + mod_variance * fade_sq / noise_variance)
+    _check_fade_sq(fade_sq)
+    return _capacity(mod_variance, fade_sq, noise_variance)
+
+
+def _check_gain_c(gain_c: float) -> None:
+    if not gain_c > 0:
+        raise ValueError(f"gain_c must be > 0, got {gain_c}")
 
 
 def svd_capacity(
@@ -143,9 +162,16 @@ def svd_capacity(
 ) -> float:
     """Capacity with the eigenchannel-compensated modulation variance
     mod_variance * (1 + gain_c)."""
-    if not gain_c > 0:
-        raise ValueError(f"gain_c must be > 0, got {gain_c}")
+    _check_gain_c(gain_c)
     return subchannel_capacity(mod_variance * (1.0 + gain_c), fade_sq, noise_variance)
+
+
+def _attack_noise(mod_variance: float, fade_sq: float, input_noise: float) -> float:
+    signal = mod_variance * fade_sq
+    bracket = (signal + input_noise) / (1.0 + input_noise * signal) - 1.0
+    if bracket <= 0:
+        raise DegenerateRegimeError(bracket)
+    return mod_variance / bracket
 
 
 def optimal_attack_noise(mod_variance: float, fade_sq: float, input_noise: float) -> float:
@@ -156,13 +182,8 @@ def optimal_attack_noise(mod_variance: float, fade_sq: float, input_noise: float
     parameters and raises :class:`DegenerateRegimeError` carrying the value.
     """
     _check_positive(mod_variance=mod_variance, input_noise=input_noise)
-    if not fade_sq >= 0:
-        raise ValueError(f"fade_sq must be >= 0, got {fade_sq}")
-    signal = mod_variance * fade_sq
-    bracket = (signal + input_noise) / (1.0 + input_noise * signal) - 1.0
-    if bracket <= 0:
-        raise DegenerateRegimeError(bracket)
-    return mod_variance / bracket
+    _check_fade_sq(fade_sq)
+    return _attack_noise(mod_variance, fade_sq, input_noise)
 
 
 def private_capacity(mod_variance: float, fade_sq: float, attack_noise: float) -> float:
@@ -240,21 +261,38 @@ def rate_report(
         raise ValueError(
             f"expected {len(active)} fade values, got {len(fades_sq)}"
         )
+    _check_positive(mod_variance=mod_variance)
+    _check_gain_c(gain_c)
+    boosted = mod_variance * (1.0 + gain_c)
     # totals add one sub-channel at a time, in order: sum() is compensated from
     # Python 3.12 on and np.sum is pairwise, and either changes the last bits
-    totals = [0.0, 0.0, 0.0, 0.0]
+    capacity = svd = private = svd_private = 0.0
     rows = []
     for sub, fade_sq in zip(active, fades_sq):
+        _check_fade_sq(fade_sq)
+        # positive: the vacuum variance plus a non-negative excess noise
         input_noise = total_input_noise(
             sub.eve_epr_variance, eve_transmittance(sub.transmittance), channel.vacuum_variance
         )
-        noise_star = optimal_attack_noise(mod_variance, fade_sq, input_noise)
-        rates = (
-            subchannel_capacity(mod_variance, fade_sq, sub.noise_variance),
-            svd_capacity(mod_variance, gain_c, fade_sq, sub.noise_variance),
-            private_capacity_complex(mod_variance, fade_sq, noise_star),
-            private_capacity_complex(mod_variance * (1.0 + gain_c), fade_sq, noise_star),
+        noise_star = _attack_noise(mod_variance, fade_sq, input_noise)
+        if not noise_star > 0:
+            # only where the arithmetic leaves the double range (NaN once
+            # mod_variance * fade_sq overflows); worded as
+            # private_capacity_complex words it
+            raise ValueError(f"noise_variance must be positive, got {noise_star}")
+        # the expressions of subchannel_capacity, svd_capacity and (twice)
+        # private_capacity_complex, so each rate rounds as those give it
+        row = (
+            fade_sq,
+            noise_star,
+            _capacity(mod_variance, fade_sq, sub.noise_variance),
+            _capacity(boosted, fade_sq, sub.noise_variance),
+            2.0 * _capacity(mod_variance, fade_sq, noise_star),
+            2.0 * _capacity(boosted, fade_sq, noise_star),
         )
-        rows.append((fade_sq, noise_star, *rates))
-        totals = [total + rate for total, rate in zip(totals, rates)]
-    return RateReport(*totals, tuple(rows))
+        rows.append(row)
+        capacity += row[2]
+        svd += row[3]
+        private += row[4]
+        svd_private += row[5]
+    return RateReport(capacity, svd, private, svd_private, tuple(rows))

@@ -152,7 +152,7 @@ class TestPerr:
         assert "exceed 6 table cells" in captured.err
 
     def test_a_million_snr_by_l_cells_refused_before_evaluation(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "perr_amqd", lambda params: pytest.fail("evaluated"))
+        monkeypatch.setattr(cli, "perr_rows", lambda *args: pytest.fail("evaluated"))
         code = main(["perr", "--snr", "1:1000:1", "--multiplex", "0.5", "--l", "1:1001:1"])
         assert code == 2
         assert "1000 snr x 1001 l values" in capsys.readouterr().err
@@ -670,6 +670,65 @@ class TestExitCodes:
         assert captured.out == ""
         assert "argument --precision: must be an integer in [1, 2147483647]" in captured.err
         assert counted == []
+
+
+BIG_K = str(10**200)  # K_in * K_out beyond the largest double
+
+
+class TestTableWideParametersFirst:
+    """A bad table-wide parameter exits with its own code and message whatever
+    the grid holds: it is checked before any grid point, so a bad point before
+    or after the first one does not change the outcome."""
+
+    @pytest.mark.parametrize("bad_point_first", [False, True], ids=["point_last", "point_first"])
+    @pytest.mark.parametrize(
+        "argv, grid_flag, grid, message",
+        [
+            (("perr", "--multiplex", "2"), "--snr", ("1", "0.5"),
+             "multiplex_ratio must lie in [0, 1], got 2.0"),
+            (("tradeoff", "--kind", "single", "--z", "0.5"), "--grid", ("0.5", "0"),
+             "z_exponent must be finite and >= 1, got 0.5"),
+            (("tradeoff", "--kind", "multicarrier", "--z", "0.5"), "--grid", ("0.5", "-1"),
+             "z_exponent must be finite and >= 1, got 0.5"),
+            (("tradeoff", "--kind", "multicarrier", "--l", "0"), "--grid", ("0.5", "-1"),
+             "l must be >= 1, got 0"),
+            (("tradeoff", "--kind", "g_scaled", "--g", "nan"), "--grid", ("0.5", "-1"),
+             "g_scale must be finite, got nan"),
+            (("tradeoff", "--kind", "multiaccess_in_le_out", "--k-in", "0", "--k-out", "3"),
+             "--grid", ("0.5", "-1"), "matrix dimensions must be >= 1, got 0 x 3"),
+            (("tradeoff", "--kind", "multiaccess_in_le_out", "--k-in", "2", "--k-out", "0"),
+             "--grid", ("0.5", "-1"), "multiaccess_in_le_out needs k_in <= k_out"),
+            (("tradeoff", "--kind", "multiaccess_in_le_out", "--k-in", BIG_K, "--k-out", BIG_K),
+             "--grid", ("0.5", "-1"), "K_in * K_out must fit a double"),
+            (("tradeoff", "--kind", "multiaccess_in_le_out", "--k-in", "3", "--k-out", str(10**308)),
+             "--grid", ("0.5", "-1"), "K_in * K_out must fit a double"),
+            (("tradeoff", "--kind", "orthogonal_complement", "--k-in", BIG_K, "--k-out", BIG_K),
+             "--grid", ("0.5", "-1"), "K_in * K_out must fit a double"),
+        ],
+        ids=["perr-multiplex", "single-z", "multicarrier-z", "multicarrier-l", "g_scaled-g",
+             "k_in", "k_out", "k_in-and-k_out", "k_out-alone", "complement-k"],
+    )
+    def test_exit_2_in_either_grid_order(self, capsys, argv, grid_flag, grid, message, bad_point_first):
+        # a grid that starts with a negative value must be given as --grid=...
+        points = grid[::-1] if bad_point_first else grid
+        code = main([*argv, f"{grid_flag}={','.join(points)}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("grid", ["0.5", "0.5,0.25"])
+    def test_g_scale_out_of_range_exits_3_before_any_point(self, capsys, grid):
+        code = main(["tradeoff", "--kind", "g_scaled", "--g", "1.5", f"--grid=-1,{grid}"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == "error: g_scale must lie in [0, 1), got 1.5\n"
+
+    def test_a_bad_point_alone_keeps_its_domain_exit(self, capsys):
+        code = main(["tradeoff", "--kind", "single", "--grid=0.5,0"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == "error: multiplex_ratio must lie in (0, 1], got 0.0\n"
+        code = main(["perr", "--snr", "1,0.5", "--multiplex", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == "error: power-law outage needs snr >= 1, got 0.5\n"
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -201,11 +201,32 @@ class TestTradeoffFamilies:
         exact = lambda i, t: (1 - t) * (k - i) * (k + 3 - i) + t * (k - i - 1) * (k + 2 - i)
         assert values == pytest.approx([exact(0, 0.25), exact(5 * 10**6, 0.5), exact(k - 1, 0.5)])
 
+    def test_multiaccess_curve_memory_does_not_grow_with_k(self):
+        k = 10**7
+        grid = [0.25, 5e6 + 0.5, k - 0.5, float(k)]
+        tracemalloc.start()
+        try:
+            curve = tradeoff_curve("multiaccess_in_le_out", grid, k_in=k, k_out=k + 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        exact = lambda i, t: (1 - t) * (k - i) * (k + 3 - i) + t * (k - i - 1) * (k + 2 - i)
+        deltas = [d for _, d in curve.points]
+        assert deltas == pytest.approx([exact(0, 0.25), exact(5 * 10**6, 0.5), exact(k - 1, 0.5), 0.0])
+
     def test_multiaccess_knots_beyond_the_double_range_rejected(self):
         k = 10**200
         with pytest.raises(ValueError, match="fit a double"):
             tradeoff_multiaccess(k, k, 0.5)
         assert tradeoff_multiaccess(k, k - 1, 0.5) == 2.0 * 1.5  # K_in > K_out
+
+    def test_complement_dims_beyond_the_double_range_rejected(self):
+        k = 10**200
+        with pytest.raises(ValueError, match="fit a double"):
+            manifold_dims(k, k, 0.5)
+        with pytest.raises(ValueError, match="fit a double"):
+            tradeoff_curve("orthogonal_complement", [0.5], k_in=k, k_out=k)
 
     def test_knots_equal_orthogonal_complement_dims(self):
         for k_in, k_out in [(1, 1), (2, 4), (3, 3), (4, 7)]:
