@@ -1,5 +1,5 @@
-"""Gaussian sub-channel model: transmittances, eavesdropper tap, excess noise
-and Rayleigh-faded transmission of subcarrier blocks.
+"""Gaussian sub-channel model: transmittances, eavesdropper tap and excess
+noise.
 
 Each sub-channel i carries a complex transmittance T_i whose real part
 (position quadrature) equals its imaginary part (momentum quadrature), with
@@ -26,12 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SingularNoiseError
-from .phase_space import ComplexGaussianVector
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 _RECORD_KEYS = ("re_t", "noise_var", "eve_w")
 _DIRECTIVE_KEYS = ("vacuum_variance", "active_count")
 
@@ -149,51 +146,6 @@ def total_input_noise(
     if not vacuum_variance > 0:
         raise ValueError(f"vacuum_variance must be positive, got {vacuum_variance}")
     return vacuum_variance + excess_noise(eve_epr_variance, eve_trans_sq)
-
-
-def sample_faded_transmittances(l: int, variance: float, seed: int) -> np.ndarray:
-    """Draw ``l`` independent faded transmission coefficients as a complex
-    array of shape (l,).
-
-    Each is circular symmetric complex Gaussian with E[|F|^2] = variance, so
-    |F|^2 is exponential with that mean.  Identical ``seed`` reproduces the
-    draw exactly.
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    rng = np.random.default_rng(seed)
-    quads = rng.normal(0.0, np.sqrt(variance / 2.0), size=(2, l))
-    return quads[0] + 1j * quads[1]
-
-
-def apply_channel(
-    d: ComplexGaussianVector,
-    fades: np.ndarray,
-    noise_variance: float,
-    seed: int,
-) -> ComplexGaussianVector:
-    """Transmit a block of subcarriers ``d`` through faded sub-channels with
-    complex gains ``fades``, one per subcarrier.
-
-    The receiver-side observable is y_i = F_i * w_i + noise_i where w is the
-    positive-exponent transform of ``d`` and the additive noise is circular
-    symmetric complex Gaussian with per-quadrature variance
-    ``noise_variance`` (complex variance 2 * noise_variance).  With all fades
-    equal to one and vanishing noise the output reduces to w itself.
-    """
-    if len(fades) != len(d):
-        raise ValueError(f"expected {len(d)} fades, got {len(fades)}")
-    if not noise_variance > 0:
-        raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-    w = np.fft.ifft(d.samples, norm="ortho")
-    gains = np.asarray(fades, dtype=complex)
-    rng = np.random.default_rng(seed)
-    quads = rng.normal(0.0, np.sqrt(noise_variance), size=(2, len(d)))
-    y = gains * w + quads[0] + 1j * quads[1]
-    model_variance = float(np.mean(np.abs(gains) ** 2) * d.variance + 2.0 * noise_variance)
-    return ComplexGaussianVector(y, model_variance)
 
 
 def _parse_assignments(line: str) -> dict[str, str]:

@@ -1,4 +1,4 @@
-"""Finite phase-space constellations and codeword-difference diagnostics.
+"""Finite phase-space constellations, their product distance and pairwise error.
 
 A rate of ``secret_rate`` bits is carried by 2**ceil(secret_rate) points on a
 centred rectangular grid whose nearest-neighbour distance is
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, NegativeFadeError
+from .errors import DegenerateInputError
 
 _MAX_BITS = 16.0
 
@@ -108,40 +108,12 @@ class CodewordPair:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class DiffMatrix:
-    """Normalised codeword difference embedded as a diagonal l x l matrix."""
-
-    entries: tuple
-    snr: float
-
-    def __post_init__(self):
-        entries = tuple(complex(e) for e in self.entries)
-        if len(entries) < 1:
-            raise ValueError("entries must be non-empty")
-        if not self.snr > 0:
-            raise ValueError(f"snr must be positive, got {self.snr}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.entries, dtype=complex))
-
-
 class ProductDistance(NamedTuple):
     value: float
     passes_51: bool
     passes_116: bool
     c: float
     bits: float
-
-
-class SmallestSingularCheck(NamedTuple):
-    value: float
-    passes_135: bool
-    k_in: int
-    bits: float
-    passes_double_exponent: bool | None
 
 
 def gaussian_q(x: float) -> float:
@@ -182,16 +154,6 @@ def permute_constellation(
     n = len(base.points)
     perms = tuple(tuple(rng.permutation(n).tolist()) for _ in range(l - 1))
     return PermutationConstellation(base, perms, int(seed))
-
-
-def normalized_difference(pair: CodewordPair, i: int, snr: float) -> complex:
-    """SNR-normalised codeword difference (a_i - b_i) / sqrt(snr) on the
-    0-based sub-channel i."""
-    if not 0 <= i < len(pair):
-        raise IndexError(f"i must lie in [0, {len(pair) - 1}], got {i}")
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    return (pair.a[i] - pair.b[i]) / math.sqrt(snr)
 
 
 def product_distance(diffs, secret_rate: float, c: float = 1.0) -> ProductDistance:
@@ -240,98 +202,3 @@ def pairwise_error(fades_sq, diffs, mod_variance: float, noise_variance: float) 
         raise ValueError(f"noise_variance must be positive, got {noise_variance}")
     arg = mod_variance / (2.0 * noise_variance) * float(np.sum(fades_sq * np.abs(diffs) ** 2))
     return gaussian_q(math.sqrt(arg))
-
-
-def worst_case_fades(v_eve: float, diffs, snr: float) -> np.ndarray:
-    """Fade realisations that pin the pairwise error to the eavesdropper
-    reference variance ``v_eve``: fade_i = (v_eve / |diff_i|^2 - 1) / snr."""
-    if not v_eve > 0:
-        raise ValueError(f"v_eve must be positive, got {v_eve}")
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    mags = np.abs(np.asarray([complex(d) for d in diffs])) ** 2
-    if mags.size < 1:
-        raise ValueError("diffs must be non-empty")
-    if np.any(mags == 0):
-        raise DegenerateInputError("zero difference component has no worst-case fade")
-    if np.any(mags > v_eve):
-        raise NegativeFadeError(
-            f"v_eve = {v_eve} is below a squared difference magnitude "
-            f"(max {float(np.max(mags)):.6g}); worst-case fade would be negative"
-        )
-    return (v_eve / mags - 1.0) / snr
-
-
-def simplified_worst_case_error(v_eve: float, diffs) -> float:
-    """Closed worst-case pairwise error Q(sqrt(0.5 * sum_i (v_eve - |diff_i|^2)));
-    coincides with :func:`pairwise_error` evaluated at :func:`worst_case_fades`
-    when mod_variance / noise_variance equals the snr used there."""
-    if not v_eve > 0:
-        raise ValueError(f"v_eve must be positive, got {v_eve}")
-    mags = np.abs(np.asarray([complex(d) for d in diffs])) ** 2
-    if mags.size < 1:
-        raise ValueError("diffs must be non-empty")
-    if np.any(mags > v_eve):
-        raise NegativeFadeError(
-            "v_eve is below a squared difference magnitude; the error argument "
-            "would be negative"
-        )
-    return gaussian_q(math.sqrt(0.5 * float(np.sum(v_eve - mags))))
-
-
-def diff_matrix(pair: CodewordPair, snr: float) -> DiffMatrix:
-    """Embed the SNR-normalised codeword difference as a diagonal matrix."""
-    entries = [normalized_difference(pair, i, snr) for i in range(len(pair))]
-    if all(e == 0 for e in entries):
-        raise DegenerateInputError("codewords are identical")
-    return DiffMatrix(tuple(entries), float(snr))
-
-
-def smallest_singular(
-    d: DiffMatrix,
-    k_in: int,
-    secret_rate: float,
-    c: float = 1.0,
-    check_double_exponent: bool = False,
-) -> SmallestSingularCheck:
-    """Smallest singular value of a difference matrix and its admission check
-    lambda^2 > 1 / (k_in * 2**secret_rate).
-
-    With ``check_double_exponent`` the printed double-exponent variant
-    max lambda > c**(2**n) / (n**(2**n) * 2**(secret_rate/2)), n the matrix
-    dimension, is evaluated as well (in log space, since the bound underflows
-    quickly) and reported in the last field; otherwise that field is None.
-    """
-    if k_in < 1:
-        raise ValueError(f"k_in must be >= 1, got {k_in}")
-    if not secret_rate >= 0:
-        raise ValueError(f"secret_rate must be >= 0, got {secret_rate}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
-    singulars = np.linalg.svd(d.matrix, compute_uv=False)
-    lam = float(np.min(singulars))
-    passes_135 = lam**2 > 1.0 / (k_in * 2.0**secret_rate)
-    passes_dbl: bool | None = None
-    if check_double_exponent:
-        n = len(d.entries)
-        log2_bound = (2.0**n) * (math.log2(c) - math.log2(n)) - secret_rate / 2.0
-        lam_max = float(np.max(singulars))
-        passes_dbl = lam_max > 0 and math.log2(lam_max) > log2_bound
-    return SmallestSingularCheck(lam, bool(passes_135), int(k_in), float(secret_rate), passes_dbl)
-
-
-def pairwise_error_multiaccess(
-    lam: float, k_in: int, secret_rate: float, sqrt_argument: bool = False
-) -> float:
-    """Multiple-access pairwise error from the smallest singular value:
-    Q(0.5 * lam^2 * k_in * (2**secret_rate - 1)) as printed; with
-    ``sqrt_argument`` the square-rooted convention Q(sqrt(...)) is used."""
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if k_in < 1:
-        raise ValueError(f"k_in must be >= 1, got {k_in}")
-    if not secret_rate >= 0:
-        raise ValueError(f"secret_rate must be >= 0, got {secret_rate}")
-    arg = 0.5 * lam**2 * k_in * (2.0**secret_rate - 1.0)
-    return gaussian_q(math.sqrt(arg) if sqrt_argument else arg)
-

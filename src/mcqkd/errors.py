@@ -33,10 +33,6 @@ class SingularNoiseError(DomainError):
     """Excess noise diverges (the eavesdropper tap transmits everything)."""
 
 
-class NegativeFadeError(DomainError):
-    """A worst-case fade would be negative for the given reference variance."""
-
-
 class DegenerateInputError(DomainError):
     """Input data is degenerate for the requested fit or check."""
 

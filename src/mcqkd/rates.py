@@ -4,9 +4,10 @@ Conventions: classical capacities carry the real-domain 1/2 prefactor,
 
     C = (1/2) * log2(1 + mod_variance * fade_sq / noise_variance),
 
-while the aggregated secret-key bounds are complex-domain sums without the
-1/2 (both per-channel accessors are provided).  ``fade_sq`` always denotes
-the squared magnitude |F|^2 of a Fourier-domain transmission coefficient.
+while the private rates that :func:`rate_report` totals are complex-domain
+terms without the 1/2 (both per-channel accessors are provided).
+``fade_sq`` always denotes the squared magnitude |F|^2 of a Fourier-domain
+transmission coefficient.
 
 The optimal collective attack pushes the usable noise to
 
@@ -27,76 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelModel, eve_transmittance, total_input_noise
 from .errors import DegenerateRegimeError
-
-_LOG2_E = math.log2(math.e)
-
-
-@dataclass(frozen=True)
-class SnrSet:
-    """The four signal-to-noise ratios of one sub-channel: plain, gain-boosted
-    (eigenchannel-compensated), and both again under optimal-attack noise."""
-
-    snr: float
-    snr_svd: float
-    snr_private: float
-    snr_svd_private: float
-
-    def __post_init__(self):
-        for name in ("snr", "snr_svd", "snr_private", "snr_svd_private"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-    @classmethod
-    def from_variances(
-        cls,
-        mod_variance: float,
-        noise_variance: float,
-        attack_noise: float,
-        gain_c: float = 1.0,
-    ) -> "SnrSet":
-        if not mod_variance > 0:
-            raise ValueError(f"mod_variance must be positive, got {mod_variance}")
-        if not noise_variance > 0:
-            raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-        if not attack_noise > 0:
-            raise ValueError(f"attack_noise must be positive, got {attack_noise}")
-        if not gain_c >= 0:
-            raise ValueError(f"gain_c must be >= 0, got {gain_c}")
-        boosted = mod_variance * (1.0 + gain_c)
-        return cls(
-            snr=mod_variance / noise_variance,
-            snr_svd=boosted / noise_variance,
-            snr_private=mod_variance / attack_noise,
-            snr_svd_private=boosted / attack_noise,
-        )
-
-
-@dataclass(frozen=True)
-class KeyRateConfig:
-    """Multiplexing configuration: the rate fraction carried per eigenchannel.
-
-    ``multiplex_ratio`` is the fraction of the full capacity placed on the
-    scheme, ``n_min`` the number of usable eigenchannels and
-    ``private_capacity`` the total private rate being split.
-    """
-
-    multiplex_ratio: float
-    n_min: int
-    private_capacity: float
-
-    def __post_init__(self):
-        if not self.multiplex_ratio > 0:
-            raise ValueError(f"multiplex_ratio must be > 0, got {self.multiplex_ratio}")
-        if self.n_min < 1:
-            raise ValueError(f"n_min must be >= 1, got {self.n_min}")
-        if not self.private_capacity >= 0:
-            raise ValueError(
-                f"private_capacity must be >= 0, got {self.private_capacity}"
-            )
 
 
 # the per-sub-channel values of a RateReport, in the order each row holds them
@@ -108,7 +41,7 @@ SUBCHANNEL_COLUMNS = (
 @dataclass(frozen=True)
 class RateReport:
     """Aggregated rates of a channel model: classical and gain-boosted
-    capacities (real-domain, with the 1/2), secret-key bounds (complex-domain
+    capacities (real-domain, with the 1/2), private rates (complex-domain
     sums), and per active sub-channel one row of the values named by
     ``SUBCHANNEL_COLUMNS`` that the totals sum."""
 
@@ -169,7 +102,7 @@ def svd_capacity(
 def _attack_noise(mod_variance: float, fade_sq: float, input_noise: float) -> float:
     signal = mod_variance * fade_sq
     bracket = (signal + input_noise) / (1.0 + input_noise * signal) - 1.0
-    if bracket <= 0:
+    if not bracket > 0:  # NaN too: inf / inf once mod_variance * fade_sq overflows
         raise DegenerateRegimeError(bracket)
     return mod_variance / bracket
 
@@ -178,8 +111,9 @@ def optimal_attack_noise(mod_variance: float, fade_sq: float, input_noise: float
     """Noise variance granted by the optimal collective attack.
 
     Inverts the bracket (mod*fade + input_noise)/(1 + input_noise*mod*fade) - 1;
-    a non-positive bracket means no finite attack noise exists for these
-    parameters and raises :class:`DegenerateRegimeError` carrying the value.
+    a bracket that is not positive (or NaN) means no finite attack noise
+    exists for these parameters and raises :class:`DegenerateRegimeError`
+    carrying the value.
     """
     _check_positive(mod_variance=mod_variance, input_noise=input_noise)
     _check_fade_sq(fade_sq)
@@ -194,47 +128,8 @@ def private_capacity(mod_variance: float, fade_sq: float, attack_noise: float) -
 
 def private_capacity_complex(mod_variance: float, fade_sq: float, attack_noise: float) -> float:
     """Complex-domain private rate log2(1 + mod_variance*fade_sq/attack_noise)
-    (no 1/2); these are the terms the aggregate secret-key bound sums."""
+    (no 1/2); these are the terms :func:`rate_report`'s private totals sum."""
     return 2.0 * subchannel_capacity(mod_variance, fade_sq, attack_noise)
-
-
-def aggregate_secret_key_bound(terms) -> float:
-    """Secret-key rate bound over active sub-channels:
-    sum_i log2(1 + mod_i * fade_i / attack_noise_i).
-
-    ``terms`` is an iterable of (mod_variance, fade_sq, attack_noise) triples.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one sub-channel term")
-    total = 0.0
-    for mod_variance, fade_sq, attack_noise in terms:
-        total += private_capacity_complex(mod_variance, fade_sq, attack_noise)
-    return total
-
-
-def fixed_secret_key_rate(cfg: KeyRateConfig) -> float:
-    """Rate assigned per eigenchannel when the private capacity is split at a
-    fixed multiplex ratio: (multiplex_ratio / n_min) * private_capacity."""
-    return cfg.multiplex_ratio / cfg.n_min * cfg.private_capacity
-
-
-def snr_regime_approximations(
-    mod_variance: float, fades_sq, attack_noise: float
-) -> tuple[float, float]:
-    """Low- and high-SNR approximations of the private rate.
-
-    Low SNR:  ratio * log2(e) with ratio = mod_variance / attack_noise.
-    High SNR: log2(ratio) + log2(max fade_sq).
-    """
-    _check_positive(mod_variance=mod_variance, attack_noise=attack_noise)
-    fades_sq = np.asarray(fades_sq, dtype=float)
-    if fades_sq.size < 1 or np.any(fades_sq <= 0):
-        raise ValueError("fades_sq must be a non-empty collection of positive values")
-    ratio = mod_variance / attack_noise
-    low = ratio * _LOG2_E
-    high = math.log2(ratio) + math.log2(float(np.max(fades_sq)))
-    return low, high
 
 
 def rate_report(
@@ -276,10 +171,12 @@ def rate_report(
         )
         noise_star = _attack_noise(mod_variance, fade_sq, input_noise)
         if not noise_star > 0:
-            # only where the arithmetic leaves the double range (NaN once
-            # mod_variance * fade_sq overflows); worded as
-            # private_capacity_complex words it
-            raise ValueError(f"noise_variance must be positive, got {noise_star}")
+            # mod_variance / bracket underflows to 0 when a tiny mod_variance
+            # meets a huge bracket (an input noise near the top of the double range)
+            raise ValueError(
+                f"optimal-attack noise underflows to {noise_star}: mod_variance "
+                f"{mod_variance} is too small for the attack bracket"
+            )
         # the expressions of subchannel_capacity, svd_capacity and (twice)
         # private_capacity_complex, so each rate rounds as those give it
         row = (

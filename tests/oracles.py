@@ -3,8 +3,8 @@
 Everything in here deliberately avoids the code paths of the package under
 test: the gamma CDF is the closed-form series instead of scipy.special,
 eigenvalues come from the characteristic polynomial instead of numpy's SVD,
-the normal tail is numerically integrated, transforms are direct O(n^2)
-sums, and the least-squares slope is the textbook ratio of sums.
+the normal tail is numerically integrated, and the least-squares slope is
+the textbook ratio of sums.
 """
 
 import math
@@ -45,19 +45,6 @@ def normal_tail_quad(x):
     density = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     value, _ = quad(density, x, np.inf)
     return value
-
-
-def dft_direct(samples, sign):
-    """Direct unitary transform sum_k z_k exp(sign * 2j pi i k / n) / sqrt(n).
-
-    sign=-1 reproduces the frequency-to-time map used by the package,
-    sign=+1 its inverse.
-    """
-    z = np.asarray(samples)
-    n = len(z)
-    i = np.arange(n)
-    kernel = np.exp(sign * 2j * np.pi * np.outer(i, i) / n)
-    return kernel @ z / math.sqrt(n)
 
 
 def min_distance_exhaustive(points):

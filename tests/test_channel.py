@@ -1,23 +1,17 @@
-"""Sub-channel parameters, Eve's tap, excess noise, fading statistics and the
-block transmission map."""
+"""Sub-channel parameters, Eve's tap, excess noise and the channel file."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy import stats
 
 from mcqkd.channel import (
     ChannelModel,
     SubchannelParams,
-    apply_channel,
     eve_transmittance,
     excess_noise,
     load_channel_model,
     total_input_noise,
 )
 from mcqkd.errors import SingularNoiseError
-from mcqkd.phase_space import inverse_dft, sample_gaussian_vector
-from oracles import wilson_direct
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -94,81 +88,6 @@ class TestExcessNoise:
     def test_total_input_noise_adds_vacuum(self):
         assert total_input_noise(2.0, 0.5) == pytest.approx(2.0)
         assert total_input_noise(2.0, 0.5, vacuum_variance=0.5) == pytest.approx(1.5)
-
-
-class TestFading:
-    def test_reproducible(self):
-        a = sample_faded(100, 1.0, seed=5)
-        b = sample_faded(100, 1.0, seed=5)
-        assert_allclose(a, b)
-
-    def test_exponential_mean(self):
-        fades = sample_faded(100_000, 1.0, seed=11)
-        mags = np.abs(fades) ** 2
-        assert 0.99 < mags.mean() < 1.01
-
-    def test_cdf_point_within_wilson_band(self):
-        fades = sample_faded(100_000, 1.0, seed=23)
-        mags = np.abs(fades) ** 2
-        hits = int(np.sum(mags < 0.1))
-        lo, hi = wilson_direct(hits, 100_000, z=3.0)
-        assert lo <= 1.0 - np.exp(-0.1) <= hi
-
-    def test_exponential_law_ks(self):
-        # sup-distance test against 1 - exp(-x / sigma^2) at level 0.01
-        fades = sample_faded(100_000, 2.0, seed=31)
-        mags = np.abs(fades) ** 2
-        result = stats.kstest(mags, lambda x: 1.0 - np.exp(-x / 2.0))
-        assert result.pvalue > 0.01
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample_faded(0, 1.0, seed=1)
-        with pytest.raises(ValueError):
-            sample_faded(4, -1.0, seed=1)
-
-
-def sample_faded(l, variance, seed):
-    from mcqkd.channel import sample_faded_transmittances
-
-    return sample_faded_transmittances(l, variance, seed)
-
-
-class TestApplyChannel:
-    def test_near_identity_limit(self):
-        d = inverse_dft(sample_gaussian_vector(64, 1.0, seed=2))
-        fades = np.full(64, 1.0 + 0j)
-        y = apply_channel(d, fades, noise_variance=1e-20, seed=9)
-        assert_allclose(y.samples, np.fft.ifft(d.samples, norm="ortho"), atol=1e-8)
-
-    def test_zero_fades_leave_pure_noise(self):
-        n = 100_000
-        d = inverse_dft(sample_gaussian_vector(n, 1.0, seed=3))
-        zeroed = np.zeros(n, dtype=complex)
-        y = apply_channel(d, zeroed, noise_variance=0.5, seed=13)
-        assert abs(np.var(y.samples.real) / 0.5 - 1.0) < 0.02
-        assert abs(np.var(y.samples.imag) / 0.5 - 1.0) < 0.02
-
-    def test_output_second_moment(self):
-        n = 100_000
-        sigma_d, gain, noise = 2.0, 0.8 + 0.8j, 0.3
-        d = inverse_dft(sample_gaussian_vector(n, sigma_d, seed=4))
-        fades = np.full(n, gain)
-        y = apply_channel(d, fades, noise_variance=noise, seed=17)
-        expected = abs(gain) ** 2 * sigma_d + 2 * noise
-        assert abs(np.mean(np.abs(y.samples) ** 2) / expected - 1.0) < 0.02
-
-    def test_length_mismatch(self):
-        d = inverse_dft(sample_gaussian_vector(8, 1.0, seed=5))
-        with pytest.raises(ValueError):
-            apply_channel(d, np.full(7, 1.0 + 0j), 0.1, seed=1)
-
-    def test_seed_determinism(self):
-        d = inverse_dft(sample_gaussian_vector(16, 1.0, seed=6))
-        fades = np.full(16, 0.5 + 0.1j)
-        y1 = apply_channel(d, fades, 0.2, seed=21)
-        y2 = apply_channel(d, fades, 0.2, seed=21)
-        assert_allclose(y1.samples, y2.samples)
 
 
 class TestChannelModel:

@@ -273,6 +273,32 @@ class TestRates:
         assert code == 3
 
     @pytest.mark.parametrize(
+        "text, flags, code, message",
+        [
+            (  # mod_variance * fade_sq overflows: the bracket is inf / inf
+                CHANNEL_TEXT, ("--mod-variance", "1e308", "--fades", "10,10"), 3,
+                "optimal-attack noise undefined: the inverted SNR bracket is nan (must be > 0)",
+            ),
+            (  # 1e-20 over the bracket of a huge input noise underflows to 0
+                "re_t=1e-8 noise_var=1.0 eve_w=1e290\n",
+                ("--mod-variance", "1e-20", "--fades", "1e-300"), 2,
+                "optimal-attack noise underflows to 0.0: mod_variance 1e-20 is too small "
+                "for the attack bracket",
+            ),
+        ],
+        ids=["nan_bracket", "attack_noise_underflow"],
+    )
+    def test_attack_noise_outside_the_double_range(
+        self, capsys, tmp_path, text, flags, code, message
+    ):
+        p = tmp_path / "chan.txt"
+        p.write_text(text)
+        got = main(["rates", "--channel", str(p), *flags])
+        captured = capsys.readouterr()
+        assert got == code and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flags, name",
         [
             (("--mod-variance", "inf", "--gain-c", "0.5"), "mod_variance"),

@@ -12,19 +12,13 @@ from mcqkd.constellation import (
     PermutationConstellation,
     PhaseConstellation,
     build_constellation,
-    diff_matrix,
     gaussian_q,
-    normalized_difference,
     pairwise_error,
-    pairwise_error_multiaccess,
     permute_constellation,
     product_distance,
-    simplified_worst_case_error,
-    smallest_singular,
-    worst_case_fades,
 )
-from mcqkd.errors import DegenerateInputError, NegativeFadeError
-from oracles import charpoly_eigs, min_distance_exhaustive, normal_tail_quad
+from mcqkd.errors import DegenerateInputError
+from oracles import min_distance_exhaustive, normal_tail_quad
 
 
 class TestBuildConstellation:
@@ -145,25 +139,17 @@ class TestPermutations:
         assert np.max(np.abs(counts / 10_000 - p)) < 3 * stderr
 
 
-class TestNormalizedDifference:
-    def test_identical_codewords(self):
-        pair = CodewordPair(np.array([1 + 1j, 2.0]), np.array([1 + 1j, 0.0]))
-        assert normalized_difference(pair, 0, snr=4.0) == 0.0
+class TestCodewordPair:
+    def test_points_become_complex_tuples(self):
+        pair = CodewordPair(np.array([1.0, 2j]), [0, 1 - 1j])
+        assert pair.a == (1 + 0j, 2j) and pair.b == (0j, 1 - 1j)
+        assert len(pair) == 2
 
-    def test_hand_value(self):
-        pair = CodewordPair(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
-        assert normalized_difference(pair, 0, snr=4.0) == pytest.approx(0.5)
-
-    def test_snr_homogeneity(self):
-        pair = CodewordPair(np.array([3.0 + 1j]), np.array([1.0 - 1j]))
-        one = abs(normalized_difference(pair, 0, snr=5.0))
-        two = abs(normalized_difference(pair, 0, snr=10.0))
-        assert one / two == pytest.approx(np.sqrt(2.0))
-
-    def test_index_out_of_range(self):
-        pair = CodewordPair(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
-        with pytest.raises(IndexError):
-            normalized_difference(pair, 1, snr=1.0)
+    def test_unequal_or_empty_codewords_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            CodewordPair([1.0, 2.0], [0.0])
+        with pytest.raises(ValueError, match="equal length"):
+            CodewordPair([], [])
 
 
 class TestProductDistance:
@@ -212,124 +198,17 @@ class TestPairwiseError:
 
 
 class TestWorstCase:
-    def test_boundary_gives_zero_fade(self):
-        fades = worst_case_fades(1.0, [1.0], snr=10.0)
-        assert fades[0] == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        fades = worst_case_fades(2.0, [1.0], snr=10.0)
-        assert fades[0] == pytest.approx(0.1)
-
-    def test_eve_variance_below_difference_rejected(self):
-        with pytest.raises(NegativeFadeError):
-            worst_case_fades(0.5, [1.0], snr=10.0)
-
-    def test_zero_difference_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            worst_case_fades(1.0, [0.0], snr=10.0)
-
-    def test_rate_condition_log_identity(self):
-        # with |d_i|^2 = v * 2^(-rate) the per-channel logs sum to l * rate
-        v, rate, l = 2.0, 1.5, 4
-        diffs_sq = [v * 2.0**-rate] * l
-        logs = sum(np.log2(v / d) for d in diffs_sq)
-        assert logs == pytest.approx(l * rate, abs=1e-12)
-
     def test_worst_case_consistency_with_simplified_form(self):
-        # the two printed error forms agree when snr = mod/noise
+        # at the worst-case fades (v_eve / |d_i|^2 - 1) / snr with snr =
+        # mod/noise, the error is Q(sqrt(0.5 * sum_i (v_eve - |d_i|^2)))
         mod, noise = 2.0, 0.5
         snr = mod / noise
         v_eve = 3.0
         diffs = [1.0 + 0j, 0.5 + 0.5j, 0.2 - 0.1j]
-        fades = worst_case_fades(v_eve, diffs, snr)
+        fades = [(v_eve / abs(d) ** 2 - 1.0) / snr for d in diffs]
         direct = pairwise_error(fades, diffs, mod, noise)
-        simplified = simplified_worst_case_error(v_eve, diffs)
+        simplified = normal_tail_quad(np.sqrt(0.5 * sum(v_eve - abs(d) ** 2 for d in diffs)))
         assert direct == pytest.approx(simplified, abs=1e-9)
-
-
-class TestDiffMatrix:
-    def test_hand_value(self):
-        pair = CodewordPair(np.array([2.0 + 0j, 0.0 + 0j]), np.zeros(2, dtype=complex))
-        d = diff_matrix(pair, snr=4.0)
-        assert_allclose(d.matrix, np.diag([1.0 + 0j, 0.0 + 0j]))
-
-    def test_antisymmetry(self):
-        a = np.array([1.0 + 1j, 2.0 - 1j])
-        b = np.array([0.5 + 0j, 1.0 + 0j])
-        fwd = diff_matrix(CodewordPair(a, b), snr=2.0)
-        rev = diff_matrix(CodewordPair(b, a), snr=2.0)
-        assert_allclose(fwd.matrix, -rev.matrix)
-
-    def test_snr_scaling(self):
-        a = np.array([1.0 + 0j])
-        b = np.array([0.0 + 0j])
-        one = diff_matrix(CodewordPair(a, b), snr=1.0)
-        four = diff_matrix(CodewordPair(a, b), snr=4.0)
-        assert_allclose(one.matrix, 2.0 * four.matrix)
-
-    def test_identical_codewords_rejected(self):
-        a = np.array([1.0 + 0j])
-        with pytest.raises(ValueError):
-            diff_matrix(CodewordPair(a, a.copy()), snr=1.0)
-
-
-class TestSmallestSingular:
-    def test_rank_deficient_fails_condition(self):
-        pair = CodewordPair(np.array([2.0 + 0j, 0.0 + 0j]), np.zeros(2, dtype=complex))
-        check = smallest_singular(diff_matrix(pair, snr=4.0), k_in=2, secret_rate=2.0)
-        assert check.value == pytest.approx(0.0)
-        assert not check.passes_135
-
-    def test_hand_value_passes(self):
-        pair = CodewordPair(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex))
-        check = smallest_singular(diff_matrix(pair, snr=4.0), k_in=2, secret_rate=2.0)
-        assert check.value == pytest.approx(0.5)
-        assert check.passes_135  # 0.25 > 1/8
-
-    def test_matches_eigen_oracle(self):
-        rng = np.random.default_rng(19)
-        a = rng.normal(size=4) + 1j * rng.normal(size=4)
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        d = diff_matrix(CodewordPair(a, b), snr=3.0)
-        check = smallest_singular(d, k_in=4, secret_rate=2.0)
-        eigs = charpoly_eigs(d.matrix)
-        assert check.value**2 == pytest.approx(np.min(eigs), abs=1e-10)
-
-    def test_double_exponent_flag_optional(self):
-        pair = CodewordPair(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex))
-        d = diff_matrix(pair, snr=1.0)
-        plain = smallest_singular(d, k_in=2, secret_rate=2.0)
-        assert plain.passes_double_exponent is None
-        flagged = smallest_singular(
-            d, k_in=2, secret_rate=2.0, check_double_exponent=True
-        )
-        assert flagged.passes_double_exponent in (True, False)
-
-
-class TestMultiaccessError:
-    def test_zero_singular_value(self):
-        assert pairwise_error_multiaccess(0.0, 2, 1.0) == pytest.approx(0.5)
-
-    def test_reference_quantile(self):
-        target = 1.2815515655446004
-        # 0.5 * lam^2 * k_in * (2^rate - 1) = target with k_in=1, rate=1
-        lam = np.sqrt(2.0 * target)
-        p = pairwise_error_multiaccess(lam, 1, 1.0)
-        assert p == pytest.approx(0.1, abs=1e-6)
-
-    def test_monotone_in_singular_value_and_rate(self):
-        lams = np.linspace(0.1, 2.0, 12)
-        ps = [pairwise_error_multiaccess(lam, 2, 1.0) for lam in lams]
-        assert np.all(np.diff(ps) < 0)
-        rates = np.linspace(0.5, 4.0, 12)
-        ps = [pairwise_error_multiaccess(0.8, 2, r) for r in rates]
-        assert np.all(np.diff(ps) < 0)
-
-    def test_sqrt_argument_variant(self):
-        plain = pairwise_error_multiaccess(0.9, 2, 2.0)
-        rooted = pairwise_error_multiaccess(0.9, 2, 2.0, sqrt_argument=True)
-        # 0.5 * 0.81 * 2 * 3 = 2.43 > 1 so the rooted argument is smaller
-        assert rooted > plain
 
 
 class TestGaussianQ:

@@ -103,6 +103,16 @@ def interp_per_point(k_in, k_out, sigma):
     return float(np.interp(sigma - i, (0.0, 1.0), values))
 
 
+def checked_points(curve):
+    """The curve's points, each asserted to be a (sigma, delta) pair of Python
+    floats with delta >= 0, as ``TradeoffCurve`` documents them."""
+    assert all(
+        type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is float and p[1] >= 0
+        for p in curve.points
+    ), curve.points
+    return curve.points
+
+
 @st.composite
 def multiaccess_case(draw):
     k_in = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**7)))
@@ -123,7 +133,7 @@ def multiaccess_case(draw):
 def test_multiaccess_curve_matches_np_interp_per_point(case):
     k_in, k_out, grid = case
     curve = tradeoff_curve("multiaccess_in_le_out", grid, k_in=k_in, k_out=k_out)
-    same([d for _, d in curve.points], [interp_per_point(k_in, k_out, s) for s in grid])
+    same([d for _, d in checked_points(curve)], [interp_per_point(k_in, k_out, s) for s in grid])
 
 
 @SETTINGS
@@ -137,7 +147,10 @@ def test_small_multiaccess_curve_matches_np_interp_on_all_knots(k_in, extra, gri
     xs = np.arange(k_in + 1, dtype=float)
     knots = [float((k_in - i) * (k_out - i)) for i in range(k_in + 1)]
     curve = tradeoff_curve("multiaccess_in_le_out", grid, k_in=k_in, k_out=k_out)
-    same([d for _, d in curve.points], [float(np.interp(s, xs, knots, right=0.0)) for s in grid])
+    same(
+        [d for _, d in checked_points(curve)],
+        [float(np.interp(s, xs, knots, right=0.0)) for s in grid],
+    )
 
 
 unit_grid = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
@@ -154,7 +167,7 @@ def test_linear_curves_match_the_per_point_expressions(grid, z, l, g):
     ]
     for kind, points, kwargs, rule in cases:
         curve = tradeoff_curve(kind, points, **kwargs)
-        same(curve.points, tuple((s, rule(s)) for s in points))
+        same(checked_points(curve), tuple((s, rule(s)) for s in points))
 
 
 @SETTINGS
@@ -163,7 +176,7 @@ def test_complement_curve_matches_the_per_point_expression(k_in, extra, data):
     k_out = k_in + extra
     grid = data.draw(st.lists(st.floats(0.0, float(k_in)), min_size=1, max_size=30))
     curve = tradeoff_curve("orthogonal_complement", grid, k_in=k_in, k_out=k_out)
-    same([d for _, d in curve.points], [(k_in - s) * (k_out - s) for s in grid])
+    same([d for _, d in checked_points(curve)], [(k_in - s) * (k_out - s) for s in grid])
 
 
 # ---------------------------------------------------------------- rates

@@ -1,21 +1,17 @@
-"""Capacities, optimal-attack noise and secret key rate bounds."""
+"""Capacities, optimal-attack noise, private rates and the rate report."""
+
+import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from mcqkd.channel import ChannelModel, SubchannelParams, sample_faded_transmittances
-from mcqkd.errors import DegenerateRegimeError
+from mcqkd.channel import ChannelModel, SubchannelParams
+from mcqkd.errors import DegenerateRegimeError, DomainError
 from mcqkd.rates import (
-    KeyRateConfig,
-    SnrSet,
-    aggregate_secret_key_bound,
-    fixed_secret_key_rate,
     optimal_attack_noise,
     private_capacity,
     private_capacity_complex,
     rate_report,
-    snr_regime_approximations,
     subchannel_capacity,
     svd_capacity,
 )
@@ -86,9 +82,13 @@ class TestOptimalAttackNoise:
             optimal_attack_noise(4.0, 0.5, 1.5)
         assert info.value.bracket == pytest.approx(-0.125)
 
-    def test_error_is_a_domain_error(self):
-        from mcqkd.errors import DomainError
+    def test_overflowing_signal_is_degenerate(self):
+        # mod_variance * fade_sq overflows, so the bracket is inf / inf = NaN
+        with pytest.raises(DegenerateRegimeError) as info:
+            optimal_attack_noise(1e308, 10.0, 2.0)
+        assert math.isnan(info.value.bracket)
 
+    def test_error_is_a_domain_error(self):
         assert issubclass(DegenerateRegimeError, DomainError)
 
     def test_nonpositive_inputs_rejected(self):
@@ -123,82 +123,6 @@ class TestPrivateCapacity:
         assert private_capacity_complex(1.0, 0.5, 4.0) == pytest.approx(
             2.0 * private_capacity(1.0, 0.5, 4.0)
         )
-
-
-class TestAggregateBound:
-    def test_single_subchannel(self):
-        # complex-domain form, no half prefactor
-        value = aggregate_secret_key_bound([(1.0, 0.5, 4.0)])
-        assert value == pytest.approx(0.16992500144231237, abs=1e-14)
-
-    def test_zero_fades(self):
-        assert aggregate_secret_key_bound([(1.0, 0.0, 4.0), (2.0, 0.0, 1.0)]) == 0.0
-
-    def test_additivity(self):
-        one = aggregate_secret_key_bound([(1.0, 0.5, 4.0)])
-        two = aggregate_secret_key_bound([(1.0, 0.5, 4.0)] * 2)
-        assert two == pytest.approx(2.0 * one, abs=1e-14)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_secret_key_bound([])
-
-
-class TestFixedRate:
-    def test_full_ratio_returns_private_capacity(self):
-        cfg = KeyRateConfig(multiplex_ratio=2.0, n_min=2, private_capacity=3.0)
-        assert fixed_secret_key_rate(cfg) == pytest.approx(3.0)
-
-    def test_hand_value(self):
-        cfg = KeyRateConfig(multiplex_ratio=0.6, n_min=2, private_capacity=3.0)
-        assert fixed_secret_key_rate(cfg) == pytest.approx(0.9)
-
-    def test_algebraic_inverse(self):
-        cfg = KeyRateConfig(multiplex_ratio=0.37, n_min=4, private_capacity=2.2)
-        rate = fixed_secret_key_rate(cfg)
-        assert rate * cfg.n_min / cfg.private_capacity == pytest.approx(
-            0.37, abs=1e-12
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KeyRateConfig(multiplex_ratio=0.0, n_min=2, private_capacity=1.0)
-        with pytest.raises(ValueError):
-            KeyRateConfig(multiplex_ratio=0.5, n_min=0, private_capacity=1.0)
-
-
-class TestRegimeApproximations:
-    def test_high_snr_zero_point(self):
-        _, high = snr_regime_approximations(1.0, [1.0], 1.0)
-        assert high == pytest.approx(0.0, abs=1e-14)
-
-    def test_low_snr_hand_value(self):
-        low, _ = snr_regime_approximations(0.01, [1.0], 1.0)
-        assert low == pytest.approx(0.014426950408889634, abs=1e-14)
-
-    def test_low_snr_matches_exact_within_5_percent(self):
-        for ratio in (0.01, 0.005, 0.001):
-            low, _ = snr_regime_approximations(ratio, [1.0], 1.0)
-            exact = np.log2(1.0 + ratio)
-            assert abs(low - exact) / exact < 0.05
-
-    def test_empty_fades_rejected(self):
-        with pytest.raises(ValueError):
-            snr_regime_approximations(1.0, [], 1.0)
-
-
-class TestSnrSet:
-    def test_from_variances(self):
-        s = SnrSet.from_variances(2.0, 0.5, attack_noise=4.0, gain_c=1.0)
-        assert s.snr == pytest.approx(4.0)
-        assert s.snr_svd == pytest.approx(8.0)
-        assert s.snr_private == pytest.approx(0.5)
-        assert s.snr_svd_private == pytest.approx(1.0)
-        assert s.snr_svd >= s.snr
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            SnrSet(1.0, 1.0, 0.0, 1.0)
 
 
 class TestRateReport:
@@ -241,21 +165,23 @@ class TestRateReport:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             rate_report(self.make_model(), **kwargs)
 
+    def test_overflowing_signal_is_degenerate(self):
+        with pytest.raises(DegenerateRegimeError, match="bracket is nan"):
+            rate_report(self.make_model(), 1e308, fades_sq=[10.0, 10.0])
+
+    def test_attack_noise_underflow_is_named(self):
+        # a huge input noise makes the bracket huge, and 1e-20 over it is 0
+        sub = SubchannelParams.from_real(1e-8, 1.0, eve_epr_variance=1e290)
+        with pytest.raises(ValueError) as info:
+            rate_report(ChannelModel((sub,), 1), 1e-20, fades_sq=[1e-300])
+        assert not isinstance(info.value, DomainError)
+        assert str(info.value) == (
+            "optimal-attack noise underflows to 0.0: mod_variance 1e-20 "
+            "is too small for the attack bracket"
+        )
+
     def test_svd_totals_dominate(self):
         report = rate_report(self.make_model(), 1.0, gain_c=0.7)
         assert report.svd_capacity > report.capacity
         assert report.svd_private_capacity > report.private_capacity
 
-
-def test_law_of_large_numbers_rate_average():
-    """Per-sub-channel average rate over many fades is stable to 1%."""
-    snr = 5.0
-    l = 10_000
-
-    def average(seed):
-        fades = sample_faded_transmittances(l, 1.0, seed=seed)
-        mags = np.abs(fades) ** 2
-        return np.mean(np.log2(1.0 + snr * mags))
-
-    a, b = average(101), average(202)
-    assert abs(a - b) / a < 0.01
