@@ -1,5 +1,5 @@
-"""Gaussian sub-channel model: transmittances, eavesdropper tap and excess
-noise.
+"""Gaussian sub-channel model: transmittances, eavesdropper tap, excess noise
+and Rayleigh fade draws.
 
 Each sub-channel i carries a complex transmittance T_i whose real part
 (position quadrature) equals its imaginary part (momentum quadrature), with
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SingularNoiseError
 
@@ -146,6 +148,23 @@ def total_input_noise(
     if not vacuum_variance > 0:
         raise ValueError(f"vacuum_variance must be positive, got {vacuum_variance}")
     return vacuum_variance + excess_noise(eve_epr_variance, eve_trans_sq)
+
+
+def sample_faded_transmittances(l: int, variance: float, seed: int) -> np.ndarray:
+    """Draw ``l`` independent faded transmission coefficients as a complex
+    array of shape (l,).
+
+    Each is circular symmetric complex Gaussian with E[|F|^2] = variance, so
+    |F|^2 is exponential with that mean.  Identical ``seed`` reproduces the
+    draw exactly.
+    """
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    if not variance > 0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    rng = np.random.default_rng(seed)
+    quads = rng.normal(0.0, np.sqrt(variance / 2.0), size=(2, l))
+    return quads[0] + 1j * quads[1]
 
 
 def _parse_assignments(line: str) -> dict[str, str]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -170,6 +170,28 @@ def perr_exponential_outage(secret_rate: float, snr: float) -> ExponentialOutage
     return ExponentialOutage(_clamp_probability(x), -math.expm1(-x))
 
 
+def manifold_exponent(perr_fn: Callable[[float], float], snr_grid) -> float:
+    """Finite-SNR estimate of the diversity exponent of ``perr_fn``.
+
+    The asymptotic definition normalises -log2(p_err) by the per-eigenchannel
+    rate share, which itself scales as log2(snr); at that scaling the estimate
+    reduces to the least-squares slope of -log2(p_err) against log2(snr),
+    which is what is computed.
+    """
+    grid = np.asarray(snr_grid, dtype=float)
+    if grid.size < 3:
+        raise ValueError("snr_grid needs at least three points")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("snr_grid must be strictly increasing")
+    if np.any(grid <= 1.0):
+        raise DomainError("snr_grid values must exceed 1")
+    perr = np.array([float(perr_fn(s)) for s in grid])
+    if np.any(perr <= 0):
+        raise DegenerateInputError("perr_fn returned 0; exponent undefined")
+    slope = np.polyfit(np.log2(grid), -np.log2(perr), 1)[0]
+    return float(slope)
+
+
 def _linear_deltas(grid, scale: float, damping: float, *, zero_ratio: bool = True) -> list:
     """scale * (1 - sigma) * damping at each sigma of ``grid``, which must lie
     in [0, 1], or in (0, 1] without ``zero_ratio``.  The single-carrier,
@@ -297,6 +319,34 @@ def tradeoff_multiaccess(k_in: int, k_out: int, multiplex_ratio: float) -> float
     if k_in <= k_out:
         _check_knots(k_in, k_out)
     return _multiaccess_deltas([multiplex_ratio], k_in, k_out)[0]
+
+
+def interference_reduced_rate(secret_rate: float, r: float, k_in: int) -> float:
+    """Achievable per-user rate once K_in - 1 interferers share the medium:
+    r * secret_rate / (r + K_in - 1)."""
+    if not secret_rate >= 0:
+        raise ValueError(f"secret_rate must be >= 0, got {secret_rate}")
+    if not r >= 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if k_in < 1:
+        raise ValueError(f"k_in must be >= 1, got {k_in}")
+    return r * secret_rate / (r + k_in - 1.0)
+
+
+def interference_outage_threshold(
+    multiplex_ratio: float, r: float, k_in: int, private_capacity: float
+) -> float:
+    """Outage-rate threshold matching :func:`interference_reduced_rate`:
+    multiplex_ratio * (r + K_in - 1) / r * private_capacity."""
+    if not multiplex_ratio >= 0:
+        raise ValueError(f"multiplex_ratio must be >= 0, got {multiplex_ratio}")
+    if not r >= 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if k_in < 1:
+        raise ValueError(f"k_in must be >= 1, got {k_in}")
+    if not private_capacity >= 0:
+        raise ValueError(f"private_capacity must be >= 0, got {private_capacity}")
+    return multiplex_ratio * (r + k_in - 1.0) / r * private_capacity
 
 
 def log_det_rate(m: TransmittanceMatrix, snr: float) -> float:

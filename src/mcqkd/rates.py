@@ -28,8 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ChannelModel, eve_transmittance, total_input_noise
 from .errors import DegenerateRegimeError
+
+_LOG2_E = math.log2(math.e)
 
 
 # the per-sub-channel values of a RateReport, in the order each row holds them
@@ -130,6 +134,39 @@ def private_capacity_complex(mod_variance: float, fade_sq: float, attack_noise: 
     """Complex-domain private rate log2(1 + mod_variance*fade_sq/attack_noise)
     (no 1/2); these are the terms :func:`rate_report`'s private totals sum."""
     return 2.0 * subchannel_capacity(mod_variance, fade_sq, attack_noise)
+
+
+def aggregate_secret_key_bound(terms) -> float:
+    """Secret-key rate bound over active sub-channels:
+    sum_i log2(1 + mod_i * fade_i / attack_noise_i).
+
+    ``terms`` is an iterable of (mod_variance, fade_sq, attack_noise) triples.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("need at least one sub-channel term")
+    total = 0.0
+    for mod_variance, fade_sq, attack_noise in terms:
+        total += private_capacity_complex(mod_variance, fade_sq, attack_noise)
+    return total
+
+
+def snr_regime_approximations(
+    mod_variance: float, fades_sq, attack_noise: float
+) -> tuple[float, float]:
+    """Low- and high-SNR approximations of the private rate.
+
+    Low SNR:  ratio * log2(e) with ratio = mod_variance / attack_noise.
+    High SNR: log2(ratio) + log2(max fade_sq).
+    """
+    _check_positive(mod_variance=mod_variance, attack_noise=attack_noise)
+    fades_sq = np.asarray(fades_sq, dtype=float)
+    if fades_sq.size < 1 or np.any(fades_sq <= 0):
+        raise ValueError("fades_sq must be a non-empty collection of positive values")
+    ratio = mod_variance / attack_noise
+    low = ratio * _LOG2_E
+    high = math.log2(ratio) + math.log2(float(np.max(fades_sq)))
+    return low, high
 
 
 def rate_report(

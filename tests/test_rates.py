@@ -1,17 +1,20 @@
-"""Capacities, optimal-attack noise, private rates and the rate report."""
+"""Capacities, optimal-attack noise, private rates, secret-key bounds and the
+rate report."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mcqkd.channel import ChannelModel, SubchannelParams
+from mcqkd.channel import ChannelModel, SubchannelParams, sample_faded_transmittances
 from mcqkd.errors import DegenerateRegimeError, DomainError
 from mcqkd.rates import (
+    aggregate_secret_key_bound,
     optimal_attack_noise,
     private_capacity,
     private_capacity_complex,
     rate_report,
+    snr_regime_approximations,
     subchannel_capacity,
     svd_capacity,
 )
@@ -125,6 +128,45 @@ class TestPrivateCapacity:
         )
 
 
+class TestAggregateBound:
+    def test_single_subchannel(self):
+        # complex-domain form, no half prefactor
+        value = aggregate_secret_key_bound([(1.0, 0.5, 4.0)])
+        assert value == pytest.approx(0.16992500144231237, abs=1e-14)
+
+    def test_zero_fades(self):
+        assert aggregate_secret_key_bound([(1.0, 0.0, 4.0), (2.0, 0.0, 1.0)]) == 0.0
+
+    def test_additivity(self):
+        one = aggregate_secret_key_bound([(1.0, 0.5, 4.0)])
+        two = aggregate_secret_key_bound([(1.0, 0.5, 4.0)] * 2)
+        assert two == pytest.approx(2.0 * one, abs=1e-14)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            aggregate_secret_key_bound([])
+
+
+class TestRegimeApproximations:
+    def test_high_snr_zero_point(self):
+        _, high = snr_regime_approximations(1.0, [1.0], 1.0)
+        assert high == pytest.approx(0.0, abs=1e-14)
+
+    def test_low_snr_hand_value(self):
+        low, _ = snr_regime_approximations(0.01, [1.0], 1.0)
+        assert low == pytest.approx(0.014426950408889634, abs=1e-14)
+
+    def test_low_snr_matches_exact_within_5_percent(self):
+        for ratio in (0.01, 0.005, 0.001):
+            low, _ = snr_regime_approximations(ratio, [1.0], 1.0)
+            exact = np.log2(1.0 + ratio)
+            assert abs(low - exact) / exact < 0.05
+
+    def test_empty_fades_rejected(self):
+        with pytest.raises(ValueError):
+            snr_regime_approximations(1.0, [], 1.0)
+
+
 class TestRateReport:
     def make_model(self):
         subs = (
@@ -185,3 +227,16 @@ class TestRateReport:
         assert report.svd_capacity > report.capacity
         assert report.svd_private_capacity > report.private_capacity
 
+
+def test_law_of_large_numbers_rate_average():
+    """Per-sub-channel average rate over many fades is stable to 1%."""
+    snr = 5.0
+    l = 10_000
+
+    def average(seed):
+        fades = sample_faded_transmittances(l, 1.0, seed=seed)
+        mags = np.abs(fades) ** 2
+        return np.mean(np.log2(1.0 + snr * mags))
+
+    a, b = average(101), average(202)
+    assert abs(a - b) / a < 0.01

@@ -8,6 +8,8 @@ from mcqkd.singular_layer import (
     EigenDecomposition,
     TransmittanceMatrix,
     load_matrix_csv,
+    partition_singulars,
+    rank_epsilon,
     reconstruct,
     svd_decompose,
 )
@@ -76,16 +78,6 @@ class TestDecompose:
         assert_allclose(d.u2 @ d.u2.conj().T, np.eye(k_out), atol=1e-10)
         assert_allclose(d.f1_inv @ d.f1_inv.conj().T, np.eye(k_in), atol=1e-10)
 
-    def test_constructed_low_rank(self):
-        # a rank-2 4x4 matrix from two rank-one terms has two singular values
-        # above numerical zero
-        rng = np.random.default_rng(17)
-        a = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-        b = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-        m = a @ a.conj().T + b @ b.conj().T
-        d = svd_decompose(TransmittanceMatrix(m))
-        assert np.count_nonzero(d.lambdas > 1e-8) == 2
-
 
 class TestReconstruct:
     def test_identity_round_trip(self):
@@ -145,6 +137,53 @@ class TestEigenDecompositionType:
         u2[:, 5] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match="u2 is not unitary"):
             EigenDecomposition(u2, d.lambdas, d.f1_inv)
+
+
+class TestPartition:
+    def test_zero_rate_puts_everything_in_tail(self):
+        s0, s1, flags = partition_singulars(np.array([0.9, 0.4]), 0, snr=10.0)
+        assert s0.size == 0
+        assert list(s1) == [0.9, 0.4]
+
+    def test_hand_example_bounds_hold(self):
+        s0, s1, flags = partition_singulars(np.array([0.9, 0.005]), 1, snr=100.0)
+        assert list(s0) == [0.9]
+        assert list(s1) == [0.005]
+        assert flags.s0_within_unit and flags.s1_within_inverse_snr
+
+    def test_hand_example_tail_bound_fails(self):
+        _, _, flags = partition_singulars(np.array([0.9, 0.05]), 1, snr=100.0)
+        assert flags.s0_within_unit
+        assert not flags.s1_within_inverse_snr
+
+    def test_fractional_rate_rounds_up(self):
+        s0, _, _ = partition_singulars(np.array([0.9, 0.4, 0.1]), 1.2, snr=10.0)
+        assert s0.size == 2
+
+    def test_unsorted_rejected(self):
+        with pytest.raises(ValueError):
+            partition_singulars(np.array([0.1, 0.9]), 1, snr=10.0)
+
+    def test_rate_beyond_count_rejected(self):
+        with pytest.raises(ValueError):
+            partition_singulars(np.array([0.9, 0.4]), 3, snr=10.0)
+
+
+class TestRankEpsilon:
+    def test_all_zero(self):
+        assert rank_epsilon(np.zeros(4), 1e-6) == 0
+
+    def test_threshold_cut(self):
+        assert rank_epsilon(np.array([3.0, 1.0, 1e-12]), 1e-6) == 2
+
+    def test_constructed_low_rank(self):
+        # build a rank-2 4x4 matrix from two rank-one terms
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+        b = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+        m = a @ a.conj().T + b @ b.conj().T
+        d = svd_decompose(TransmittanceMatrix(m))
+        assert rank_epsilon(d.lambdas, 1e-8) == 2
 
 
 class TestMatrixCsv:

@@ -27,6 +27,15 @@ KEEP = {
     "manifold.log_det_rate": "item 6, sampled multiaccess tradeoff",
     "manifold.perr_rank_outage": "item 6, sampled multiaccess tradeoff",
     "rates.svd_capacity": "item 5, a rate never exceeds its boosted counterpart",
+    # unreached, left for the second half of item 2's deletion
+    "channel.sample_faded_transmittances": "item 2, deletion pending",
+    "manifold.manifold_exponent": "item 2, deletion pending",
+    "manifold.interference_reduced_rate": "item 2, deletion pending",
+    "manifold.interference_outage_threshold": "item 2, deletion pending",
+    "rates.aggregate_secret_key_bound": "item 2, deletion pending",
+    "rates.snr_regime_approximations": "item 2, deletion pending",
+    "singular_layer.partition_singulars": "item 2, deletion pending",
+    "singular_layer.rank_epsilon": "item 2, deletion pending",
 }
 
 
