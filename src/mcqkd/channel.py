@@ -1,5 +1,5 @@
-"""Gaussian sub-channel model: transmittances, eavesdropper tap, excess noise
-and Rayleigh fade draws.
+"""Gaussian sub-channel model: transmittances, eavesdropper tap and excess
+noise.
 
 Each sub-channel i carries a complex transmittance T_i whose real part
 (position quadrature) equals its imaginary part (momentum quadrature), with
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SingularNoiseError
 
@@ -113,9 +111,8 @@ class ChannelModel:
 
 def eve_transmittance(transmittance) -> float:
     """Squared transmittance of the eavesdropper's beam-splitter tap,
-    1 - |T|^2.  Accepts a :class:`SubchannelParams` or a bare complex T."""
-    t = getattr(transmittance, "transmittance", transmittance)
-    mag_sq = abs(complex(t)) ** 2
+    1 - |T|^2."""
+    mag_sq = abs(complex(transmittance)) ** 2
     if mag_sq > 1.0 + 1e-12:
         raise ValueError(f"|T|^2 must not exceed 1, got {mag_sq}")
     return 1.0 - min(mag_sq, 1.0)
@@ -148,23 +145,6 @@ def total_input_noise(
     if not vacuum_variance > 0:
         raise ValueError(f"vacuum_variance must be positive, got {vacuum_variance}")
     return vacuum_variance + excess_noise(eve_epr_variance, eve_trans_sq)
-
-
-def sample_faded_transmittances(l: int, variance: float, seed: int) -> np.ndarray:
-    """Draw ``l`` independent faded transmission coefficients as a complex
-    array of shape (l,).
-
-    Each is circular symmetric complex Gaussian with E[|F|^2] = variance, so
-    |F|^2 is exponential with that mean.  Identical ``seed`` reproduces the
-    draw exactly.
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    rng = np.random.default_rng(seed)
-    quads = rng.normal(0.0, np.sqrt(variance / 2.0), size=(2, l))
-    return quads[0] + 1j * quads[1]
 
 
 def _parse_assignments(line: str) -> dict[str, str]:

@@ -14,12 +14,15 @@ The optimal collective attack pushes the usable noise to
     attack_noise = mod_variance / ((mod*fade + input_noise)/(1 + input_noise*mod*fade) - 1)
 
 which only exists while the bracketed term is positive; otherwise the regime
-is degenerate and :class:`~mcqkd.errors.DegenerateRegimeError` is raised.
+is degenerate and :class:`~mcqkd.errors.DegenerateRegimeError` is raised.  A
+tiny ``mod_variance`` over a huge bracket underflows the noise to 0, which
+raises ``ValueError``; :func:`optimal_attack_noise` and :func:`rate_report`
+share both checks.
 
 Each scalar function checks its own arguments.  :func:`rate_report` checks
 ``mod_variance`` and ``gain_c`` once, before any sub-channel, and per row
 only what depends on the row: a negative fade, the eavesdropper tap of the
-row's transmittance and the attack bracket.  Its rates are the expressions
+row's transmittance and the attack noise.  Its rates are the expressions
 of the scalar functions, so every cell and total rounds as they give it.
 """
 
@@ -28,13 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelModel, eve_transmittance, total_input_noise
 from .errors import DegenerateRegimeError
-
-_LOG2_E = math.log2(math.e)
-
 
 # the per-sub-channel values of a RateReport, in the order each row holds them
 SUBCHANNEL_COLUMNS = (
@@ -60,11 +58,6 @@ class RateReport:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "subchannels", tuple(map(tuple, self.subchannels)))
-
-    @property
-    def attack_noise(self) -> tuple:
-        """The optimal-attack noise of each active sub-channel."""
-        return tuple(row[1] for row in self.subchannels)
 
 
 def _check_positive(**kwargs) -> None:
@@ -108,7 +101,15 @@ def _attack_noise(mod_variance: float, fade_sq: float, input_noise: float) -> fl
     bracket = (signal + input_noise) / (1.0 + input_noise * signal) - 1.0
     if not bracket > 0:  # NaN too: inf / inf once mod_variance * fade_sq overflows
         raise DegenerateRegimeError(bracket)
-    return mod_variance / bracket
+    noise = mod_variance / bracket
+    if not noise > 0:
+        # mod_variance / bracket underflows to 0 when a tiny mod_variance
+        # meets a huge bracket (an input noise near the top of the double range)
+        raise ValueError(
+            f"optimal-attack noise underflows to {noise}: mod_variance "
+            f"{mod_variance} is too small for the attack bracket"
+        )
+    return noise
 
 
 def optimal_attack_noise(mod_variance: float, fade_sq: float, input_noise: float) -> float:
@@ -117,7 +118,7 @@ def optimal_attack_noise(mod_variance: float, fade_sq: float, input_noise: float
     Inverts the bracket (mod*fade + input_noise)/(1 + input_noise*mod*fade) - 1;
     a bracket that is not positive (or NaN) means no finite attack noise
     exists for these parameters and raises :class:`DegenerateRegimeError`
-    carrying the value.
+    carrying the value.  A noise that underflows to 0 raises ``ValueError``.
     """
     _check_positive(mod_variance=mod_variance, input_noise=input_noise)
     _check_fade_sq(fade_sq)
@@ -134,39 +135,6 @@ def private_capacity_complex(mod_variance: float, fade_sq: float, attack_noise: 
     """Complex-domain private rate log2(1 + mod_variance*fade_sq/attack_noise)
     (no 1/2); these are the terms :func:`rate_report`'s private totals sum."""
     return 2.0 * subchannel_capacity(mod_variance, fade_sq, attack_noise)
-
-
-def aggregate_secret_key_bound(terms) -> float:
-    """Secret-key rate bound over active sub-channels:
-    sum_i log2(1 + mod_i * fade_i / attack_noise_i).
-
-    ``terms`` is an iterable of (mod_variance, fade_sq, attack_noise) triples.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one sub-channel term")
-    total = 0.0
-    for mod_variance, fade_sq, attack_noise in terms:
-        total += private_capacity_complex(mod_variance, fade_sq, attack_noise)
-    return total
-
-
-def snr_regime_approximations(
-    mod_variance: float, fades_sq, attack_noise: float
-) -> tuple[float, float]:
-    """Low- and high-SNR approximations of the private rate.
-
-    Low SNR:  ratio * log2(e) with ratio = mod_variance / attack_noise.
-    High SNR: log2(ratio) + log2(max fade_sq).
-    """
-    _check_positive(mod_variance=mod_variance, attack_noise=attack_noise)
-    fades_sq = np.asarray(fades_sq, dtype=float)
-    if fades_sq.size < 1 or np.any(fades_sq <= 0):
-        raise ValueError("fades_sq must be a non-empty collection of positive values")
-    ratio = mod_variance / attack_noise
-    low = ratio * _LOG2_E
-    high = math.log2(ratio) + math.log2(float(np.max(fades_sq)))
-    return low, high
 
 
 def rate_report(
@@ -207,13 +175,6 @@ def rate_report(
             sub.eve_epr_variance, eve_transmittance(sub.transmittance), channel.vacuum_variance
         )
         noise_star = _attack_noise(mod_variance, fade_sq, input_noise)
-        if not noise_star > 0:
-            # mod_variance / bracket underflows to 0 when a tiny mod_variance
-            # meets a huge bracket (an input noise near the top of the double range)
-            raise ValueError(
-                f"optimal-attack noise underflows to {noise_star}: mod_variance "
-                f"{mod_variance} is too small for the attack bracket"
-            )
         # the expressions of subchannel_capacity, svd_capacity and (twice)
         # private_capacity_complex, so each rate rounds as those give it
         row = (

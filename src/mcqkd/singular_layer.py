@@ -14,9 +14,7 @@ line, entries comma-separated, each entry ``re:im``:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +47,6 @@ class TransmittanceMatrix:
     @property
     def k_in(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def n_min(self) -> int:
-        return min(self.entries.shape)
 
 
 def _check_unitary(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
@@ -89,11 +83,6 @@ class EigenDecomposition:
         object.__setattr__(self, "lambdas", lam)
 
 
-class PartitionFlags(NamedTuple):
-    s0_within_unit: bool
-    s1_within_inverse_snr: bool
-
-
 def svd_decompose(m: TransmittanceMatrix) -> EigenDecomposition:
     """Singular value decomposition of the transmittance matrix."""
     u, s, vh = np.linalg.svd(m.entries, full_matrices=True)
@@ -109,43 +98,6 @@ def reconstruct(d: EigenDecomposition) -> TransmittanceMatrix:
     for i, lam in enumerate(d.lambdas):
         m += lam * np.outer(d.u2[:, i], d.f1_inv[i, :])
     return TransmittanceMatrix(m)
-
-
-def partition_singulars(
-    lambdas, multiplex_rate: float, snr: float
-) -> tuple[np.ndarray, np.ndarray, PartitionFlags]:
-    """Split singular values into the ceil(multiplex_rate) strongest ones and
-    the remainder, and report whether the strong set stays within unit gain
-    and the weak set below 1/snr."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1:
-        raise ValueError("lambdas must be one-dimensional")
-    if np.any(np.diff(lam) > 0):
-        raise ValueError("lambdas must be sorted in descending order")
-    if not multiplex_rate >= 0:
-        raise ValueError(f"multiplex_rate must be >= 0, got {multiplex_rate}")
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    k = math.ceil(multiplex_rate)
-    if k > lam.size:
-        raise ValueError(
-            f"ceil(multiplex_rate) = {k} exceeds the {lam.size} available eigenchannels"
-        )
-    s0, s1 = lam[:k], lam[k:]
-    flags = PartitionFlags(
-        s0_within_unit=bool(s0.size == 0 or np.max(s0) <= 1.0),
-        s1_within_inverse_snr=bool(s1.size == 0 or np.max(s1) <= 1.0 / snr),
-    )
-    return s0, s1, flags
-
-
-def rank_epsilon(lambdas, threshold: float) -> int:
-    """Numerical rank: the number of singular values strictly above
-    ``threshold``."""
-    lam = np.asarray(lambdas, dtype=float)
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return int(np.count_nonzero(lam > threshold))
 
 
 def load_matrix_csv(path) -> TransmittanceMatrix:

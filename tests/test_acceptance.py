@@ -4,11 +4,9 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines.  Each check
 prints its verdict before asserting, so a red criterion still reports itself.
 """
 
-import itertools
 import math
 
 import numpy as np
-import pytest
 from scipy import special
 
 from mcqkd.cli import main

@@ -1,10 +1,7 @@
-"""Sub-channel parameters, Eve's tap, excess noise, fading statistics and the
-channel file."""
+"""Sub-channel parameters, Eve's tap, excess noise and the channel file."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy import stats
 
 from mcqkd.channel import (
     ChannelModel,
@@ -15,7 +12,6 @@ from mcqkd.channel import (
     total_input_noise,
 )
 from mcqkd.errors import SingularNoiseError
-from oracles import wilson_direct
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -66,13 +62,13 @@ class TestSubchannelParams:
 )
 def test_eve_transmittance_values(re_t, expected):
     sub = SubchannelParams.from_real(re_t, 1.0)
-    assert eve_transmittance(sub) == pytest.approx(expected, abs=1e-12)
+    assert eve_transmittance(sub.transmittance) == pytest.approx(expected, abs=1e-12)
 
 
 def test_eve_plus_channel_transmittance_is_one():
     for re_t in np.linspace(0.0, SQRT_HALF, 13):
         sub = SubchannelParams.from_real(re_t, 1.0)
-        total = eve_transmittance(sub) + abs(sub.transmittance) ** 2
+        total = eve_transmittance(sub.transmittance) + abs(sub.transmittance) ** 2
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -92,44 +88,6 @@ class TestExcessNoise:
     def test_total_input_noise_adds_vacuum(self):
         assert total_input_noise(2.0, 0.5) == pytest.approx(2.0)
         assert total_input_noise(2.0, 0.5, vacuum_variance=0.5) == pytest.approx(1.5)
-
-
-class TestFading:
-    def test_reproducible(self):
-        a = sample_faded(100, 1.0, seed=5)
-        b = sample_faded(100, 1.0, seed=5)
-        assert_allclose(a, b)
-
-    def test_exponential_mean(self):
-        fades = sample_faded(100_000, 1.0, seed=11)
-        mags = np.abs(fades) ** 2
-        assert 0.99 < mags.mean() < 1.01
-
-    def test_cdf_point_within_wilson_band(self):
-        fades = sample_faded(100_000, 1.0, seed=23)
-        mags = np.abs(fades) ** 2
-        hits = int(np.sum(mags < 0.1))
-        lo, hi = wilson_direct(hits, 100_000, z=3.0)
-        assert lo <= 1.0 - np.exp(-0.1) <= hi
-
-    def test_exponential_law_ks(self):
-        # sup-distance test against 1 - exp(-x / sigma^2) at level 0.01
-        fades = sample_faded(100_000, 2.0, seed=31)
-        mags = np.abs(fades) ** 2
-        result = stats.kstest(mags, lambda x: 1.0 - np.exp(-x / 2.0))
-        assert result.pvalue > 0.01
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample_faded(0, 1.0, seed=1)
-        with pytest.raises(ValueError):
-            sample_faded(4, -1.0, seed=1)
-
-
-def sample_faded(l, variance, seed):
-    from mcqkd.channel import sample_faded_transmittances
-
-    return sample_faded_transmittances(l, variance, seed)
 
 
 class TestChannelModel:

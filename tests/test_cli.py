@@ -1,6 +1,5 @@
 """Command line interface: parsing, CSV layout, headers and exit codes."""
 
-import math
 import os
 import subprocess
 import sys

@@ -1,5 +1,5 @@
-"""Outage power laws, tradeoff curves, dimension counting, exponent fits and the
-log-det rate."""
+"""Outage power laws, tradeoff curves, dimension counting and the log-det
+rate."""
 
 import tracemalloc
 
@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcqkd.errors import DegenerateInputError, DomainError
+from mcqkd.errors import DomainError
 from mcqkd.manifold import (
     OutageParams,
     TradeoffCurve,
-    interference_outage_threshold,
-    interference_reduced_rate,
     log_det_rate,
     manifold_dims,
-    manifold_exponent,
     perr_amqd,
     perr_exponential_outage,
     perr_rank_outage,
@@ -27,7 +24,6 @@ from mcqkd.manifold import (
     tradeoff_single,
 )
 from mcqkd.singular_layer import TransmittanceMatrix, svd_decompose
-from oracles import ls_slope
 
 
 class TestPowerLaws:
@@ -93,41 +89,6 @@ class TestExponentialOutage:
             for snr in (1.0, 10.0, 1e4):
                 q, e = perr_exponential_outage(rate, snr)
                 assert e <= q + 1e-15
-
-
-class TestManifoldExponent:
-    def test_exact_power_law(self):
-        slope = manifold_exponent(lambda s: s**-2.0, [1e2, 1e3, 1e4])
-        assert slope == pytest.approx(2.0, abs=1e-9)
-
-    def test_closed_form_amqd(self):
-        fn = lambda s: perr_amqd(OutageParams(s, 0.6, l=5))
-        slope = manifold_exponent(fn, [1e2, 1e3, 1e4])
-        assert slope == pytest.approx(2.0, abs=1e-9)
-
-    def test_intercept_invariance(self):
-        for c in (0.2, 1.0, 7.0):
-            slope = manifold_exponent(lambda s: c * s**-3.0, [10.0, 100.0, 1000.0])
-            assert slope == pytest.approx(3.0, abs=1e-9)
-
-    def test_matches_direct_ls_oracle(self):
-        grid = [10.0, 50.0, 250.0, 1250.0]
-        fn = lambda s: 0.3 * s**-1.7
-        slope = manifold_exponent(fn, grid)
-        oracle = ls_slope(np.log2(grid), [-np.log2(fn(s)) for s in grid])
-        assert slope == pytest.approx(oracle, abs=1e-12)
-
-    def test_zero_probability_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            manifold_exponent(lambda s: 0.0, [10.0, 100.0, 1000.0])
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            manifold_exponent(lambda s: 1 / s, [10.0, 100.0])
-        with pytest.raises(ValueError):
-            manifold_exponent(lambda s: 1 / s, [100.0, 10.0, 1000.0])
-        with pytest.raises(DomainError):
-            manifold_exponent(lambda s: 1 / s, [0.5, 10.0, 100.0])
 
 
 class TestTradeoffFamilies:
@@ -312,24 +273,6 @@ class TestRankOutage:
             p = perr_rank_outage(k_in, k_out, ratio, 50.0)
             n_perp = manifold_dims(k_in, k_out, ratio).n_dim_perp
             assert p == pytest.approx(50.0**-n_perp)
-
-
-class TestInterference:
-    def test_single_user_unchanged(self):
-        assert interference_reduced_rate(1.5, 3.0, 1) == pytest.approx(1.5)
-
-    def test_hand_point(self):
-        assert interference_reduced_rate(1.0, 2.0, 2) == pytest.approx(2.0 / 3.0)
-
-    def test_many_repetitions_limit(self):
-        assert interference_reduced_rate(2.0, 1e6, 4) == pytest.approx(2.0, abs=1e-5)
-
-    def test_matching_outage_threshold(self):
-        # threshold scales the private capacity by the inverse rate reduction
-        rate = interference_reduced_rate(1.0, 2.0, 2)
-        threshold = interference_outage_threshold(0.5, 2.0, 2, 1.0)
-        assert threshold == pytest.approx(0.5 * (2.0 + 2 - 1) / 2.0)
-        assert rate * threshold / 0.5 == pytest.approx(1.0)
 
 
 class TestLogDetRate:

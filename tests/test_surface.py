@@ -1,11 +1,17 @@
-"""Every top-level definition of the package has a consumer.
+"""Every top-level definition of the package has a consumer, and no module
+imports what it never uses.
 
 A function, class or module constant of ``src/mcqkd`` passes when another
-definition of the package names it, when ``tests/test_acceptance.py`` or the
-console script in ``pyproject.toml`` names it, when the benchmark traces it
+definition of the package uses it, when ``tests/test_acceptance.py`` or the
+console script in ``pyproject.toml`` uses it, when the benchmark traces it
 (``perfbench.tracing.TRACED``), or when ``KEEP`` below lists it with the
 ROADMAP item that will consume it.  Anything else is code that no subcommand
 and no acceptance check runs; it goes, or it comes back with a consumer.
+
+A use goes through a binding: a loaded bare name counts only where a package
+import or a top-level definition of the same module binds it, and an
+attribute ``alias.name`` only where ``alias`` is bound to a package module.
+A field or attribute that merely shares a definition's name does not count.
 """
 
 import ast
@@ -27,15 +33,6 @@ KEEP = {
     "manifold.log_det_rate": "item 6, sampled multiaccess tradeoff",
     "manifold.perr_rank_outage": "item 6, sampled multiaccess tradeoff",
     "rates.svd_capacity": "item 5, a rate never exceeds its boosted counterpart",
-    # unreached, left for the second half of item 2's deletion
-    "channel.sample_faded_transmittances": "item 2, deletion pending",
-    "manifold.manifold_exponent": "item 2, deletion pending",
-    "manifold.interference_reduced_rate": "item 2, deletion pending",
-    "manifold.interference_outage_threshold": "item 2, deletion pending",
-    "rates.aggregate_secret_key_bound": "item 2, deletion pending",
-    "rates.snr_regime_approximations": "item 2, deletion pending",
-    "singular_layer.partition_singulars": "item 2, deletion pending",
-    "singular_layer.rank_epsilon": "item 2, deletion pending",
 }
 
 
@@ -48,27 +45,54 @@ def _defined_names(node) -> list:
     return []
 
 
-def _referenced(node) -> set:
-    """The bare and attribute names that ``node`` uses."""
-    names = set()
+def _package_imports(tree) -> tuple:
+    """What the package imports anywhere in ``tree`` bind: local name ->
+    ``module.name`` for ``from .module import name``, and local name ->
+    ``module`` for ``from . import module`` (or the ``mcqkd`` spellings)."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module
+        elif node.level == 0 and node.module.partition(".")[0] == "mcqkd":
+            source = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if source is None:
+                modules[local] = alias.name
+            else:
+                names[local] = f"{source}.{alias.name}"
+    return names, modules
+
+
+def _uses(node, names: dict, modules: dict) -> set:
+    """The package definitions that ``node`` loads through a binding."""
+    used = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.add(sub.name)
-    return names
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            if sub.id in names:
+                used.add(names[sub.id])
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in modules):
+            used.add(f"{modules[sub.value.id]}.{sub.attr}")
+    return used
 
 
 def _definitions() -> dict:
-    """``module.name`` -> the names every other definition of the package uses."""
+    """``module.name`` -> (its node, the package definitions that node uses)."""
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            for name in _defined_names(node):
-                defs[f"{path.stem}.{name}"] = node
+        names, modules = _package_imports(tree)
+        top = [(node, _defined_names(node)) for node in tree.body]
+        names.update({name: f"{path.stem}.{name}" for _, defined in top for name in defined})
+        for node, defined in top:
+            if defined:
+                uses = _uses(node, names, modules)
+                defs.update({f"{path.stem}.{name}": (node, uses) for name in defined})
     return defs
 
 
@@ -85,16 +109,16 @@ def _traced() -> dict:
 
 def unconsumed() -> list:
     defs = _definitions()
-    roots = _referenced(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-    roots |= set(re.findall(r'"mcqkd\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
-    traced = {f"{mod}.{fn.split('.')[0]}" for mod, fns in _traced().items() for fn in fns}
-    uses = {id(node): _referenced(node) for node in defs.values()}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    roots = _uses(acceptance, *_package_imports(acceptance))
+    roots |= {f"{mod}.{fn}" for mod, fn in
+              re.findall(r'"mcqkd\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text())}
+    roots |= {f"{mod}.{fn.split('.')[0]}" for mod, fns in _traced().items() for fn in fns}
     missing = []
-    for qualname, node in defs.items():
-        name = qualname.split(".", 1)[1]
-        if name.startswith("__") or qualname in traced or qualname in KEEP or name in roots:
+    for qualname, (node, _) in defs.items():
+        if qualname.split(".", 1)[1].startswith("__") or qualname in roots or qualname in KEEP:
             continue
-        if not any(name in uses[id(other)] for other in defs.values() if other is not node):
+        if not any(qualname in uses for other, uses in defs.values() if other is not node):
             missing.append(qualname)
     return missing
 
@@ -105,3 +129,26 @@ def test_every_definition_has_a_consumer():
 
 def test_keep_list_names_only_definitions():
     assert set(KEEP) <= set(_definitions())
+
+
+def unused_imports(path: Path) -> list:
+    """``file:line: name`` for each top-level import of ``path`` that binds a
+    name the module never loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                   for name in bound if name not in loaded]
+    return unused
+
+
+def test_every_import_is_used():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [line for path in paths for line in unused_imports(path)] == []
