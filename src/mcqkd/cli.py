@@ -15,6 +15,13 @@ SNR values are accepted either as linear ratios (default) or in dB with
 headers use the linear scale (the ``perr`` table also prints a dB column).
 Grids are given as comma lists (``1,10,100``) or ranges (``start:stop:step``,
 end inclusive).
+
+Start-up imports only the modules that need no numpy (``channel``,
+``errors``, ``manifold`` and ``rates``), so ``tradeoff``, ``perr`` and
+``rates`` run without numpy.  The ``mc``, ``svd`` and ``constellation``
+handlers import ``montecarlo``, ``singular_layer`` and ``constellation``,
+and with them numpy, when they run; of the six subcommands only ``mc``
+loads scipy.
 """
 
 from __future__ import annotations
@@ -24,16 +31,11 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__
 from .channel import load_channel_model
-from .constellation import build_constellation, permute_constellation
 from .errors import DomainError, InsufficientTrialsError
 from .manifold import CURVE_KINDS, perr_rows, tradeoff_curve
-from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_outage
 from .rates import SUBCHANNEL_COLUMNS, rate_report
-from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
 
 # every mc setting: the type a flag or config-file value is converted to, the
 # default (None where the setting is required) and the allowed values (None
@@ -221,6 +223,8 @@ def _read_mc_config(path) -> dict:
 
 
 def _run_mc(args) -> int:
+    from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_outage
+
     from_file = _read_mc_config(args.config) if args.config else {}
     # a flag overrides the config file, which overrides the default
     settings = {}
@@ -264,6 +268,10 @@ def _run_mc(args) -> int:
 
 
 def _run_svd(args) -> int:
+    import numpy as np
+
+    from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
+
     matrix = load_matrix_csv(args.matrix)
     decomp = svd_decompose(matrix)
     rebuilt = reconstruct(decomp)
@@ -309,6 +317,8 @@ def _run_rates(args) -> int:
 
 
 def _run_constellation(args) -> int:
+    from .constellation import build_constellation, permute_constellation
+
     base = build_constellation(args.bits)
     if len(base.points) * args.l > _MAX_GRID_POINTS:
         raise ValueError(

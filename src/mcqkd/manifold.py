@@ -12,7 +12,8 @@ implemented here:
     multiaccess, K_in > K_out   delta = max(0, 2 * (2 - sigma))
     multiaccess, K_in <= K_out  piecewise linear through ((i, (K_in-i)*(K_out-i)))
 
-All probabilities computed from power laws are clamped to [0, 1].
+All probabilities computed from power laws lie in [0, 1], clamped wherever
+the expression could leave that interval.
 
 Validation happens once per table: :func:`tradeoff_curve` checks Z, l, g
 and the dimensions (that K_in * K_out fits a double included) before any
@@ -21,6 +22,10 @@ grid point, then each point against the curve's multiplex-ratio domain, and
 then each snr >= 1.  Every cell is then a plain scalar expression, the same
 one the single-point functions (``tradeoff_single``, ``tradeoff_multiaccess``,
 ``perr_single``, ``perr_amqd``, ...) evaluate after their own checks.
+
+The module needs only the standard library, so the CLI's table subcommands
+load it without numpy; the log-det rate of a transmittance matrix lives
+beside the matrix in :mod:`mcqkd.singular_layer`.
 """
 
 from __future__ import annotations
@@ -30,10 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import DegenerateInputError, DomainError
-from .singular_layer import TransmittanceMatrix
+from .errors import DomainError
 
 CURVE_KINDS = (
     "single",
@@ -149,10 +151,11 @@ def perr_rows(snr_grid, multiplex_ratio: float, l_values) -> list[tuple]:
     for l in l_values:
         _check_l(l)
     exponents = [_perr_exponent(multiplex_ratio, l) for l in (1, *l_values)]
+    # snr >= 1 and every exponent <= 0, so each cell already lies in [0, 1]
     rows = []
     for snr in snr_grid:
         require_unit_snr(snr)
-        rows.append(tuple(map(_clamp_probability, [snr**e for e in exponents])))
+        rows.append(tuple([snr**e for e in exponents]))
     return rows
 
 
@@ -299,22 +302,6 @@ def tradeoff_multiaccess(k_in: int, k_out: int, multiplex_ratio: float) -> float
     return _multiaccess_deltas([multiplex_ratio], k_in, k_out)[0]
 
 
-def log_det_rate(m: TransmittanceMatrix, snr: float) -> float:
-    """Rate of the full matrix channel with isotropic input covariance
-    (snr / K_in) * I:  log2 det(I + F K_o F^dagger).
-
-    Equals the sum over eigenchannels of log2(1 + (snr / K_in) * lambda_i^2).
-    """
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    f = m.entries
-    gram = np.eye(m.k_out) + (snr / m.k_in) * (f @ f.conj().T)
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign.real <= 0:
-        raise DegenerateInputError("log-det argument is not positive definite")
-    return float(logdet / math.log(2.0))
-
-
 def tradeoff_curve(
     kind: str,
     sigma_grid,
@@ -333,7 +320,7 @@ def tradeoff_curve(
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}; choose from {CURVE_KINDS}")
-    grid = np.atleast_1d(np.asarray(sigma_grid, dtype=float)).tolist()
+    grid = [float(s) for s in sigma_grid]
     if not grid:
         raise ValueError("sigma_grid must be non-empty")
     if kind in ("single", "multicarrier", "g_scaled"):

@@ -47,11 +47,6 @@ Mean-fade mode refuses on the exact P(l, l/(snr*v)).  Rate mode refuses on
 an upper bound on its outage, the Chernoff bound at theta = 1, so that it
 refuses only points that sampling truly cannot resolve; a zero rate is an
 impossible event.
-
-``scipy.special`` is imported inside the three functions that call it
-(:func:`wilson_interval`, :func:`estimate_mean_fade_outage` and
-``_rate_outage_bound``), not at module level: loading it takes about 0.3 s
-and 300 modules, and the CLI's table subcommands never reach it.
 """
 
 from __future__ import annotations
@@ -64,6 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .errors import DegenerateInputError, InsufficientTrialsError
 
@@ -160,8 +156,6 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    from scipy import special
-
     z = float(special.ndtri(0.5 + confidence / 2.0))
     n = float(trials)
     p = successes / n
@@ -328,8 +322,6 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     """Estimate Pr[(1/l) * sum |F_i|^2 < 1/snr] over the SNR grid and fit the
     diversity slope of the estimates.  At most ``os.cpu_count()`` worker
     threads are used, whatever ``threads`` asks for."""
-    from scipy import special
-
     _check_threads(threads)
     limits = np.array([cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid])
     _refuse_rare(
@@ -381,8 +373,6 @@ def _rate_outage_bound(cfg: TrialConfig) -> list[float]:
     2**(l * rate) * E[1/(1 + a E)]**l, with E[1/(1 + a E)] = U(1, 1, 1/a)/a
     and U(1, 1, x) = e**x * E1(x) Tricomi's confluent hypergeometric
     function.  It is formed in log2 and capped at 1; a zero rate gives 0."""
-    from scipy import special
-
     with np.errstate(over="ignore"):
         a = np.asarray(cfg.snr_grid) * cfg.fade_variance
     # E[1/(1 + a E)] falls as a grows, so a capped a still bounds from above;

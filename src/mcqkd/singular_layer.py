@@ -14,9 +14,12 @@ line, entries comma-separated, each entry ``re:im``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DegenerateInputError
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,22 @@ class TransmittanceMatrix:
     @property
     def k_in(self) -> int:
         return self.entries.shape[1]
+
+
+def log_det_rate(m: TransmittanceMatrix, snr: float) -> float:
+    """Rate of the full matrix channel with isotropic input covariance
+    (snr / K_in) * I:  log2 det(I + F K_o F^dagger).
+
+    Equals the sum over eigenchannels of log2(1 + (snr / K_in) * lambda_i^2).
+    """
+    if not snr > 0:
+        raise ValueError(f"snr must be positive, got {snr}")
+    f = m.entries
+    gram = np.eye(m.k_out) + (snr / m.k_in) * (f @ f.conj().T)
+    sign, logdet = np.linalg.slogdet(gram)
+    if sign.real <= 0:
+        raise DegenerateInputError("log-det argument is not positive definite")
+    return float(logdet / math.log(2.0))
 
 
 def _check_unitary(m: np.ndarray, name: str, tol: float = 1e-10) -> None:

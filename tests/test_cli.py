@@ -430,7 +430,9 @@ class TestConstellation:
 
     def test_oversized_table_refused_before_any_permutation(self, capsys, monkeypatch):
         drawn = []
-        monkeypatch.setattr(cli, "permute_constellation", lambda *a: drawn.append(a))
+        monkeypatch.setattr(
+            "mcqkd.constellation.permute_constellation", lambda *a: drawn.append(a)
+        )
         code = main(["constellation", "--bits", "2", "--l", "250001"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -772,22 +774,10 @@ def test_cli_import_does_not_load_scipy_stats():
     assert done.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize(
-    "argv, loads_special",
-    [
-        ((), False),
-        (("tradeoff", "--kind", "single", "--grid", "0.5,1"), False),
-        (("perr", "--snr", "10,100", "--multiplex", "0.5", "--l", "1,2"), False),
-        (("rates", "--channel", "{channel}", "--mod-variance", "1.2"), False),
-        (("svd", "--matrix", "{matrix}"), False),
-        (("constellation", "--bits", "2", "--l", "3"), False),
-        (("mc", "--mode", "mean_fade", "--snr", "2,3,4", "--trials", "1000"), True),
-    ],
-    ids=["build_parser", "tradeoff", "perr", "rates", "svd", "constellation", "mc"],
-)
-def test_only_mc_loads_scipy_special(tmp_path, argv, loads_special):
-    """scipy.special takes about 0.3 s to import; the closed-form tables
-    never need it, so only a Monte Carlo run may load it."""
+def _fresh_run(tmp_path, argv, module):
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, after
+    ``build_parser`` alone for an empty argv, and whether ``module`` is then
+    in ``sys.modules``."""
     (tmp_path / "m.csv").write_text(MATRIX_TEXT)
     (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
     paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
@@ -799,11 +789,38 @@ def test_only_mc_loads_scipy_special(tmp_path, argv, loads_special):
         "from mcqkd import cli\n"
         "cli.build_parser()\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, 'scipy.special' in sys.modules)\n"
+        f"print(code, {module!r} in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
     )
-    assert done.stdout.split() == ["0", str(loads_special)]
+    return done.stdout.split()
+
+
+SUBCOMMAND_ARGV = {
+    "build_parser": (),
+    "tradeoff": ("tradeoff", "--kind", "single", "--grid", "0.5,1"),
+    "perr": ("perr", "--snr", "10,100", "--multiplex", "0.5", "--l", "1,2"),
+    "rates": ("rates", "--channel", "{channel}", "--mod-variance", "1.2"),
+    "svd": ("svd", "--matrix", "{matrix}"),
+    "constellation": ("constellation", "--bits", "2", "--l", "3"),
+    "mc": ("mc", "--mode", "mean_fade", "--snr", "2,3,4", "--trials", "1000"),
+}
+
+
+@pytest.mark.parametrize("run", SUBCOMMAND_ARGV)
+def test_only_mc_loads_scipy_special(tmp_path, run):
+    """scipy.special takes about 0.3 s to import; the closed-form tables
+    never need it, so only a Monte Carlo run may load it."""
+    loads = run == "mc"
+    assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], "scipy.special") == ["0", str(loads)]
+
+
+@pytest.mark.parametrize("run", SUBCOMMAND_ARGV)
+def test_only_svd_constellation_and_mc_load_numpy(tmp_path, run):
+    """The closed-form tables start without numpy; the subcommands that need
+    it import it in their handlers."""
+    loads = run in ("svd", "constellation", "mc")
+    assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], "numpy") == ["0", str(loads)]

@@ -65,6 +65,29 @@ def test_perr_rows_match_the_per_cell_outage_params_rule(snr, ratio, l_values):
     same(rows, literal)
 
 
+@SETTINGS
+@given(
+    snr=st.lists(
+        st.one_of(st.just(1.0), st.just(math.inf), st.floats(1.0, math.inf)),
+        min_size=1, max_size=20,
+    ),
+    ratio=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    l_values=st.lists(st.integers(1, 10**6), min_size=1, max_size=6),
+)
+def test_perr_cells_need_no_clamp(snr, ratio, l_values):
+    """With snr >= 1 and the exponent -(l * (1 - ratio)) <= 0 every cell
+    already lies in [0, 1]: it equals its clamped value, and each column
+    falls as snr grows."""
+    snr = sorted(snr)
+    rows = perr_rows(snr, ratio, l_values)
+    for s, row in zip(snr, rows):
+        for l, cell in zip((1, *l_values), row):
+            same(cell, min(max(s ** -(l * (1.0 - ratio)), 0.0), 1.0))
+            assert 0.0 <= cell <= 1.0
+    for column in zip(*rows):
+        assert all(a >= b for a, b in zip(column, column[1:]))
+
+
 @pytest.mark.parametrize(
     "ratio, l_values, message",
     [

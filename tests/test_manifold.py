@@ -11,7 +11,6 @@ from mcqkd.errors import DomainError
 from mcqkd.manifold import (
     OutageParams,
     TradeoffCurve,
-    log_det_rate,
     manifold_dims,
     perr_amqd,
     perr_exponential_outage,
@@ -23,7 +22,7 @@ from mcqkd.manifold import (
     tradeoff_multicarrier,
     tradeoff_single,
 )
-from mcqkd.singular_layer import TransmittanceMatrix, svd_decompose
+from mcqkd.singular_layer import TransmittanceMatrix, log_det_rate, svd_decompose
 
 
 class TestPowerLaws:

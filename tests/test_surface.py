@@ -30,9 +30,9 @@ KEEP = {
     "manifold.tradeoff_single": "item 5, per-point reference of the tradeoff table",
     "manifold.tradeoff_multicarrier": "item 5, per-point reference of the tradeoff table",
     "manifold.tradeoff_g_scaled": "item 5, per-point reference of the tradeoff table",
-    "manifold.log_det_rate": "item 6, sampled multiaccess tradeoff",
     "manifold.perr_rank_outage": "item 6, sampled multiaccess tradeoff",
     "rates.svd_capacity": "item 5, a rate never exceeds its boosted counterpart",
+    "singular_layer.log_det_rate": "item 6, sampled multiaccess tradeoff",
 }
 
 
