@@ -20,8 +20,10 @@ Start-up imports only the modules that need no numpy (``channel``,
 ``errors``, ``manifold`` and ``rates``), so ``tradeoff``, ``perr`` and
 ``rates`` run without numpy.  The ``mc``, ``svd`` and ``constellation``
 handlers import ``montecarlo``, ``singular_layer`` and ``constellation``,
-and with them numpy, when they run; of the six subcommands only ``mc``
-loads scipy.
+and with them numpy, when they run.  No subcommand loads scipy: the
+regularised gamma P(l, x) of the mean-fade refusal and the Tricomi
+U(1, 1, x) = e**x E1(x) of the rate refusal are series and continued
+fractions in plain Python (see ``montecarlo``).
 """
 
 from __future__ import annotations

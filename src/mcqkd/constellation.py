@@ -43,17 +43,6 @@ class PhaseConstellation:
             )
         object.__setattr__(self, "points", pts)
 
-    def min_distance(self) -> float:
-        """Smallest pairwise distance: each point's nearest other point, found
-        with a k-d tree in O(n log n) time and O(n) memory."""
-        # imported here: nothing the CLI runs needs scipy.spatial at start-up
-        from scipy.spatial import cKDTree
-
-        arr = np.asarray(self.points)
-        xy = np.column_stack((arr.real, arr.imag))
-        dist, _ = cKDTree(xy).query(xy, k=2)
-        return float(dist[:, 1].min())
-
 
 @dataclass(frozen=True)
 class PermutationConstellation:

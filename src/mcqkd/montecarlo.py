@@ -47,19 +47,29 @@ Mean-fade mode refuses on the exact P(l, l/(snr*v)).  Rate mode refuses on
 an upper bound on its outage, the Chernoff bound at theta = 1, so that it
 refuses only points that sampling truly cannot resolve; a zero rate is an
 impossible event.
+
+Both refusals, and the Wilson z, are plain Python, so no run loads scipy.
+The regularised gamma P(l, x) is the series of Abramowitz & Stegun 6.5.29
+for x < l + 1 and otherwise 1 - Q(l, x), with Q the continued fraction of
+A&S 6.5.31; each takes O(sqrt(l)) terms, and its prefactor
+x**l e**-x / l! is formed without cancellation.  The rate bound's
+U(1, 1, x) = e**x E1(x) is the series of A&S 5.1.11 for x < 1 and
+otherwise the same continued fraction at l = 0, since E1(x) = Gamma(0, x)
+(A&S 5.1.22); it runs by the modified Lentz method.  The default Wilson z
+is the correctly rounded 97.5% normal quantile.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateInputError, InsufficientTrialsError
 
@@ -69,6 +79,17 @@ _CHUNK_VALUES = 1 << 16
 _MIN_ANALYTIC_P = 1e-8
 # -ln U is at most -ln(2**-53) = 36.74 for a nonzero uniform of rng.random
 _MAX_FADE = 36.8
+# the 97.5% quantile of the standard normal, correctly rounded
+_Z95 = 1.959963984540054
+_EULER_GAMMA = 0.5772156649015329
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling's series of ln Gamma(a + 1) - (a + 1/2) ln a + a - ln(2 pi)/2 in
+# powers of 1/a: the coefficients of 1/a, 1/a**3, ..., 1/a**11
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+# the modified Lentz method restarts a vanishing denominator at _TINY; its
+# continued fraction converges in O(sqrt(l)) terms, far below _MAX_TERMS
+_TINY = 1e-300
+_MAX_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,15 +169,15 @@ class SlopeFit(NamedTuple):
     stderr: float
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, ``z`` standard
+    deviations wide on each side (95% by default)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = float(special.ndtri(0.5 + confidence / 2.0))
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError(f"z must be finite and positive, got {z}")
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -265,6 +286,80 @@ def _count_events(
     return [int(c) for c in total]
 
 
+def _log_poisson_weight(a: float, x: float) -> float:
+    """ln(x**a e**-x / Gamma(a + 1)) for a, x > 0, as a ln(x/a) - (x - a)
+    - ln(2 pi a)/2 - mu(a), so that no large terms cancel: ln(x/a) is a
+    log1p near x = a, and mu(a) is Stirling's series from a = 16."""
+    if x >= 0.5 * a:
+        ratio = math.log1p((x - a) / a)
+    else:
+        # x / a rounds by half an ulp at most, unless a subnormal x underflows
+        ratio = math.log(x / a) if x / a > 0.0 else math.log(x) - math.log(a)
+    if a < 16.0:
+        mu = math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - _HALF_LN_2PI
+    else:
+        mu = 0.0
+        for c in reversed(_STIRLING):
+            mu = mu / (a * a) + c
+        mu /= a
+    return a * ratio - (x - a) - 0.5 * math.log(a) - _HALF_LN_2PI - mu
+
+
+def _gamma_fraction(s: float, x: float) -> float:
+    """Gamma(s, x) e**x / x**s for x >= max(s + 1, 1): the continued fraction
+    1 / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / ...)) of A&S 6.5.31
+    by the modified Lentz method.  At s = 0 it is e**x E1(x), A&S 5.1.22."""
+    b = x + 1.0 - s
+    c = 1.0 / _TINY
+    d = h = 1.0 / b
+    for i in range(1, _MAX_TERMS):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        h *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            break
+    return h
+
+
+def _gamma_p(a: float, x: float) -> float:
+    """The regularised lower incomplete gamma P(a, x) for a > 0, x >= 0: the
+    series of A&S 6.5.29 where x < a + 1, elsewhere 1 - Q(a, x) with Q by
+    :func:`_gamma_fraction`."""
+    if x == math.inf:
+        return 1.0
+    if not x > 0.0:
+        return 0.0
+    if x < a + 1.0:
+        # sum_n x**n / ((a + 1) ... (a + n)); every ratio x / (a + n) is below 1
+        term = total = 1.0
+        n = a
+        while term > total * sys.float_info.epsilon:
+            n += 1.0
+            term *= x / n
+            total += term
+        return total * math.exp(_log_poisson_weight(a, x))
+    return 1.0 - a * _gamma_fraction(a, x) * math.exp(_log_poisson_weight(a, x))
+
+
+def _exp_e1(x: float) -> float:
+    """e**x E1(x), Tricomi's U(1, 1, x), for x > 0: the series of A&S 5.1.11
+    where x < 1, elsewhere the continued fraction of Gamma(0, x) = E1(x)."""
+    if x < 1.0:
+        # E1(x) = -gamma - ln x - sum_k (-x)**k / (k k!); the terms past k = 19
+        # are below 1e-19, and E1(x) above 0.2
+        term, total = 1.0, 0.0
+        for k in range(1, 20):
+            term *= -x / k
+            total += term / k
+        return math.exp(x) * (-_EULER_GAMMA - math.log(x) - total)
+    return _gamma_fraction(0.0, x)
+
+
 def _refuse_rare(cfg: TrialConfig, probabilities: list[float], what: str, measure: str) -> None:
     """Refuse the grid if the outage probability of some point is below
     _MIN_ANALYTIC_P, zero and NaN included; ``probabilities`` holds one value
@@ -325,7 +420,7 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     _check_threads(threads)
     limits = np.array([cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid])
     _refuse_rare(
-        cfg, special.gammainc(cfg.l, limits).tolist(), "mean-fade outage",
+        cfg, [_gamma_p(cfg.l, x) for x in limits.tolist()], "mean-fade outage",
         "analytic outage probability",
     )
     # With F_i = -v ln U_i a trial is an outage where -sum_i ln U_i < limit,
@@ -379,7 +474,8 @@ def _rate_outage_bound(cfg: TrialConfig) -> list[float]:
     # below a = 1e-300 the mean is 1 to double precision
     a = np.clip(a, 1e-300, 1e300)
     rates = cfg.multiplex_ratio * np.log2(cfg.snr_grid)
-    log2_bound = cfg.l * (rates + np.log2(special.hyperu(1.0, 1.0, 1.0 / a) / a))
+    tricomi = np.array([_exp_e1(x) for x in (1.0 / a).tolist()])
+    log2_bound = cfg.l * (rates + np.log2(tricomi / a))
     return np.where(rates > 0, np.exp2(np.minimum(log2_bound, 0.0)), 0.0).tolist()
 
 

@@ -28,8 +28,7 @@ from mcqkd.montecarlo import (
 )
 from mcqkd.rates import optimal_attack_noise, private_capacity
 from mcqkd.singular_layer import TransmittanceMatrix, reconstruct, svd_decompose
-
-THREE_SIGMA = math.erf(3.0 / math.sqrt(2.0))
+from oracles import min_distance_exhaustive
 
 
 def verdict(number: int, label: str, ok: bool) -> bool:
@@ -81,7 +80,7 @@ class TestAcceptance:
             )
             out = estimate_mean_fade_outage(cfg, threads=4)
             for snr, successes in zip(out.snr_grid, out.successes):
-                lo, hi = wilson_interval(successes, out.trials, confidence=THREE_SIGMA)
+                lo, hi = wilson_interval(successes, out.trials, z=3.0)
                 analytic = float(special.gammainc(l, l / snr))
                 if not lo <= analytic <= hi:
                     ok = False
@@ -131,7 +130,7 @@ class TestAcceptance:
         ok = True
         for bits in range(1, 9):
             c = build_constellation(float(bits))
-            if abs(c.min_distance() ** 2 * 2.0**bits - 1.0) > 1e-9:
+            if abs(min_distance_exhaustive(c.points) ** 2 * 2.0**bits - 1.0) > 1e-9:
                 ok = False
         base = build_constellation(2.0)
         spread = permute_constellation(base, 4, seed=9)

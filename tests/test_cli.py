@@ -776,8 +776,8 @@ def test_cli_import_does_not_load_scipy_stats():
 
 def _fresh_run(tmp_path, argv, module):
     """Exit code of ``cli.main(argv)`` in a fresh interpreter, after
-    ``build_parser`` alone for an empty argv, and whether ``module`` is then
-    in ``sys.modules``."""
+    ``build_parser`` alone for an empty argv, and whether ``module`` or any
+    of its submodules is then in ``sys.modules``."""
     (tmp_path / "m.csv").write_text(MATRIX_TEXT)
     (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
     paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
@@ -789,7 +789,7 @@ def _fresh_run(tmp_path, argv, module):
         "from mcqkd import cli\n"
         "cli.build_parser()\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        f"print(code, {module!r} in sys.modules)\n"
+        f"print(code, any(m.partition('.')[0] == {module!r} for m in sys.modules))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -810,12 +810,24 @@ SUBCOMMAND_ARGV = {
 }
 
 
-@pytest.mark.parametrize("run", SUBCOMMAND_ARGV)
-def test_only_mc_loads_scipy_special(tmp_path, run):
-    """scipy.special takes about 0.3 s to import; the closed-form tables
-    never need it, so only a Monte Carlo run may load it."""
-    loads = run == "mc"
-    assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], "scipy.special") == ["0", str(loads)]
+# the refusals are where the Monte Carlo runs once called scipy.special
+SCIPY_FREE_ARGV = {
+    **SUBCOMMAND_ARGV,
+    "mc_rate": ("mc", "--mode", "rate", "--l", "2", "--multiplex", "0.5",
+                "--snr", "10,30,100", "--trials", "1000"),
+    "mc_mean_fade_refused": ("mc", "--mode", "mean_fade", "--l", "4",
+                             "--snr", "10,1e6,20", "--trials", "1000"),
+    "mc_rate_refused": ("mc", "--mode", "rate", "--l", "4", "--multiplex", "0.25",
+                        "--snr", "10,1e6,20", "--trials", "1000"),
+}
+
+
+@pytest.mark.parametrize("run", SCIPY_FREE_ARGV)
+def test_no_subcommand_loads_scipy(tmp_path, run):
+    """The package runs on numpy alone: no subcommand, and no Monte Carlo
+    run or refusal in either mode, loads scipy or any of its submodules."""
+    code = "4" if run.endswith("_refused") else "0"
+    assert _fresh_run(tmp_path, SCIPY_FREE_ARGV[run], "scipy") == [code, "False"]
 
 
 @pytest.mark.parametrize("run", SUBCOMMAND_ARGV)

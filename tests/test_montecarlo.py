@@ -12,6 +12,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,14 +36,13 @@ from oracles import (
 
 GRID = (10.0, 31.6, 100.0)
 HIGH_GRID = (1e4, 1e5, 1e6)
-THREE_SIGMA = math.erf(3.0 / math.sqrt(2.0))
 
 
 def analytic_inside_3sigma(outage, analytic_fn):
     """True when the analytic outage lies inside the 3-sigma Wilson interval
     recomputed from the run's own success counts, at every grid point."""
     for snr, successes in zip(outage.snr_grid, outage.successes):
-        lo, hi = wilson_interval(successes, outage.trials, confidence=THREE_SIGMA)
+        lo, hi = wilson_interval(successes, outage.trials, z=3.0)
         if not lo <= analytic_fn(snr) <= hi:
             return False
     return True
@@ -79,16 +79,20 @@ class TestWilsonInterval:
 
     def test_higher_confidence_widens_interval(self):
         lo95, hi95 = wilson_interval(30, 500)
-        lo3, hi3 = wilson_interval(30, 500, confidence=THREE_SIGMA)
+        lo3, hi3 = wilson_interval(30, 500, z=3.0)
         assert lo3 < lo95 and hi3 > hi95
 
+    def test_default_z_is_the_scipy_quantile(self):
+        assert montecarlo._Z95 == special.ndtri(0.975)
+
     @pytest.mark.parametrize(
-        "successes,trials,confidence",
-        [(0, 0, 0.95), (-1, 10, 0.95), (11, 10, 0.95), (5, 10, 0.0), (5, 10, 1.0)],
+        "successes,trials,z",
+        [(0, 0, 0.95), (-1, 10, 0.95), (11, 10, 0.95), (5, 10, 0.0), (5, 10, -1.0),
+         (5, 10, math.inf), (5, 10, math.nan)],
     )
-    def test_validation(self, successes, trials, confidence):
+    def test_validation(self, successes, trials, z):
         with pytest.raises(ValueError):
-            wilson_interval(successes, trials, confidence)
+            wilson_interval(successes, trials, z)
 
 
 class TestSlopeFit:
@@ -417,7 +421,7 @@ class TestRateOutageBound:
 
     @pytest.mark.parametrize("a", [1e-6, 0.5, 1.0, 10.0, 1e3, 1e6])
     def test_mean_of_the_inverse_is_the_tricomi_function(self, a):
-        assert special.hyperu(1.0, 1.0, 1.0 / a) / a == pytest.approx(
+        assert montecarlo._exp_e1(1.0 / a) / a == pytest.approx(
             inverse_fade_mean_quad(a), rel=1e-9
         )
 
@@ -455,6 +459,64 @@ class TestRateOutageBound:
         assert all(0.0 < b < 1e-100 for b in bound(1, 0.5, (1e300, 2e300, 3e300), 1e10))
         # a zero rate is an impossible event
         assert bound(4, 0.0, (10.0, 20.0, 30.0), 1.0) == [0.0] * 3
+
+
+class TestSpecialFunctions:
+    """The refusals' regularised gamma P(l, x) and e**x E1(x) = U(1, 1, x),
+    against mpmath at 40 digits and the closed-form gamma series."""
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 8, 32, 100])
+    def test_gamma_p_matches_the_series_oracle(self, l):
+        """The oracle 1 - e**-x sum_k x**k / k! cancels: its absolute error
+        reaches a few ulp of 1, which is 1e-10 relative at P = 1e-6."""
+        checked = 0
+        for x in l * np.logspace(-3.0, 1.0, 81):
+            expected = gamma_cdf_series(l, x)
+            if expected >= 1e-6:
+                assert montecarlo._gamma_p(l, x) == pytest.approx(expected, rel=1e-11, abs=4e-15)
+                checked += 1
+        assert checked > 20
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 15, 16, 17, 100, 1000, 4096])
+    def test_gamma_p_matches_mpmath_down_to_1e_300(self, l):
+        xs = [l * 2.0 ** (-k * 25.0 / l) for k in range(41)]
+        xs += [l + d * math.sqrt(l) for d in range(-30, 31, 2) if d * d < l]
+        xs += [l + 1.0, math.nextafter(l + 1.0, 0.0), 2.0 * l + 5.0, 16.0 * l + 40.0]
+        tested = []
+        with mpmath.workdps(40):
+            for x in xs:
+                expected = mpmath.gammainc(l, 0, mpmath.mpf(x), regularized=True)
+                if expected >= 1e-300:
+                    assert montecarlo._gamma_p(l, x) == pytest.approx(float(expected), rel=1e-11)
+                    tested.append((x, float(expected)))
+        # both the series (x < l + 1) and the continued fraction, and P
+        # from below 1e-250 up to nearly 1
+        assert any(x < l + 1 for x, _ in tested) and any(x >= l + 1 for x, _ in tested)
+        assert min(p for _, p in tested) < 1e-250 and max(p for _, p in tested) > 0.99
+
+    def test_gamma_p_at_the_ends(self):
+        assert montecarlo._gamma_p(4, 0.0) == 0.0
+        assert montecarlo._gamma_p(4, math.inf) == 1.0
+        assert montecarlo._gamma_p(4, 5e-324) == 0.0
+        assert montecarlo._gamma_p(2**20, 1e300) == 1.0
+
+    def test_gamma_p_at_the_widest_l_matches_scipy(self):
+        """At l = 2**20 the series takes its most terms near x = l."""
+        l = 2**20
+        for x in (0.99 * l, l - 1.0, float(l), l + 1.0, 1.001 * l):
+            assert montecarlo._gamma_p(l, x) == pytest.approx(
+                special.gammainc(l, x), rel=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "x",
+        [1e-300, 1e-100, 1e-8, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+         1.5, 10.0, 1e3, 1e8, 1e100, 1e300],
+    )
+    def test_exp_e1_matches_mpmath(self, x):
+        with mpmath.workdps(40):
+            expected = float(mpmath.e1(x) * mpmath.exp(x))
+        assert montecarlo._exp_e1(x) == pytest.approx(expected, rel=1e-13)
 
 
 class TestSharedDraw:
