@@ -10,6 +10,10 @@ a format string takes; any other value exits 2 before any work.  The Monte Carlo
 thread count is deliberately not part of the recorded configuration: results
 are bit-identical for any thread count.
 
+The parser is built once per process.  Each ``_run_<subcommand>`` handler
+only computes: it returns the header params and the CSV body, and ``main``
+writes them with the one ``_emit`` call and maps errors to exit codes.
+
 SNR values are accepted either as linear ratios (default) or in dB with
 ``--snr-unit db``; they are converted once at parse time and all outputs and
 headers use the linear scale (the ``perr`` table also prints a dB column).
@@ -29,6 +33,7 @@ fractions in plain Python (see ``montecarlo``).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -151,7 +156,7 @@ def _grid_param(values: list[float]) -> str:
     return ("%.9g," * len(values) % tuple(values))[:-1]
 
 
-def _run_tradeoff(args) -> int:
+def _run_tradeoff(args) -> tuple[dict, str]:
     grid = _parse_grid(args.grid)
     curve = tradeoff_curve(
         args.kind,
@@ -164,12 +169,10 @@ def _run_tradeoff(args) -> int:
     )
     params = {"kind": args.kind, "grid": _grid_param(grid)}
     params.update({k: v for k, v in curve.params.items()})
-    body = _table(("sigma", "delta"), curve.points, args.precision)
-    _emit(args.output, "tradeoff", params, body)
-    return 0
+    return params, _table(("sigma", "delta"), curve.points, args.precision)
 
 
-def _run_perr(args) -> int:
+def _run_perr(args) -> tuple[dict, str]:
     snr = _to_linear(_parse_grid(args.snr), args.snr_unit)
     l_grid = _parse_grid(args.l)
     if not all(v >= 1 and v == int(v) for v in l_grid):
@@ -189,8 +192,7 @@ def _run_perr(args) -> int:
         "multiplex": args.multiplex,
         "l": ",".join(str(v) for v in l_values),
     }
-    _emit(args.output, "perr", params, _table(columns, rows, args.precision))
-    return 0
+    return params, _table(columns, rows, args.precision)
 
 
 def _read_mc_config(path) -> dict:
@@ -224,7 +226,7 @@ def _read_mc_config(path) -> dict:
     return out
 
 
-def _run_mc(args) -> int:
+def _run_mc(args) -> tuple[dict, str]:
     from .montecarlo import TrialConfig, estimate_mean_fade_outage, estimate_rate_outage
 
     from_file = _read_mc_config(args.config) if args.config else {}
@@ -265,11 +267,10 @@ def _run_mc(args) -> int:
         "seed": cfg.seed,
         "fade_variance": f"{cfg.fade_variance:.9g}",
     }
-    _emit(args.output, "mc", params, outage.to_csv(args.precision))
-    return 0
+    return params, outage.to_csv(args.precision)
 
 
-def _run_svd(args) -> int:
+def _run_svd(args) -> tuple[dict, str]:
     import numpy as np
 
     from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
@@ -283,12 +284,10 @@ def _run_svd(args) -> int:
     rows = [(i, lam) for i, lam in enumerate(decomp.lambdas)]
     rows.append(("recon_error", rel))
     params = {"matrix": args.matrix, "k_in": matrix.k_in, "k_out": matrix.k_out}
-    body = _table(("index", "eigenchannel"), rows, args.precision)
-    _emit(args.output, "svd", params, body)
-    return 0
+    return params, _table(("index", "eigenchannel"), rows, args.precision)
 
 
-def _run_rates(args) -> int:
+def _run_rates(args) -> tuple[dict, str]:
     model = load_channel_model(args.channel)
     fades_sq = None
     if args.fades:
@@ -314,11 +313,10 @@ def _run_rates(args) -> int:
         "vacuum_variance": model.vacuum_variance,
     }
     columns = ("index", *SUBCHANNEL_COLUMNS)
-    _emit(args.output, "rates", params, _table(columns, rows, args.precision))
-    return 0
+    return params, _table(columns, rows, args.precision)
 
 
-def _run_constellation(args) -> int:
+def _run_constellation(args) -> tuple[dict, str]:
     from .constellation import build_constellation, permute_constellation
 
     base = build_constellation(args.bits)
@@ -340,10 +338,10 @@ def _run_constellation(args) -> int:
         for sub, perm in enumerate(spread.perms, start=2):
             lines.extend(f"{sub},{i},{points[j]}" for i, j in enumerate(perm))
     params = {"bits": args.bits, "l": args.l, "seed": args.seed}
-    _emit(args.output, "constellation", params, _csv(columns, lines))
-    return 0
+    return params, _csv(columns, lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcqkd",
@@ -367,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-in", type=int, help="transmitter count for multiaccess kinds")
     p.add_argument("--k-out", type=int, help="receiver count for multiaccess kinds")
     add_common(p)
-    p.set_defaults(handler=_run_tradeoff)
 
     p = sub.add_parser("perr", help="outage power-law table")
     p.add_argument("--snr", required=True, help="snr grid")
@@ -375,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplex", type=float, required=True, help="multiplex ratio")
     p.add_argument("--l", default="1", help="comma list of sub-channel counts")
     add_common(p)
-    p.set_defaults(handler=_run_perr)
 
     p = sub.add_parser("mc", help="Monte Carlo outage estimation")
     p.add_argument("--config", help="flat key=value settings file")
@@ -385,12 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker threads (never changes results)" if key == "threads" else None,
         )
     add_common(p)
-    p.set_defaults(handler=_run_mc)
 
     p = sub.add_parser("svd", help="eigenchannels of a transmittance matrix")
     p.add_argument("--matrix", required=True, help="re:im CSV matrix path")
     add_common(p)
-    p.set_defaults(handler=_run_svd)
 
     p = sub.add_parser("rates", help="capacity and secret-key rates of a channel file")
     p.add_argument("--channel", required=True, help="channel model path")
@@ -398,26 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain-c", type=float, default=1.0)
     p.add_argument("--fades", help="optional squared fades, one per active sub-channel")
     add_common(p)
-    p.set_defaults(handler=_run_rates)
 
     p = sub.add_parser("constellation", help="export a grid constellation")
     p.add_argument("--bits", type=float, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
-    p.set_defaults(handler=_run_constellation)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        # the handler is looked up when it runs, not stored in the parser: the
+        # parser is built once per process, and a handler rebound after that
+        # (by a tracer or a test) must still be the one called
+        params, body = globals()[f"_run_{args.subcommand}"](args)
+        _emit(args.output, args.subcommand, params, body)
     except InsufficientTrialsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -427,6 +422,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

@@ -219,11 +219,8 @@ def fit_diversity_slope(snr_grid, p_hats) -> SlopeFit:
     xc = x - x.mean()
     slope = float(np.sum(xc * y) / np.sum(xc * xc))
     resid = y - (y.mean() + slope * xc)
-    dof = x.size - 2
-    if dof > 0:
-        stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum(xc * xc)))
-    else:
-        stderr = 0.0
+    # at least 3 points remain, so the residuals have x.size - 2 >= 1 dof
+    stderr = float(np.sqrt(np.sum(resid**2) / (x.size - 2) / np.sum(xc * xc)))
     return SlopeFit(slope, stderr)
 
 
@@ -376,9 +373,7 @@ def _refuse_rare(cfg: TrialConfig, probabilities: list[float], what: str, measur
 
 def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
     p_hat = [s / cfg.trials for s in successes]
-    bounds = [wilson_interval(s, cfg.trials) for s in successes]
-    ci_low = [b[0] for b in bounds]
-    ci_high = [b[1] for b in bounds]
+    ci_low, ci_high = zip(*(wilson_interval(s, cfg.trials) for s in successes))
 
     def build(slope: float, stderr: float) -> EmpiricalOutage:
         return EmpiricalOutage(
@@ -418,19 +413,19 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
     diversity slope of the estimates.  At most ``os.cpu_count()`` worker
     threads are used, whatever ``threads`` asks for."""
     _check_threads(threads)
-    limits = np.array([cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid])
+    limits = [cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid]
     _refuse_rare(
-        cfg, [_gamma_p(cfg.l, x) for x in limits.tolist()], "mean-fade outage",
+        cfg, [_gamma_p(cfg.l, x) for x in limits], "mean-fade outage",
         "analytic outage probability",
     )
     # With F_i = -v ln U_i a trial is an outage where -sum_i ln U_i < limit,
     # that is where prod_i U_i > exp(-limit).  Where that floor is no normal
     # double the product may underflow, and the log-sum decides.  math.exp
     # rounds the same on every machine; numpy's SIMD exp need not.
-    floors = np.array([math.exp(-limit) for limit in limits.tolist()])
-    by_product = floors >= np.finfo(float).tiny
+    floors = np.array([math.exp(-limit) for limit in limits])
+    by_product = floors >= sys.float_info.min
     product_at, log_at = np.flatnonzero(by_product), np.flatnonzero(~by_product)
-    product_floors, log_bounds = floors[product_at], -limits[log_at]
+    product_floors, log_bounds = floors[product_at], np.negative(limits)[log_at]
 
     def events(uniforms: np.ndarray, work: np.ndarray, row: np.ndarray) -> np.ndarray:
         counts = np.empty(len(cfg.snr_grid), dtype=np.int64)
@@ -462,21 +457,18 @@ def _product_bound(l: int, rate: float, a: float) -> float | None:
     return None
 
 
-def _rate_outage_bound(cfg: TrialConfig) -> list[float]:
-    """Per grid point, the Chernoff bound at theta = 1 on the rate outage
+def _rate_outage_bound(l: int, rate: float, a: float) -> float:
+    """The Chernoff bound at theta = 1 on the rate outage
     Pr[prod_i (1 + a E_i) < 2**(l * rate)], a = snr * v, E_i ~ Exp(1):
     2**(l * rate) * E[1/(1 + a E)]**l, with E[1/(1 + a E)] = U(1, 1, 1/a)/a
     and U(1, 1, x) = e**x * E1(x) Tricomi's confluent hypergeometric
     function.  It is formed in log2 and capped at 1; a zero rate gives 0."""
-    with np.errstate(over="ignore"):
-        a = np.asarray(cfg.snr_grid) * cfg.fade_variance
+    if not rate > 0.0:
+        return 0.0
     # E[1/(1 + a E)] falls as a grows, so a capped a still bounds from above;
     # below a = 1e-300 the mean is 1 to double precision
-    a = np.clip(a, 1e-300, 1e300)
-    rates = cfg.multiplex_ratio * np.log2(cfg.snr_grid)
-    tricomi = np.array([_exp_e1(x) for x in (1.0 / a).tolist()])
-    log2_bound = cfg.l * (rates + np.log2(tricomi / a))
-    return np.where(rates > 0, np.exp2(np.minimum(log2_bound, 0.0)), 0.0).tolist()
+    a = min(max(a, 1e-300), 1e300)
+    return 2.0 ** min(l * (rate + math.log2(_exp_e1(1.0 / a) / a)), 0.0)
 
 
 def estimate_rate_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
@@ -485,12 +477,13 @@ def estimate_rate_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     the estimates.  Threads are capped as in
     :func:`estimate_mean_fade_outage`."""
     _check_threads(threads)
-    _refuse_rare(cfg, _rate_outage_bound(cfg), "rate outage", "outage upper bound")
-    points = []
-    for snr in cfg.snr_grid:
-        rate = cfg.multiplex_ratio * math.log2(snr)
-        a = snr * cfg.fade_variance
-        points.append((a, _product_bound(cfg.l, rate, a), cfg.l * rate))
+    # a = snr * v and the rate of each point, shared by the refusal, the
+    # product bound and the log-sum target
+    setups = [(snr * cfg.fade_variance, cfg.multiplex_ratio * math.log2(snr))
+              for snr in cfg.snr_grid]
+    _refuse_rare(cfg, [_rate_outage_bound(cfg.l, rate, a) for a, rate in setups],
+                 "rate outage", "outage upper bound")
+    points = [(a, _product_bound(cfg.l, rate, a), cfg.l * rate) for a, rate in setups]
 
     def events(uniforms: np.ndarray, work: np.ndarray, row: np.ndarray) -> list[int]:
         # ln U once per fade for every point; a zero uniform gives -inf, an

@@ -1,5 +1,7 @@
 """Command line interface: parsing, CSV layout, headers and exit codes."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out.splitlines()
+
+
+def with_input_files(tmp_path, argv) -> list:
+    """``argv`` with ``{matrix}`` and ``{channel}`` replaced by the paths of
+    ``MATRIX_TEXT`` and ``CHANNEL_TEXT`` written under ``tmp_path``."""
+    paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
+    paths["matrix"].write_text(MATRIX_TEXT)
+    paths["channel"].write_text(CHANNEL_TEXT)
+    return [a.format(**paths) for a in argv]
 
 
 def data_rows(lines):
@@ -594,8 +605,9 @@ class TestMonteCarloCommand:
         [
             ("1.2,1.5,2", 4, "error: slope fit needs at least 3 nonzero points, got 2"),
             ("1.2,1.3,1.4,2", 0, None),
+            ("1.2,1.2,1.2,2", 3, "error: snr grid is constant; slope undefined"),
         ],
-        ids=["fit_fails", "fit_succeeds"],
+        ids=["fit_fails", "fit_succeeds", "constant_grid"],
     )
     def test_zero_estimates_give_one_warning_line(self, capsys, snr, code, last):
         """A zero estimate left out of the slope fit is reported as one
@@ -658,10 +670,7 @@ class TestExitCodes:
         ],
     )
     def test_precision_below_one_exits_2(self, capsys, tmp_path, argv, precision):
-        (tmp_path / "m.csv").write_text(MATRIX_TEXT)
-        (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
-        paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
-        argv = [a.format(**paths) for a in argv]
+        argv = with_input_files(tmp_path, argv)
         assert main([*argv, "--precision", "1"]) == 0
         capsys.readouterr()
         assert main([*argv, "--precision", precision]) == 2
@@ -683,10 +692,7 @@ class TestExitCodes:
     def test_precision_beyond_the_format_limit_exits_2_before_any_work(
         self, capsys, tmp_path, monkeypatch, argv
     ):
-        (tmp_path / "m.csv").write_text(MATRIX_TEXT)
-        (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
-        paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
-        argv = [a.format(**paths) for a in argv]
+        argv = with_input_files(tmp_path, argv)
         # 2^31 - 1 is the largest precision a format string takes
         assert main([*argv, "--precision", str(2**31 - 1)]) == 0
         capsys.readouterr()
@@ -758,30 +764,11 @@ class TestTableWideParametersFirst:
         assert code == 3 and captured.err == "error: power-law outage needs snr >= 1, got 0.5\n"
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    code = (
-        "import sys\n"
-        "from mcqkd import cli\n"
-        "cli.build_parser()\n"
-        "print('scipy.stats' in sys.modules)\n"
-    )
-    # the fresh interpreter imports the same package this test imported
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert done.stdout.strip() == "False"
-
-
 def _fresh_run(tmp_path, argv, module):
     """Exit code of ``cli.main(argv)`` in a fresh interpreter, after
     ``build_parser`` alone for an empty argv, and whether ``module`` or any
     of its submodules is then in ``sys.modules``."""
-    (tmp_path / "m.csv").write_text(MATRIX_TEXT)
-    (tmp_path / "c.txt").write_text(CHANNEL_TEXT)
-    paths = dict(matrix=tmp_path / "m.csv", channel=tmp_path / "c.txt")
-    args = [a.format(**paths) for a in argv]
+    args = with_input_files(tmp_path, argv)
     if args:
         args += ["-o", str(tmp_path / "out.csv")]
     code = (
@@ -836,3 +823,62 @@ def test_only_svd_constellation_and_mc_load_numpy(tmp_path, run):
     it import it in their handlers."""
     loads = run in ("svd", "constellation", "mc")
     assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], "numpy") == ["0", str(loads)]
+
+
+# an argparse error, an unknown subcommand and --version besides every subcommand
+REPEATED_ARGV = {
+    **{name: argv for name, argv in SUBCOMMAND_ARGV.items() if argv},
+    "missing_argument": ("perr", "--multiplex", "0"),
+    "unknown_subcommand": ("frobnicate",),
+    "version": ("--version",),
+}
+
+
+@pytest.mark.parametrize("run", REPEATED_ARGV)
+def test_a_repeated_call_in_one_process_repeats_its_output(capsys, tmp_path, run):
+    """The parser is built once per process; the second call reuses it and
+    prints the same stdout and stderr with the same exit code."""
+    argv = with_input_files(tmp_path, REPEATED_ARGV[run])
+    first = main(argv), capsys.readouterr()
+    second = main(argv), capsys.readouterr()
+    assert first == second
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_handler_rebound_after_a_run_is_the_one_called(capsys, monkeypatch):
+    """``main`` looks the handler up when it runs, so the parser cached by an
+    earlier call does not keep the old one."""
+    argv = ["tradeoff", "--kind", "single", "--grid", "0.5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_run_tradeoff", lambda args: ({"grid": args.grid}, "stand_in\n"))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        f"# tool=mcqkd {__version__}\n# subcommand=tradeoff\n# grid=0.5\nstand_in\n"
+    )
+
+
+BENCH_12_RUNS = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCH_12.json").read_text()
+)["byte_identity"]["runs"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "recorded", BENCH_12_RUNS, ids=[f"{r['mode']}-l{r['l']}-{r['snr']}" for r in BENCH_12_RUNS]
+)
+def test_recorded_mc_bytes(tmp_path, capsys, monkeypatch, recorded, threads):
+    """The 23 ``mc`` configurations of ``BENCH_12.json``, run in one process
+    to ``-o``, write the recorded bytes.  A regression pin on output bytes,
+    not a correctness oracle, with the host exposure of
+    ``test_montecarlo.TestDeterminismPin``."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "mc.csv"
+    code = main([
+        "mc", "--mode", recorded["mode"], "--l", str(recorded["l"]),
+        "--multiplex", repr(recorded["multiplex"]), "--snr", recorded["snr"],
+        "--fade-variance", repr(recorded["fade_variance"]), "--trials", str(recorded["trials"]),
+        "--seed", str(recorded["seed"]), "--threads", str(threads), "-o", str(out),
+    ])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded["sha256"]
