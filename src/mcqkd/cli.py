@@ -36,11 +36,10 @@ import argparse
 import functools
 import math
 import sys
-import warnings
 
 from . import __version__
 from .channel import load_channel_model
-from .errors import DomainError, InsufficientTrialsError
+from .errors import DegenerateInputError, DomainError, InsufficientTrialsError
 from .manifold import CURVE_KINDS, perr_rows, tradeoff_curve
 from .rates import SUBCHANNEL_COLUMNS, rate_report
 
@@ -249,15 +248,17 @@ def _run_mc(args) -> tuple[dict, str]:
         fade_variance=settings["fade_variance"],
     )
     estimate = estimate_mean_fade_outage if mode == "mean_fade" else estimate_rate_outage
-    # the slope fit warns when it leaves zero estimates out; each warning is
-    # one stderr line, printed also when the run then fails
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outage = estimate(cfg, threads=settings["threads"])
-        finally:
-            for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
+    # zero estimates left out of the slope fit: one line, also if the fit fails
+    outage = None
+    try:
+        outage = estimate(cfg, threads=settings["threads"])
+    except (InsufficientTrialsError, DegenerateInputError) as exc:
+        outage = exc.outage
+        raise
+    finally:
+        if outage is not None and outage.excluded:
+            print(f"warning: excluding {outage.excluded} zero outage estimate(s) "
+                  "from the slope fit", file=sys.stderr)
     params = {
         "mode": mode,
         "l": cfg.l,
@@ -276,9 +277,13 @@ def _run_svd(args) -> tuple[dict, str]:
     from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
 
     matrix = load_matrix_csv(args.matrix)
+    # numpy sums the squares unscaled, so finite entries can still overflow
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(matrix.entries))
+    if not math.isfinite(norm):
+        raise ValueError("matrix Frobenius norm must fit a double")
     decomp = svd_decompose(matrix)
     rebuilt = reconstruct(decomp)
-    norm = float(np.linalg.norm(matrix.entries))
     err = float(np.linalg.norm(matrix.entries - rebuilt.entries))
     rel = err / norm if norm > 0 else err
     rows = [(i, lam) for i, lam in enumerate(decomp.lambdas)]

@@ -34,7 +34,12 @@ class SingularNoiseError(DomainError):
 
 
 class DegenerateInputError(DomainError):
-    """Input data is degenerate for the requested fit or check."""
+    """Input data is degenerate for the requested fit or check; a Monte
+    Carlo run attaches its partial result as ``outage``."""
+
+    def __init__(self, message: str, outage=None):
+        self.outage = outage
+        super().__init__(message)
 
 
 class InsufficientTrialsError(RuntimeError):

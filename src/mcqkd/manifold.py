@@ -16,12 +16,13 @@ All probabilities computed from power laws lie in [0, 1], clamped wherever
 the expression could leave that interval.
 
 Validation happens once per table: :func:`tradeoff_curve` checks Z, l, g
-and the dimensions (that K_in * K_out fits a double included) before any
-grid point, then each point against the curve's multiplex-ratio domain, and
-:func:`perr_rows` checks the multiplex ratio and every l before any snr,
-then each snr >= 1.  Every cell is then a plain scalar expression, the same
-one the single-point functions (``tradeoff_single``, ``tradeoff_multiaccess``,
-``perr_single``, ``perr_amqd``, ...) evaluate after their own checks.
+and the dimensions (that l * Z and K_in * K_out fit a double included)
+before any grid point, then each point against the curve's multiplex-ratio
+domain, and :func:`perr_rows` checks the multiplex ratio and every l before
+any snr, then each snr >= 1.  Every cell is then a plain scalar
+expression, the same one the single-point functions (``tradeoff_single``,
+``tradeoff_multiaccess``, ``perr_single``, ``perr_amqd``, ...) evaluate
+after their own checks.
 
 The module needs only the standard library, so the CLI's table subcommands
 load it without numpy; the log-det rate of a transmittance matrix lives
@@ -62,6 +63,13 @@ def _check_g_scale(g_scale: float) -> None:
 def _check_l(l: int) -> None:
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
+
+
+def _check_scale(l: int, z_exponent: float) -> None:
+    # an int compares with a float exactly, so l converts only once it fits;
+    # l > max / Z alone misses a product that rounds up past max
+    if not (l <= sys.float_info.max and l * z_exponent <= sys.float_info.max):
+        raise ValueError("l * z_exponent must fit a double")
 
 
 def _check_multiplex_ratio(multiplex_ratio: float) -> None:
@@ -197,6 +205,7 @@ def tradeoff_multicarrier(
     """Multicarrier tradeoff l * Z * (1 - multiplex_ratio) on 0 <= ratio <= 1."""
     _check_z_exponent(z_exponent)
     _check_l(l)
+    _check_scale(l, z_exponent)
     return _linear_deltas([multiplex_ratio], l * z_exponent, 1.0)[0]
 
 
@@ -330,6 +339,7 @@ def tradeoff_curve(
             values = _linear_deltas(grid, z_exponent, 1.0, zero_ratio=False)
         elif kind == "multicarrier":
             _check_l(l)
+            _check_scale(l, z_exponent)
             params = {"z_exponent": z_exponent, "l": l}
             values = _linear_deltas(grid, l * z_exponent, 1.0)
         else:

@@ -48,6 +48,13 @@ an upper bound on its outage, the Chernoff bound at theta = 1, so that it
 refuses only points that sampling truly cannot resolve; a zero rate is an
 impossible event.
 
+The diversity slope is fitted to log2 p_hat of the grid points with at
+least one event; ``EmpiricalOutage.excluded`` counts the zero estimates
+left out, and an all-zero grid is refused before any fit.  Every failure
+after sampling (that refusal, fewer than three fitted points, a constant
+grid) carries the partial result, with a NaN slope, as the error's
+``outage``.
+
 Both refusals, and the Wilson z, are plain Python, so no run loads scipy.
 The regularised gamma P(l, x) is the series of Abramowitz & Stegun 6.5.29
 for x < l + 1 and otherwise 1 - Q(l, x), with Q the continued fraction of
@@ -64,9 +71,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -142,6 +148,7 @@ class EmpiricalOutage:
     slope_stderr: float
     successes: tuple
     trials: int
+    excluded: int = 0  # zero estimates left out of the slope fit
 
     def __post_init__(self):
         for name in ("snr_grid", "p_hat", "ci_low", "ci_high", "successes"):
@@ -192,22 +199,15 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 
 def fit_diversity_slope(snr_grid, p_hats) -> SlopeFit:
     """Least-squares slope of log2(p_hat) against log2(snr) with its standard
-    error.  Zero estimates are excluded with a warning; fewer than three
-    surviving points, or a constant snr grid, make the fit impossible."""
+    error.  Every p_hat must be a positive probability, so the caller leaves
+    zero estimates out; fewer than three points, or a constant snr grid, make
+    the fit impossible."""
     grid = np.asarray(snr_grid, dtype=float)
     p = np.asarray(p_hats, dtype=float)
     if grid.shape != p.shape or grid.ndim != 1:
         raise ValueError("snr_grid and p_hats must be equal-length vectors")
-    if np.any(grid <= 0) or np.any(p < 0) or np.any(p > 1):
-        raise ValueError("snr values must be positive and p_hats probabilities")
-    keep = p > 0
-    if not np.all(keep):
-        warnings.warn(
-            f"excluding {int(np.count_nonzero(~keep))} zero outage estimate(s) from the "
-            "slope fit",
-            stacklevel=2,
-        )
-    grid, p = grid[keep], p[keep]
+    if np.any(grid <= 0) or np.any(p <= 0) or np.any(p > 1):
+        raise ValueError("snr values must be positive and p_hats positive probabilities")
     if grid.size < 3:
         raise InsufficientTrialsError(
             f"slope fit needs at least 3 nonzero points, got {grid.size}"
@@ -374,24 +374,24 @@ def _refuse_rare(cfg: TrialConfig, probabilities: list[float], what: str, measur
 def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
     p_hat = [s / cfg.trials for s in successes]
     ci_low, ci_high = zip(*(wilson_interval(s, cfg.trials) for s in successes))
-
-    def build(slope: float, stderr: float) -> EmpiricalOutage:
-        return EmpiricalOutage(
-            cfg.snr_grid, p_hat, ci_low, ci_high, slope, stderr,
-            tuple(successes), cfg.trials,
-        )
-
-    if all(s == 0 for s in successes):
+    grid = [snr for snr, s in zip(cfg.snr_grid, successes) if s]
+    # an all-zero grid is refused before any fit, so nothing is left out
+    excluded = len(successes) - len(grid) if grid else 0
+    partial = EmpiricalOutage(
+        cfg.snr_grid, p_hat, ci_low, ci_high, math.nan, math.nan,
+        tuple(successes), cfg.trials, excluded,
+    )
+    if not grid:
         raise InsufficientTrialsError(
             f"no outage events in {cfg.trials} trials at any grid point; "
             "increase trials or lower the snr grid",
-            outage=build(math.nan, math.nan),
+            outage=partial,
         )
     try:
-        fit = fit_diversity_slope(cfg.snr_grid, p_hat)
-    except InsufficientTrialsError as exc:
-        raise InsufficientTrialsError(str(exc), outage=build(math.nan, math.nan)) from None
-    return build(-fit.slope, fit.stderr)
+        fit = fit_diversity_slope(grid, [p for p in p_hat if p])
+    except (InsufficientTrialsError, DegenerateInputError) as exc:
+        raise type(exc)(str(exc), outage=partial) from None
+    return replace(partial, slope=-fit.slope, slope_stderr=fit.stderr)
 
 
 def _check_threads(threads: int) -> None:

@@ -15,15 +15,18 @@ The optimal collective attack pushes the usable noise to
 
 which only exists while the bracketed term is positive; otherwise the regime
 is degenerate and :class:`~mcqkd.errors.DegenerateRegimeError` is raised.  A
-tiny ``mod_variance`` over a huge bracket underflows the noise to 0, which
-raises ``ValueError``; :func:`optimal_attack_noise` and :func:`rate_report`
-share both checks.
+tiny ``mod_variance`` over a huge bracket underflows the noise to 0, and a
+huge one over a tiny bracket overflows it to inf; either raises
+``ValueError``.  :func:`optimal_attack_noise` and :func:`rate_report` share
+these checks.
 
 Each scalar function checks its own arguments.  :func:`rate_report` checks
 ``mod_variance`` and ``gain_c`` once, before any sub-channel, and per row
 only what depends on the row: a negative fade, the eavesdropper tap of the
 row's transmittance and the attack noise.  Its rates are the expressions
-of the scalar functions, so every cell and total rounds as they give it.
+of the scalar functions, so every cell and total rounds as they give it; a
+total that is not finite (a boosted variance that overflows, say) raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ class RateReport:
     subchannels: tuple
 
     def __post_init__(self):
+        # every cell is >= 0, so an inf cell makes its total inf and a NaN cell NaN
         for name in ("capacity", "svd_capacity", "private_capacity", "svd_private_capacity"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "subchannels", tuple(map(tuple, self.subchannels)))
 
 
@@ -102,12 +106,18 @@ def _attack_noise(mod_variance: float, fade_sq: float, input_noise: float) -> fl
     if not bracket > 0:  # NaN too: inf / inf once mod_variance * fade_sq overflows
         raise DegenerateRegimeError(bracket)
     noise = mod_variance / bracket
+    # mod_variance / bracket underflows to 0 when a tiny mod_variance meets a
+    # huge bracket (an input noise near the top of the double range), and
+    # overflows to inf when a huge mod_variance meets a tiny one
     if not noise > 0:
-        # mod_variance / bracket underflows to 0 when a tiny mod_variance
-        # meets a huge bracket (an input noise near the top of the double range)
         raise ValueError(
             f"optimal-attack noise underflows to {noise}: mod_variance "
             f"{mod_variance} is too small for the attack bracket"
+        )
+    if noise == math.inf:
+        raise ValueError(
+            f"optimal-attack noise overflows to {noise}: mod_variance "
+            f"{mod_variance} is too large for the attack bracket"
         )
     return noise
 
@@ -118,7 +128,8 @@ def optimal_attack_noise(mod_variance: float, fade_sq: float, input_noise: float
     Inverts the bracket (mod*fade + input_noise)/(1 + input_noise*mod*fade) - 1;
     a bracket that is not positive (or NaN) means no finite attack noise
     exists for these parameters and raises :class:`DegenerateRegimeError`
-    carrying the value.  A noise that underflows to 0 raises ``ValueError``.
+    carrying the value.  A noise that underflows to 0 or overflows to inf
+    raises ``ValueError``.
     """
     _check_positive(mod_variance=mod_variance, input_noise=input_noise)
     _check_fade_sq(fade_sq)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ CHANNEL_TEXT = (
 )
 
 MATRIX_TEXT = "0.6:0,0.1:0.2\n0:0.1,0.5:0\n0.2:0,0:0.4\n"
+EXCLUDED_ONE = "warning: excluding 1 zero outage estimate(s) from the slope fit"
 
 
 def run(capsys, *argv):
@@ -244,6 +246,21 @@ class TestSvd:
         code, _ = run(capsys, "svd", "--matrix", str(tmp_path / "nope.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text", ["1e200:0,1e200:0\n1e200:0,-1e200:0\n", "1e200:0\n"], ids=["2x2", "1x1"]
+    )
+    def test_norm_beyond_the_double_range_exits_2(self, capsys, tmp_path, text):
+        """numpy's norm sums the squares unscaled: 1e200 squared overflows,
+        and the norm must not reach recon_error as inf or nan."""
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["svd", "--matrix", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: matrix Frobenius norm must fit a double\n"
+
 
 class TestRates:
     def test_per_channel_rows_and_total(self, capsys, tmp_path):
@@ -295,8 +312,19 @@ class TestRates:
                 "optimal-attack noise underflows to 0.0: mod_variance 1e-20 is too small "
                 "for the attack bracket",
             ),
+            (  # 1e300 over a bracket of 2.2e-16 overflows to inf
+                "vacuum_variance=0.9999999999999999\nre_t=0.5 noise_var=1 eve_w=1\n",
+                ("--mod-variance", "1e300"), 2,
+                "optimal-attack noise overflows to inf: mod_variance 1e+300 is too large "
+                "for the attack bracket",
+            ),
+            (  # the boosted variance 1e308 * (1 + 1) overflows, so the svd cells are inf
+                "vacuum_variance=0.5\nre_t=0.5 noise_var=1 eve_w=1\n",
+                ("--mod-variance", "1e308"), 2,
+                "svd_capacity must be finite and >= 0, got inf",
+            ),
         ],
-        ids=["nan_bracket", "attack_noise_underflow"],
+        ids=["nan_bracket", "attack_noise_underflow", "attack_noise_overflow", "total_overflow"],
     )
     def test_attack_noise_outside_the_double_range(
         self, capsys, tmp_path, text, flags, code, message
@@ -601,24 +629,31 @@ class TestMonteCarloCommand:
         assert all(float(r.split(",")[1]) > 0 for r in data_rows(lines)[:3])
 
     @pytest.mark.parametrize(
-        "snr, code, last",
+        "flags, code, err",
         [
-            ("1.2,1.5,2", 4, "error: slope fit needs at least 3 nonzero points, got 2"),
-            ("1.2,1.3,1.4,2", 0, None),
-            ("1.2,1.2,1.2,2", 3, "error: snr grid is constant; slope undefined"),
+            ("--l 64 --snr 1.2,1.5,2 --trials 100000 --seed 9", 4,
+             [EXCLUDED_ONE, "error: slope fit needs at least 3 nonzero points, got 2"]),
+            ("--l 64 --snr 1.2,1.3,1.4,2 --trials 100000 --seed 9", 0, [EXCLUDED_ONE]),
+            ("--l 64 --snr 1.2,1.2,1.2,2 --trials 100000 --seed 9", 3,
+             [EXCLUDED_ONE, "error: snr grid is constant; slope undefined"]),
+            ("--l 4 --snr 50,60,70 --trials 1000 --seed 3", 4,
+             ["error: no outage events in 1000 trials at any grid point; "
+              "increase trials or lower the snr grid"]),
+            ("--l 4 --snr 2,2,2 --trials 1000 --seed 3", 3,
+             ["error: snr grid is constant; slope undefined"]),
         ],
-        ids=["fit_fails", "fit_succeeds", "constant_grid"],
+        ids=["fit_fails", "fit_succeeds", "constant_grid", "all_zero", "constant_grid_no_zero"],
     )
-    def test_zero_estimates_give_one_warning_line(self, capsys, snr, code, last):
+    def test_zero_estimates_give_one_warning_line(self, capsys, flags, code, err):
         """A zero estimate left out of the slope fit is reported as one
         ``warning:`` line, with no Python warning text, whether or not the
-        fit then has enough points."""
-        argv = ["mc", "--mode", "mean_fade", "--l", "64", "--snr", snr,
-                "--trials", "100000", "--seed", "9"]
-        assert main(argv) == code
-        err = capsys.readouterr().err.splitlines()
-        warning = "warning: excluding 1 zero outage estimate(s) from the slope fit"
-        assert err == [warning] + ([last] if last else [])
+        fit then succeeds.  An all-zero grid is refused before any fit, and a
+        constant grid without zero estimates leaves nothing out: neither
+        prints a ``warning:`` line."""
+        assert main(["mc", "--mode", "mean_fade", *flags.split()]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == err
+        assert (captured.out == "") == (code != 0)
 
     def test_refusal_exit_code(self, capsys):
         code = main([
@@ -725,6 +760,10 @@ class TestTableWideParametersFirst:
              "z_exponent must be finite and >= 1, got 0.5"),
             (("tradeoff", "--kind", "multicarrier", "--l", "0"), "--grid", ("0.5", "-1"),
              "l must be >= 1, got 0"),
+            (("tradeoff", "--kind", "multicarrier", "--l", str(10**400)), "--grid", ("0.5", "-1"),
+             "l * z_exponent must fit a double"),
+            (("tradeoff", "--kind", "multicarrier", "--l", "10", "--z", "1e308"), "--grid",
+             ("0.5", "-1"), "l * z_exponent must fit a double"),
             (("tradeoff", "--kind", "g_scaled", "--g", "nan"), "--grid", ("0.5", "-1"),
              "g_scale must be finite, got nan"),
             (("tradeoff", "--kind", "multiaccess_in_le_out", "--k-in", "0", "--k-out", "3"),
@@ -738,7 +777,8 @@ class TestTableWideParametersFirst:
             (("tradeoff", "--kind", "orthogonal_complement", "--k-in", BIG_K, "--k-out", BIG_K),
              "--grid", ("0.5", "-1"), "K_in * K_out must fit a double"),
         ],
-        ids=["perr-multiplex", "single-z", "multicarrier-z", "multicarrier-l", "g_scaled-g",
+        ids=["perr-multiplex", "single-z", "multicarrier-z", "multicarrier-l",
+             "multicarrier-huge-l", "multicarrier-l-times-z", "g_scaled-g",
              "k_in", "k_out", "k_in-and-k_out", "k_out-alone", "complement-k"],
     )
     def test_exit_2_in_either_grid_order(self, capsys, argv, grid_flag, grid, message, bad_point_first):

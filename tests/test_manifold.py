@@ -1,6 +1,7 @@
 """Outage power laws, tradeoff curves, dimension counting and the log-det
 rate."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,19 @@ class TestTradeoffFamilies:
 
     def test_multicarrier_allows_zero_ratio(self):
         assert tradeoff_multicarrier(0.0, 1.0, 3) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize(
+        "l, z",
+        [(10**400, 1.0), (10, 1e308),
+         # l <= max / Z, but l * Z rounds up past the largest double
+         (int(sys.float_info.max / 1.2754035088855806), 1.2754035088855806)],
+        ids=["huge-l", "l-times-z", "product-rounds-up"],
+    )
+    def test_multicarrier_scale_must_fit_a_double(self, l, z):
+        with pytest.raises(ValueError, match=r"l \* z_exponent must fit a double") as excinfo:
+            tradeoff_multicarrier(0.5, z, l)
+        assert not isinstance(excinfo.value, DomainError)
+        assert tradeoff_multicarrier(0.0, 1e308, 1) == 1e308
 
     def test_g_scaled(self):
         assert tradeoff_g_scaled(0.3, 1.0, 0.0) == pytest.approx(tradeoff_multicarrier(0.3, 1.0, 1))

@@ -114,18 +114,19 @@ class TestSlopeFit:
         fit = fit_diversity_slope(grid, p)
         assert_allclose(fit.slope, ls_slope(np.log2(grid), np.log2(p)), rtol=1e-12)
 
-    def test_zero_estimates_excluded_with_warning(self):
-        grid = np.array([10.0, 31.6, 100.0, 316.0])
-        p = np.array([1e-2, 1e-3, 1e-4, 0.0])
-        with pytest.warns(UserWarning, match="zero outage estimate"):
-            fit = fit_diversity_slope(grid, p)
-        clean = fit_diversity_slope(grid[:3], p[:3])
-        assert_allclose(fit.slope, clean.slope, rtol=1e-12)
+    def test_zero_estimates_excluded_and_counted(self):
+        cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=(10.0, 31.6, 100.0, 316.0),
+                          trials=10_000, seed=1)
+        out = montecarlo._assemble(cfg, [100, 10, 1, 0])
+        assert out.excluded == 1 and out.p_hat[3] == 0.0
+        clean = fit_diversity_slope(cfg.snr_grid[:3], out.p_hat[:3])
+        assert_allclose(out.slope, -clean.slope, rtol=1e-12)
 
     def test_too_few_nonzero_points(self):
-        with pytest.warns(UserWarning):
-            with pytest.raises(InsufficientTrialsError):
-                fit_diversity_slope(GRID, [1e-2, 1e-3, 0.0])
+        cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=1000, seed=1)
+        with pytest.raises(InsufficientTrialsError, match="at least 3 nonzero points, got 2") as info:
+            montecarlo._assemble(cfg, [10, 1, 0])
+        assert info.value.outage.excluded == 1 and math.isnan(info.value.outage.slope)
 
     def test_constant_grid_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -138,11 +139,46 @@ class TestSlopeFit:
             ([10.0, -5.0, 100.0], [0.1, 0.01, 0.001]),
             ([10.0, 31.6, 100.0], [0.1, 1.5, 0.001]),
             ([10.0, 31.6, 100.0], [0.1, -0.2, 0.001]),
+            ([10.0, 31.6, 100.0], [0.1, 0.0, 0.001]),
         ],
     )
     def test_shape_and_range_validation(self, grid, p):
         with pytest.raises(ValueError):
             fit_diversity_slope(grid, p)
+
+
+class TestExcludedCount:
+    """``EmpiricalOutage.excluded`` counts the zero estimates left out of the
+    slope fit, on a result and on the partial result of each failure."""
+
+    def _cfg(self, snr_grid):
+        return TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=snr_grid, trials=1000, seed=1)
+
+    def test_no_zero_estimate_counts_zero(self):
+        assert montecarlo._assemble(self._cfg(GRID), [100, 10, 1]).excluded == 0
+
+    def test_sampled_zero_estimate_is_counted(self):
+        cfg = TrialConfig(l=64, multiplex_ratio=0.0, snr_grid=(1.2, 1.3, 1.4, 2.0),
+                          trials=100_000, seed=9)
+        out = estimate_mean_fade_outage(cfg)
+        assert out.successes[3] == 0 and out.excluded == 1 and out.slope > 0
+
+    @pytest.mark.parametrize(
+        "grid, successes, error, match, excluded",
+        [
+            # the all-zero refusal runs no fit, so it leaves nothing out
+            (GRID, [0, 0, 0], InsufficientTrialsError, "no outage events", 0),
+            ((10.0, 10.0, 10.0, 100.0), [5, 5, 5, 0], DegenerateInputError, "constant", 1),
+            ((10.0, 10.0, 10.0), [5, 5, 5], DegenerateInputError, "constant", 0),
+        ],
+        ids=["all_zero", "constant_grid", "constant_grid_no_zero"],
+    )
+    def test_each_failure_carries_its_count(self, grid, successes, error, match, excluded):
+        with pytest.raises(error, match=match) as info:
+            montecarlo._assemble(self._cfg(grid), successes)
+        outage = info.value.outage
+        assert outage.excluded == excluded and math.isnan(outage.slope)
+        assert outage.successes == tuple(successes)
 
 
 class TestTrialConfig:

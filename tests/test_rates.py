@@ -102,6 +102,16 @@ class TestOptimalAttackNoise:
             "is too small for the attack bracket"
         )
 
+    def test_overflow_is_named_as_in_the_rate_report(self):
+        # 1e300 over a bracket of about 2.2e-16 is inf
+        with pytest.raises(ValueError) as info:
+            optimal_attack_noise(1e300, 0.5, 0.9999999999999999)
+        assert not isinstance(info.value, DomainError)
+        assert str(info.value) == (
+            "optimal-attack noise overflows to inf: mod_variance 1e+300 "
+            "is too large for the attack bracket"
+        )
+
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError):
             optimal_attack_noise(0.0, 0.5, 2.0)
@@ -190,6 +200,13 @@ class TestRateReport:
             "optimal-attack noise underflows to 0.0: mod_variance 1e-20 "
             "is too small for the attack bracket"
         )
+
+    def test_total_that_overflows_is_rejected(self):
+        # the boosted variance 1e308 * (1 + 1) is inf, and so is each svd cell
+        sub = SubchannelParams.from_real(0.5, 1.0)
+        with pytest.raises(ValueError, match="svd_capacity must be finite and >= 0, got inf") as info:
+            rate_report(ChannelModel((sub,), 1, vacuum_variance=0.5), 1e308)
+        assert not isinstance(info.value, DomainError)
 
     def test_svd_totals_dominate(self):
         report = rate_report(self.make_model(), 1.0, gain_c=0.7)
