@@ -16,7 +16,8 @@ File format accepted by :func:`load_channel_model` (one record per line):
     re_t=0.5 noise_var=1.0 eve_w=1.2
     re_t=0.3, noise_var=0.9, eve_w=1.0
 
-Record keys may be separated by whitespace or commas.  ``re_t`` and
+Each directive may be given once.  Record keys may be separated by
+whitespace or commas.  ``re_t`` and
 ``noise_var`` are required, ``eve_w`` is optional and defaults to 1 (a passive
 eavesdropper port in the vacuum state).
 """
@@ -210,6 +211,8 @@ def load_channel_model(path) -> ChannelModel:
                     if records:
                         raise ValueError("directives must precede sub-channel records")
                     for key, value in fields.items():
+                        if key in directives:
+                            raise ValueError(f"duplicate key {key!r}")
                         directives[key] = _parse_directive(key, value)
                         where[key] = lineno
             except ValueError as exc:

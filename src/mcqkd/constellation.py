@@ -51,7 +51,6 @@ class PermutationConstellation:
 
     base: PhaseConstellation
     perms: tuple
-    seed: int
 
     def __post_init__(self):
         n = len(self.base.points)
@@ -142,7 +141,7 @@ def permute_constellation(
     rng = np.random.default_rng(seed)
     n = len(base.points)
     perms = tuple(tuple(rng.permutation(n).tolist()) for _ in range(l - 1))
-    return PermutationConstellation(base, perms, int(seed))
+    return PermutationConstellation(base, perms)
 
 
 def product_distance(diffs, secret_rate: float, c: float = 1.0) -> ProductDistance:

@@ -19,14 +19,12 @@ class DegenerateRegimeError(DomainError):
     the ``bracket`` attribute for diagnostics.
     """
 
-    def __init__(self, bracket: float, message: str | None = None):
+    def __init__(self, bracket: float):
         self.bracket = float(bracket)
-        if message is None:
-            message = (
-                "optimal-attack noise undefined: the inverted SNR bracket "
-                f"is {self.bracket:.6g} (must be > 0)"
-            )
-        super().__init__(message)
+        super().__init__(
+            "optimal-attack noise undefined: the inverted SNR bracket "
+            f"is {self.bracket:.6g} (must be > 0)"
+        )
 
 
 class SingularNoiseError(DomainError):

@@ -20,9 +20,8 @@ and the dimensions (that l * Z and K_in * K_out fit a double included)
 before any grid point, then each point against the curve's multiplex-ratio
 domain, and :func:`perr_rows` checks the multiplex ratio and every l before
 any snr, then each snr >= 1.  Every cell is then a plain scalar
-expression, the same one the single-point functions (``tradeoff_single``,
-``tradeoff_multiaccess``, ``perr_single``, ``perr_amqd``, ...) evaluate
-after their own checks.
+expression.  The single-point functions ``tradeoff_multiaccess``,
+``perr_single`` and ``perr_amqd`` are one-point calls of these tables.
 
 The module needs only the standard library, so the CLI's table subcommands
 load it without numpy; the log-det rate of a transmittance matrix lives
@@ -48,28 +47,9 @@ CURVE_KINDS = (
 )
 
 
-def _check_z_exponent(z_exponent: float) -> None:
-    if not (math.isfinite(z_exponent) and z_exponent >= 1.0):
-        raise ValueError(f"z_exponent must be finite and >= 1, got {z_exponent}")
-
-
-def _check_g_scale(g_scale: float) -> None:
-    if not math.isfinite(g_scale):
-        raise ValueError(f"g_scale must be finite, got {g_scale}")
-    if not 0.0 <= g_scale < 1.0:
-        raise DomainError(f"g_scale must lie in [0, 1), got {g_scale}")
-
-
 def _check_l(l: int) -> None:
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-
-
-def _check_scale(l: int, z_exponent: float) -> None:
-    # an int compares with a float exactly, so l converts only once it fits;
-    # l > max / Z alone misses a product that rounds up past max
-    if not (l <= sys.float_info.max and l * z_exponent <= sys.float_info.max):
-        raise ValueError("l * z_exponent must fit a double")
 
 
 def _check_multiplex_ratio(multiplex_ratio: float) -> None:
@@ -111,10 +91,9 @@ class ExponentialOutage(NamedTuple):
 @dataclass(frozen=True)
 class TradeoffCurve:
     """A sampled diversity-multiplexing curve, as :func:`tradeoff_curve`
-    builds it: a known kind and a non-empty tuple of (sigma, delta) float
-    pairs with delta >= 0."""
+    builds it: the family's parameters and a non-empty tuple of
+    (sigma, delta) float pairs with delta >= 0."""
 
-    kind: str
     params: dict
     points: tuple
 
@@ -129,28 +108,21 @@ def require_unit_snr(snr: float) -> None:
         raise DomainError(f"power-law outage needs snr >= 1, got {snr}")
 
 
-def _perr_exponent(multiplex_ratio: float, l: int = 1) -> float:
-    """The power of snr in the outage power law, -(l * (1 - multiplex_ratio))."""
-    return -(l * (1.0 - multiplex_ratio))
-
-
 def perr_single(p: OutageParams) -> float:
     """Single-carrier outage power law snr ** -(1 - multiplex_ratio)."""
-    require_unit_snr(p.snr)
-    return _clamp_probability(p.snr ** _perr_exponent(p.multiplex_ratio))
+    return perr_rows([p.snr], p.multiplex_ratio, ())[0][0]
 
 
 def perr_amqd(p: OutageParams) -> float:
     """Multicarrier outage power law snr ** -(l * (1 - multiplex_ratio)):
     the l active sub-channels multiply the decay exponent."""
-    require_unit_snr(p.snr)
-    return _clamp_probability(p.snr ** _perr_exponent(p.multiplex_ratio, p.l))
+    return perr_rows([p.snr], p.multiplex_ratio, (p.l,))[0][1]
 
 
 def perr_rows(snr_grid, multiplex_ratio: float, l_values) -> list[tuple]:
     """The outage power-law table: for each snr of ``snr_grid`` one row
-    holding :func:`perr_single` and then :func:`perr_amqd` at each l of
-    ``l_values``, with the same values.
+    holding snr ** -(1 - multiplex_ratio) and then
+    snr ** -(l * (1 - multiplex_ratio)) at each l of ``l_values``.
 
     ``multiplex_ratio`` and every l are checked once, with the messages of
     :class:`OutageParams`, before any snr; each snr must be >= 1.
@@ -158,7 +130,7 @@ def perr_rows(snr_grid, multiplex_ratio: float, l_values) -> list[tuple]:
     _check_multiplex_ratio(multiplex_ratio)
     for l in l_values:
         _check_l(l)
-    exponents = [_perr_exponent(multiplex_ratio, l) for l in (1, *l_values)]
+    exponents = [-(l * (1.0 - multiplex_ratio)) for l in (1, *l_values)]
     # snr >= 1 and every exponent <= 0, so each cell already lies in [0, 1]
     rows = []
     for snr in snr_grid:
@@ -191,32 +163,6 @@ def _linear_deltas(grid, scale: float, damping: float, *, zero_ratio: bool = Tru
             interval = "[0, 1]" if zero_ratio else "(0, 1]"
             raise DomainError(f"multiplex_ratio must lie in {interval}, got {s}")
     return [scale * (1.0 - s) * damping for s in grid]
-
-
-def tradeoff_single(multiplex_ratio: float, z_exponent: float = 1.0) -> float:
-    """Single-carrier tradeoff Z * (1 - multiplex_ratio) on 0 < ratio <= 1."""
-    _check_z_exponent(z_exponent)
-    return _linear_deltas([multiplex_ratio], z_exponent, 1.0, zero_ratio=False)[0]
-
-
-def tradeoff_multicarrier(
-    multiplex_ratio: float, z_exponent: float = 1.0, l: int = 1
-) -> float:
-    """Multicarrier tradeoff l * Z * (1 - multiplex_ratio) on 0 <= ratio <= 1."""
-    _check_z_exponent(z_exponent)
-    _check_l(l)
-    _check_scale(l, z_exponent)
-    return _linear_deltas([multiplex_ratio], l * z_exponent, 1.0)[0]
-
-
-def tradeoff_g_scaled(
-    multiplex_ratio: float, z_exponent: float = 1.0, g_scale: float = 0.0
-) -> float:
-    """Single-carrier tradeoff damped by an interference scale g:
-    Z * (1 - multiplex_ratio) * (1 - g)."""
-    _check_z_exponent(z_exponent)
-    _check_g_scale(g_scale)
-    return _linear_deltas([multiplex_ratio], z_exponent, 1.0 - g_scale)[0]
 
 
 def _check_dims(k_in: int, k_out: int) -> None:
@@ -305,10 +251,8 @@ def tradeoff_multiaccess(k_in: int, k_out: int, multiplex_ratio: float) -> float
     interpolation through the integer knots (i, (K_in - i) * (K_out - i)),
     i = 0..min(K_in, K_out), and zero beyond the last knot.
     """
-    _check_dims(k_in, k_out)
-    if k_in <= k_out:
-        _check_knots(k_in, k_out)
-    return _multiaccess_deltas([multiplex_ratio], k_in, k_out)[0]
+    kind = "multiaccess_in_gt_out" if k_in > k_out else "multiaccess_in_le_out"
+    return tradeoff_curve(kind, [multiplex_ratio], k_in=k_in, k_out=k_out).points[0][1]
 
 
 def tradeoff_curve(
@@ -333,20 +277,27 @@ def tradeoff_curve(
     if not grid:
         raise ValueError("sigma_grid must be non-empty")
     if kind in ("single", "multicarrier", "g_scaled"):
-        _check_z_exponent(z_exponent)
+        if not (math.isfinite(z_exponent) and z_exponent >= 1.0):
+            raise ValueError(f"z_exponent must be finite and >= 1, got {z_exponent}")
         if kind == "single":
             params = {"z_exponent": z_exponent}
             values = _linear_deltas(grid, z_exponent, 1.0, zero_ratio=False)
         elif kind == "multicarrier":
             _check_l(l)
-            _check_scale(l, z_exponent)
+            # an int compares with a float exactly, so l converts only once it
+            # fits; l > max / Z alone misses a product that rounds up past max
+            if not (l <= sys.float_info.max and l * z_exponent <= sys.float_info.max):
+                raise ValueError("l * z_exponent must fit a double")
             params = {"z_exponent": z_exponent, "l": l}
             values = _linear_deltas(grid, l * z_exponent, 1.0)
         else:
-            _check_g_scale(g_scale)
+            if not math.isfinite(g_scale):
+                raise ValueError(f"g_scale must be finite, got {g_scale}")
+            if not 0.0 <= g_scale < 1.0:
+                raise DomainError(f"g_scale must lie in [0, 1), got {g_scale}")
             params = {"z_exponent": z_exponent, "g_scale": g_scale}
             values = _linear_deltas(grid, z_exponent, 1.0 - g_scale)
-        return TradeoffCurve(kind, params, tuple(zip(grid, values)))
+        return TradeoffCurve(params, tuple(zip(grid, values)))
     if k_in is None or k_out is None:
         raise ValueError(f"curve kind {kind!r} needs k_in and k_out")
     if kind == "multiaccess_in_gt_out":
@@ -359,4 +310,4 @@ def tradeoff_curve(
         _check_knots(k_in, k_out)
     deltas = _complement_deltas if kind == "orthogonal_complement" else _multiaccess_deltas
     values = deltas(grid, k_in, k_out)
-    return TradeoffCurve(kind, {"k_in": k_in, "k_out": k_out}, tuple(zip(grid, values)))
+    return TradeoffCurve({"k_in": k_in, "k_out": k_out}, tuple(zip(grid, values)))

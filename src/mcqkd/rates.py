@@ -86,20 +86,6 @@ def subchannel_capacity(mod_variance: float, fade_sq: float, noise_variance: flo
     return _capacity(mod_variance, fade_sq, noise_variance)
 
 
-def _check_gain_c(gain_c: float) -> None:
-    if not gain_c > 0:
-        raise ValueError(f"gain_c must be > 0, got {gain_c}")
-
-
-def svd_capacity(
-    mod_variance: float, gain_c: float, fade_sq: float, noise_variance: float
-) -> float:
-    """Capacity with the eigenchannel-compensated modulation variance
-    mod_variance * (1 + gain_c)."""
-    _check_gain_c(gain_c)
-    return subchannel_capacity(mod_variance * (1.0 + gain_c), fade_sq, noise_variance)
-
-
 def _attack_noise(mod_variance: float, fade_sq: float, input_noise: float) -> float:
     signal = mod_variance * fade_sq
     bracket = (signal + input_noise) / (1.0 + input_noise * signal) - 1.0
@@ -173,7 +159,9 @@ def rate_report(
             f"expected {len(active)} fade values, got {len(fades_sq)}"
         )
     _check_positive(mod_variance=mod_variance)
-    _check_gain_c(gain_c)
+    if not gain_c > 0:
+        raise ValueError(f"gain_c must be > 0, got {gain_c}")
+    # the eigenchannel-compensated modulation variance of the svd columns
     boosted = mod_variance * (1.0 + gain_c)
     # totals add one sub-channel at a time, in order: sum() is compensated from
     # Python 3.12 on and np.sum is pairwise, and either changes the last bits
@@ -186,8 +174,9 @@ def rate_report(
             sub.eve_epr_variance, eve_transmittance(sub.transmittance), channel.vacuum_variance
         )
         noise_star = _attack_noise(mod_variance, fade_sq, input_noise)
-        # the expressions of subchannel_capacity, svd_capacity and (twice)
-        # private_capacity_complex, so each rate rounds as those give it
+        # the expressions of subchannel_capacity (at mod_variance and at the
+        # boosted variance) and of private_capacity_complex, so each rate
+        # rounds as those give it
         row = (
             fade_sq,
             noise_star,

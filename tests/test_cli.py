@@ -261,6 +261,25 @@ class TestSvd:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: matrix Frobenius norm must fit a double\n"
 
+    def test_output_count_bounded_before_the_decomposition(self, capsys, tmp_path, monkeypatch):
+        """The decomposition allocates K_out x K_out arrays, so K_out^2 is
+        bounded as the table sizes are, before any of them is built."""
+        from mcqkd import singular_layer
+
+        calls = []
+        real = singular_layer.svd_decompose
+        monkeypatch.setattr(singular_layer, "svd_decompose", lambda m: calls.append(m) or real(m))
+        p = tmp_path / "m.csv"
+        p.write_text(MATRIX_TEXT)  # 3 outputs
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 8)
+        code = main(["svd", "--matrix", str(p)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        assert captured.err == "error: 3 outputs need a 3 x 3 unitary, more than 8 entries\n"
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 9)
+        code, _ = run(capsys, "svd", "--matrix", str(p))
+        assert code == 0 and len(calls) == 1
+
 
 class TestRates:
     def test_per_channel_rows_and_total(self, capsys, tmp_path):
@@ -386,6 +405,9 @@ class TestRates:
             ("vacuum_variance=inf", "vacuum_variance must be finite and positive, got inf"),
             ("vacuum_variance=0", "vacuum_variance must be finite and positive, got 0.0"),
             ("vacuum_variance=one", "vacuum_variance must be a number, got 'one'"),
+            # a directive given again on a later line
+            ("active_count=1\nactive_count=1", "duplicate key 'active_count'"),
+            ("vacuum_variance=1\nvacuum_variance=2", "duplicate key 'vacuum_variance'"),
         ],
     )
     def test_bad_channel_directive_exits_2_at_its_line(self, capsys, tmp_path, directive, message):
@@ -394,7 +416,8 @@ class TestRates:
         code = main(["rates", "--channel", str(p), "--mod-variance", "1.2"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == f"error: {p}:2: {message}\n"
+        # the directive's last line is the bad one
+        assert captured.err == f"error: {p}:{2 + directive.count(chr(10))}: {message}\n"
 
 
 class TestConstellation:
@@ -922,3 +945,33 @@ def test_recorded_mc_bytes(tmp_path, capsys, monkeypatch, recorded, threads):
     ])
     assert (code, capsys.readouterr().err) == (0, "")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded["sha256"]
+
+
+BENCH_13_BYTES = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCH_13.json").read_text()
+)["byte_identity"]
+# (argv, exit code, the recorded stream, its sha256) of every recorded table run
+# that reads no file: tradeoff, perr and constellation.  The missing-channel-file
+# exit is left out, as its message names a path of the recording host.
+RECORDED_TABLES = [
+    (argv, 0, "stdout", rec["stdout_sha256"])
+    for argv, rec in BENCH_13_BYTES["successful"].items() if "data/" not in argv
+] + [
+    (argv, rec["exit"], "stderr", rec["stderr_sha256"])
+    for argv, rec in BENCH_13_BYTES["error_exits"].items() if "data/" not in argv
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, sha256", RECORDED_TABLES,
+                         ids=[r[0] for r in RECORDED_TABLES])
+def test_recorded_table_bytes(capsys, argv, code, stream, sha256):
+    """The 101 table configurations and 4 error exits of ``BENCH_13.json``
+    that read no file keep their exit code and recorded stream, and write
+    nothing to the other stream.  A regression pin on output bytes, not a
+    correctness oracle."""
+    got = main(argv.split())
+    captured = capsys.readouterr()
+    recorded, other = (
+        (captured.out, captured.err) if stream == "stdout" else (captured.err, captured.out)
+    )
+    assert (got, hashlib.sha256(recorded.encode()).hexdigest(), other) == (code, sha256, "")

@@ -115,7 +115,7 @@ class TestPermutations:
     def test_a_perm_that_misses_an_index_is_rejected(self, perm):
         base = build_constellation(2.0)
         with pytest.raises(ValueError, match="rearrange all point indices"):
-            PermutationConstellation(base, ((3, 2, 1, 0), perm), 0)
+            PermutationConstellation(base, ((3, 2, 1, 0), perm))
 
     def test_uniform_over_permutation_group(self):
         # 4-point base: 24 possible orderings, swept over ten thousand seeds

@@ -16,11 +16,10 @@ from mcqkd.channel import (  # noqa: E402
     ChannelModel, SubchannelParams, eve_transmittance, total_input_noise,
 )
 from mcqkd.manifold import (  # noqa: E402
-    OutageParams, perr_amqd, perr_rows, perr_single, tradeoff_curve,
+    OutageParams, perr_rows, tradeoff_curve,
 )
 from mcqkd.rates import (  # noqa: E402
     optimal_attack_noise, private_capacity_complex, rate_report, subchannel_capacity,
-    svd_capacity,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -47,22 +46,11 @@ snr_values = st.one_of(
     l_values=st.lists(st.integers(1, 5000), min_size=1, max_size=6),
 )
 def test_perr_rows_match_the_per_cell_outage_params_rule(snr, ratio, l_values):
-    rows = perr_rows(snr, ratio, l_values)
-    want = [
-        (
-            perr_single(OutageParams(s, ratio)),
-            *(perr_amqd(OutageParams(s, ratio, l=v)) for v in l_values),
-        )
-        for s in snr
-    ]
-    same(rows, want)
-    # the power law as each cell computed it: snr ** -(l * (1 - ratio)), clamped
-    clamp = lambda p: min(max(p, 0.0), 1.0)  # noqa: E731
+    # the power law of each cell: snr ** -(l * (1 - ratio)), l = 1 first
     literal = [
-        (clamp(s ** -(1.0 - ratio)), *(clamp(s ** -(v * (1.0 - ratio))) for v in l_values))
-        for s in snr
+        (s ** -(1.0 - ratio), *(s ** -(v * (1.0 - ratio)) for v in l_values)) for s in snr
     ]
-    same(rows, literal)
+    same(perr_rows(snr, ratio, l_values), literal)
 
 
 @SETTINGS
@@ -216,7 +204,7 @@ def report_per_row(model, mod_variance, gain_c, fades_sq):
         noise_star = optimal_attack_noise(mod_variance, fade_sq, input_noise)
         rates = (
             subchannel_capacity(mod_variance, fade_sq, sub.noise_variance),
-            svd_capacity(mod_variance, gain_c, fade_sq, sub.noise_variance),
+            subchannel_capacity(mod_variance * (1.0 + gain_c), fade_sq, sub.noise_variance),
             private_capacity_complex(mod_variance, fade_sq, noise_star),
             private_capacity_complex(mod_variance * (1.0 + gain_c), fade_sq, noise_star),
         )

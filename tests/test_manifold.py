@@ -18,10 +18,7 @@ from mcqkd.manifold import (
     perr_rank_outage,
     perr_single,
     tradeoff_curve,
-    tradeoff_g_scaled,
     tradeoff_multiaccess,
-    tradeoff_multicarrier,
-    tradeoff_single,
 )
 from mcqkd.singular_layer import TransmittanceMatrix, log_det_rate, svd_decompose
 
@@ -91,31 +88,33 @@ class TestExponentialOutage:
                 assert e <= q + 1e-15
 
 
+def delta(kind, ratio, **params):
+    """The tradeoff table's value at one multiplex ratio."""
+    return tradeoff_curve(kind, [ratio], **params).points[0][1]
+
+
 class TestTradeoffFamilies:
     def test_single_values(self):
-        assert tradeoff_single(1.0) == 0.0
-        assert tradeoff_single(0.5, z_exponent=2.0) == pytest.approx(1.0)
-        assert tradeoff_single(0.25) == pytest.approx(0.75)
+        assert delta("single", 1.0) == 0.0
+        assert delta("single", 0.5, z_exponent=2.0) == pytest.approx(1.0)
+        assert delta("single", 0.25) == pytest.approx(0.75)
 
     def test_single_domain_is_half_open(self):
         with pytest.raises(DomainError):
-            tradeoff_single(0.0)
+            delta("single", 0.0)
         with pytest.raises(DomainError):
-            tradeoff_single(1.2)
+            delta("single", 1.2)
 
     def test_multicarrier_reduction_and_gain(self):
         for ratio in (0.2, 0.6, 1.0):
-            assert tradeoff_multicarrier(ratio, 1.0, 1) == pytest.approx(
-                tradeoff_single(ratio)
-            )
-        assert tradeoff_multicarrier(0.6, 1.0, 5) == pytest.approx(2.0)
-        # l-fold manifold gain relative to the single-carrier curve
+            assert delta("multicarrier", ratio, l=1) == pytest.approx(1.0 - ratio)
+        assert delta("multicarrier", 0.6, l=5) == pytest.approx(2.0)
+        # l-fold manifold gain relative to the single-carrier line
         for ratio in np.linspace(0.1, 0.9, 9):
-            ratio_gain = tradeoff_multicarrier(ratio, 1.0, 7) / tradeoff_single(ratio)
-            assert ratio_gain == pytest.approx(7.0)
+            assert delta("multicarrier", ratio, l=7) / (1.0 - ratio) == pytest.approx(7.0)
 
     def test_multicarrier_allows_zero_ratio(self):
-        assert tradeoff_multicarrier(0.0, 1.0, 3) == pytest.approx(3.0)
+        assert delta("multicarrier", 0.0, l=3) == pytest.approx(3.0)
 
     @pytest.mark.parametrize(
         "l, z",
@@ -126,25 +125,23 @@ class TestTradeoffFamilies:
     )
     def test_multicarrier_scale_must_fit_a_double(self, l, z):
         with pytest.raises(ValueError, match=r"l \* z_exponent must fit a double") as excinfo:
-            tradeoff_multicarrier(0.5, z, l)
+            delta("multicarrier", 0.5, z_exponent=z, l=l)
         assert not isinstance(excinfo.value, DomainError)
-        assert tradeoff_multicarrier(0.0, 1e308, 1) == 1e308
+        assert delta("multicarrier", 0.0, z_exponent=1e308, l=1) == 1e308
 
     def test_g_scaled(self):
-        assert tradeoff_g_scaled(0.3, 1.0, 0.0) == pytest.approx(tradeoff_multicarrier(0.3, 1.0, 1))
-        assert tradeoff_g_scaled(0.0, 1.0, 0.5) == pytest.approx(0.5)
+        assert delta("g_scaled", 0.3, g_scale=0.0) == pytest.approx(0.7)
+        assert delta("g_scaled", 0.0, g_scale=0.5) == pytest.approx(0.5)
         for g in (0.1, 0.5, 0.9):
             for ratio in (0.0, 0.4, 0.8):
-                assert tradeoff_g_scaled(ratio, 1.0, g) <= tradeoff_multicarrier(
-                    ratio, 1.0, 1
-                )
+                assert delta("g_scaled", ratio, g_scale=g) <= 1.0 - ratio
         with pytest.raises(DomainError):
-            tradeoff_g_scaled(0.3, 1.0, 1.0)
+            delta("g_scaled", 0.3, g_scale=1.0)
 
     @pytest.mark.parametrize("g_scale", [np.nan, np.inf, -np.inf])
     def test_non_finite_g_scale_is_a_configuration_error(self, g_scale):
         with pytest.raises(ValueError, match="finite") as excinfo:
-            tradeoff_g_scaled(0.3, 1.0, g_scale)
+            delta("g_scaled", 0.3, g_scale=g_scale)
         assert not isinstance(excinfo.value, DomainError)
 
     def test_multiaccess_in_gt_out(self):

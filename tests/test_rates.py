@@ -13,7 +13,6 @@ from mcqkd.rates import (
     private_capacity_complex,
     rate_report,
     subchannel_capacity,
-    svd_capacity,
 )
 
 HALF_LOG2_3 = 0.5 * np.log2(3.0)
@@ -45,25 +44,33 @@ class TestSubchannelCapacity:
         assert min(caps) >= 0.0
 
 
+def svd_capacity(mod_variance, gain_c, fade_sq, noise_variance):
+    """The gain-boosted capacity of one sub-channel, as ``rate_report``'s
+    ``svd_capacity`` column gives it.  eve_w = 2 and |T|^2 = 1/2 make the
+    input noise 2, so the attack exists wherever mod_variance * fade_sq < 1."""
+    sub = SubchannelParams.from_real(0.5, noise_variance, eve_epr_variance=2.0)
+    return rate_report(ChannelModel((sub,), 1), mod_variance, gain_c, [fade_sq]).svd_capacity
+
+
 class TestSvdCapacity:
     def test_small_gain_limit(self):
-        base = subchannel_capacity(1.0, 0.7, 0.9)
         boosted = svd_capacity(1.0, 1e-12, 0.7, 0.9)
-        assert boosted == pytest.approx(base, abs=1e-11)
+        assert boosted == pytest.approx(0.5 * math.log2(1.0 + 0.7 / 0.9), abs=1e-11)
 
     def test_hand_value(self):
-        assert svd_capacity(1.0, 1.0, 1.0, 1.0) == pytest.approx(HALF_LOG2_3)
+        # (1/2) log2(1 + 0.5 * (1 + 1) * 1 / 0.5)
+        assert svd_capacity(0.5, 1.0, 1.0, 0.5) == pytest.approx(HALF_LOG2_3)
 
     def test_strictly_increasing_in_gain(self):
         gains = np.linspace(0.1, 3.0, 15)
-        caps = [svd_capacity(1.0, c, 1.0, 1.0) for c in gains]
+        caps = [svd_capacity(0.5, c, 1.0, 1.0) for c in gains]
         assert np.all(np.diff(caps) > 0)
 
     def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ValueError):
-            svd_capacity(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            svd_capacity(1.0, -0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="gain_c must be > 0, got 0.0"):
+            svd_capacity(1.0, 0.0, 0.7, 0.9)
+        with pytest.raises(ValueError, match="gain_c must be > 0, got -0.5"):
+            svd_capacity(1.0, -0.5, 0.7, 0.9)
 
 
 class TestOptimalAttackNoise:

@@ -27,11 +27,7 @@ KEEP = {
     "constellation.CodewordPair": "item 4, sampled codeword error",
     "constellation.pairwise_error": "item 4, sampled codeword error",
     "constellation.product_distance": "item 4, sampled codeword error",
-    "manifold.tradeoff_single": "item 5, per-point reference of the tradeoff table",
-    "manifold.tradeoff_multicarrier": "item 5, per-point reference of the tradeoff table",
-    "manifold.tradeoff_g_scaled": "item 5, per-point reference of the tradeoff table",
     "manifold.perr_rank_outage": "item 6, sampled multiaccess tradeoff",
-    "rates.svd_capacity": "item 5, a rate never exceeds its boosted counterpart",
     "singular_layer.log_det_rate": "item 6, sampled multiaccess tradeoff",
 }
 
