@@ -65,8 +65,6 @@ class SubchannelParams:
             raise ValueError(
                 f"transmittance real part must lie in [0, 1/sqrt(2)], got {t.real}"
             )
-        if abs(t) ** 2 > 1.0 + 1e-12:
-            raise ValueError(f"|T|^2 must not exceed 1, got {abs(t)**2}")
         if not self.noise_variance > 0:
             raise ValueError(f"noise_variance must be positive, got {self.noise_variance}")
         if not self.eve_epr_variance >= 1.0:

@@ -277,12 +277,6 @@ def _run_svd(args) -> tuple[dict, str]:
     from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
 
     matrix = load_matrix_csv(args.matrix)
-    # the decomposition builds a K_out x K_out unitary, and its check another
-    if matrix.k_out * matrix.k_out > _MAX_GRID_POINTS:
-        raise ValueError(
-            f"{matrix.k_out} outputs need a {matrix.k_out} x {matrix.k_out} unitary, "
-            f"more than {_MAX_GRID_POINTS} entries"
-        )
     # numpy sums the squares unscaled, so finite entries can still overflow
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(matrix.entries))

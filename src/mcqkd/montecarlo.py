@@ -357,20 +357,6 @@ def _exp_e1(x: float) -> float:
     return _gamma_fraction(0.0, x)
 
 
-def _refuse_rare(cfg: TrialConfig, probabilities: list[float], what: str, measure: str) -> None:
-    """Refuse the grid if the outage probability of some point is below
-    _MIN_ANALYTIC_P, zero and NaN included; ``probabilities`` holds one value
-    per point, and ``measure`` names what it is (the probability itself or an
-    upper bound on it)."""
-    for snr, analytic in zip(cfg.snr_grid, probabilities):
-        if not analytic >= _MIN_ANALYTIC_P:
-            raise InsufficientTrialsError(
-                f"refusing {what} at snr={snr:g}: {measure} "
-                f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
-                "by sampling; use the closed-form power laws for this regime"
-            )
-
-
 def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
     p_hat = [s / cfg.trials for s in successes]
     ci_low, ci_high = zip(*(wilson_interval(s, cfg.trials) for s in successes))
@@ -394,11 +380,6 @@ def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
     return replace(partial, slope=-fit.slope, slope_stderr=fit.stderr)
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def _count_above(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Per bound, how many ``values`` exceed it.  Only values above the
     lowest bound can count anywhere; sorting just those lets one searchsorted
@@ -408,16 +389,30 @@ def _count_above(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return above.size - np.searchsorted(above, bounds, side="right")
 
 
+def _estimate(cfg: TrialConfig, threads: int, probabilities: list[float], what: str,
+              measure: str, events: Callable) -> EmpiricalOutage:
+    """Check ``threads``, refuse the grid if the outage probability of some
+    point is below _MIN_ANALYTIC_P (zero and NaN included), then count the
+    ``events`` kernel of :func:`_count_events` and assemble the estimates.
+    ``probabilities`` holds one value per point, and ``measure`` names what
+    it is (the probability itself or an upper bound on it)."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    for snr, analytic in zip(cfg.snr_grid, probabilities):
+        if not analytic >= _MIN_ANALYTIC_P:
+            raise InsufficientTrialsError(
+                f"refusing {what} at snr={snr:g}: {measure} "
+                f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
+                "by sampling; use the closed-form power laws for this regime"
+            )
+    return _assemble(cfg, _count_events(cfg, events, threads))
+
+
 def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     """Estimate Pr[(1/l) * sum |F_i|^2 < 1/snr] over the SNR grid and fit the
     diversity slope of the estimates.  At most ``os.cpu_count()`` worker
     threads are used, whatever ``threads`` asks for."""
-    _check_threads(threads)
     limits = [cfg.l / (snr * cfg.fade_variance) for snr in cfg.snr_grid]
-    _refuse_rare(
-        cfg, [_gamma_p(cfg.l, x) for x in limits], "mean-fade outage",
-        "analytic outage probability",
-    )
     # With F_i = -v ln U_i a trial is an outage where -sum_i ln U_i < limit,
     # that is where prod_i U_i > exp(-limit).  Where that floor is no normal
     # double the product may underflow, and the log-sum decides.  math.exp
@@ -440,7 +435,8 @@ def estimate_mean_fade_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOu
             counts[log_at] = _count_above(row, log_bounds)
         return counts
 
-    return _assemble(cfg, _count_events(cfg, events, threads))
+    return _estimate(cfg, threads, [_gamma_p(cfg.l, x) for x in limits], "mean-fade outage",
+                     "analytic outage probability", events)
 
 
 def _product_bound(l: int, rate: float, a: float) -> float | None:
@@ -476,13 +472,10 @@ def estimate_rate_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
     where rate = multiplex_ratio * log2(snr), and fit the diversity slope of
     the estimates.  Threads are capped as in
     :func:`estimate_mean_fade_outage`."""
-    _check_threads(threads)
     # a = snr * v and the rate of each point, shared by the refusal, the
     # product bound and the log-sum target
     setups = [(snr * cfg.fade_variance, cfg.multiplex_ratio * math.log2(snr))
               for snr in cfg.snr_grid]
-    _refuse_rare(cfg, [_rate_outage_bound(cfg.l, rate, a) for a, rate in setups],
-                 "rate outage", "outage upper bound")
     points = [(a, _product_bound(cfg.l, rate, a), cfg.l * rate) for a, rate in setups]
 
     def events(uniforms: np.ndarray, work: np.ndarray, row: np.ndarray) -> list[int]:
@@ -505,4 +498,5 @@ def estimate_rate_outage(cfg: TrialConfig, threads: int = 1) -> EmpiricalOutage:
                 counts.append(np.count_nonzero(row < target))
         return counts
 
-    return _assemble(cfg, _count_events(cfg, events, threads))
+    return _estimate(cfg, threads, [_rate_outage_bound(cfg.l, rate, a) for a, rate in setups],
+                     "rate outage", "outage upper bound", events)

@@ -1,9 +1,11 @@
 """Eigenchannel (singular value) layer of a multiple-input transmission matrix.
 
 The Fourier-domain transmittance matrix F of a K_in-transmitter, K_out-receiver
-arrangement factors as F = U2 * diag(lambda) * F1inv with U2 and F1inv unitary;
-the lambda_i are the non-negative singular values ("eigenchannels") in
-descending order, and lambda_i^2 are the eigenvalues of F F^dagger.
+arrangement factors as F = U2 * diag(lambda) * F1inv with the K_out x K_in U2
+and the K_in x K_in F1inv of orthonormal columns (thin: no eigenchannel meets
+the K_out - K_in further columns of a full U2); the lambda_i are the
+non-negative singular values ("eigenchannels") in descending order, and
+lambda_i^2 are the eigenvalues of F^dagger F.
 
 Matrix CSV format accepted by :func:`load_matrix_csv`: row-major, one row per
 line, entries comma-separated, each entry ``re:im``:
@@ -68,18 +70,19 @@ def log_det_rate(m: TransmittanceMatrix, snr: float) -> float:
     return float(logdet / math.log(2.0))
 
 
-def _check_unitary(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
+def _check_orthonormal_columns(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
     # m^dagger m without BLAS: OpenBLAS runs a 64 x 64 product on two
     # threads, and on a busy host the second can wait milliseconds to run
     gram = np.einsum("ki,kj->ij", m.conj(), m)
-    err = np.max(np.abs(gram - np.eye(m.shape[0])))
+    err = np.max(np.abs(gram - np.eye(m.shape[1])))
     if err > tol:
-        raise ValueError(f"{name} is not unitary (max deviation {err:.3e})")
+        raise ValueError(f"{name} does not have orthonormal columns (max deviation {err:.3e})")
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Factorisation F = u2 * diag(lambdas) * f1_inv of a transmittance matrix."""
+    """Thin factorisation F = u2 * diag(lambdas) * f1_inv of a transmittance
+    matrix; u2 and f1_inv have orthonormal columns."""
 
     u2: np.ndarray
     lambdas: np.ndarray
@@ -89,22 +92,22 @@ class EigenDecomposition:
         u2 = np.asarray(self.u2, dtype=complex)
         f1_inv = np.asarray(self.f1_inv, dtype=complex)
         lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size != min(u2.shape[0], f1_inv.shape[0]):
+        if lam.ndim != 1 or not lam.size == u2.shape[1] == f1_inv.shape[0]:
             raise ValueError("lambdas must hold one value per eigenchannel")
         if np.any(lam < 0):
             raise ValueError("singular values must be non-negative")
         if np.any(np.diff(lam) > 0):
             raise ValueError("singular values must be sorted in descending order")
-        _check_unitary(u2, "u2")
-        _check_unitary(f1_inv, "f1_inv")
+        _check_orthonormal_columns(u2, "u2")
+        _check_orthonormal_columns(f1_inv, "f1_inv")
         object.__setattr__(self, "u2", u2)
         object.__setattr__(self, "f1_inv", f1_inv)
         object.__setattr__(self, "lambdas", lam)
 
 
 def svd_decompose(m: TransmittanceMatrix) -> EigenDecomposition:
-    """Singular value decomposition of the transmittance matrix."""
-    u, s, vh = np.linalg.svd(m.entries, full_matrices=True)
+    """Thin singular value decomposition of the transmittance matrix."""
+    u, s, vh = np.linalg.svd(m.entries, full_matrices=False)
     return EigenDecomposition(u, s, vh)
 
 

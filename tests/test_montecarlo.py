@@ -394,11 +394,11 @@ class TestRefusal:
         against the closed-form series rather than scipy's gammainc."""
         seen = []
 
-        def refuse(cfg, probabilities, what, measure):
+        def refuse(cfg, threads, probabilities, what, measure, events):
             seen.extend(probabilities)
             raise InsufficientTrialsError("stop before sampling")
 
-        monkeypatch.setattr(montecarlo, "_refuse_rare", refuse)
+        monkeypatch.setattr(montecarlo, "_estimate", refuse)
         grid = (1.5, 4.0, 10.0, 300.0)
         cfg = TrialConfig(
             l=3, multiplex_ratio=0.0, snr_grid=grid, trials=10_000, seed=1, fade_variance=0.8

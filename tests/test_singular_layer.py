@@ -71,9 +71,12 @@ class TestDecompose:
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (6, 4), (8, 8)])
     def test_factor_unitarity(self, shape):
+        """The thin factorisation: u2 is K_out x K_in with orthonormal
+        columns, and f1_inv is a K_in x K_in unitary."""
         d = svd_decompose(random_matrix(*shape, seed=shape[0] * 10 + shape[1]))
         k_out, k_in = shape
-        assert_allclose(d.u2 @ d.u2.conj().T, np.eye(k_out), atol=1e-10)
+        assert d.u2.shape == (k_out, k_in)
+        assert_allclose(d.u2.conj().T @ d.u2, np.eye(k_in), atol=1e-10)
         assert_allclose(d.f1_inv @ d.f1_inv.conj().T, np.eye(k_in), atol=1e-10)
 
     def test_constructed_low_rank(self):
@@ -136,14 +139,22 @@ class TestEigenDecompositionType:
                 np.eye(2, dtype=complex),
             )
 
-    def test_unitary_perturbed_by_1e_9_rejected(self):
-        d = svd_decompose(random_matrix(64, 64, seed=11))
+    @pytest.mark.parametrize("k_in", [64, 8])
+    def test_unitary_perturbed_by_1e_9_rejected(self, k_in):
+        d = svd_decompose(random_matrix(64, k_in, seed=11))
         EigenDecomposition(d.u2, d.lambdas, d.f1_inv)
         u2 = d.u2.copy()
         # column 5 grows by 1e-9 relative: its Gram diagonal moves by 2e-9
         u2[:, 5] *= 1.0 + 1e-9
-        with pytest.raises(ValueError, match="u2 is not unitary"):
+        with pytest.raises(ValueError, match="u2 does not have orthonormal columns"):
             EigenDecomposition(u2, d.lambdas, d.f1_inv)
+
+    def test_full_u2_rejected(self):
+        """u2 holds one column per eigenchannel, not a K_out x K_out unitary."""
+        with pytest.raises(ValueError, match="one value per eigenchannel"):
+            EigenDecomposition(
+                np.eye(3, dtype=complex), np.array([1.0, 0.5]), np.eye(2, dtype=complex)
+            )
 
 
 class TestMatrixCsv:
