@@ -3,7 +3,9 @@
 Every subcommand writes CSV, either to stdout or to ``-o PATH``.  The file
 starts with ``#``-prefixed comment lines recording the tool version and the
 full resolved configuration, so a result file is self-describing and two runs
-with identical configurations produce identical bytes.  ``--precision N``
+with identical configurations produce identical bytes (for ``svd``, at one
+BLAS thread count: the singular values of larger matrices can move in their
+last digits between ``OPENBLAS_NUM_THREADS`` settings).  ``--precision N``
 sets the significant digits of float cells, printed as ``%.Ng``; every other
 cell prints as ``str``.  N must lie in [1, 2**31 - 1], the largest precision
 a format string takes; any other value exits 2 before any work.  The Monte Carlo

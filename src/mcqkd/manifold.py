@@ -12,8 +12,8 @@ implemented here:
     multiaccess, K_in > K_out   delta = max(0, 2 * (2 - sigma))
     multiaccess, K_in <= K_out  piecewise linear through ((i, (K_in-i)*(K_out-i)))
 
-All probabilities computed from power laws lie in [0, 1], clamped wherever
-the expression could leave that interval.
+All probabilities computed from power laws lie in [0, 1]: snr >= 1 and the
+exponent is <= 0.
 
 Validation happens once per table: :func:`tradeoff_curve` checks Z, l, g
 and the dimensions (that l * Z and K_in * K_out fit a double included)
@@ -21,7 +21,8 @@ before any grid point, then each point against the curve's multiplex-ratio
 domain, and :func:`perr_rows` checks the multiplex ratio and every l before
 any snr, then each snr >= 1.  Every cell is then a plain scalar
 expression.  The single-point functions ``tradeoff_multiaccess``,
-``perr_single`` and ``perr_amqd`` are one-point calls of these tables.
+``manifold_dims``, ``perr_single`` and ``perr_amqd`` are one-point calls of
+these tables.
 
 The module needs only the standard library, so the CLI's table subcommands
 load it without numpy; the log-det rate of a transmittance matrix lives
@@ -98,10 +99,6 @@ class TradeoffCurve:
     points: tuple
 
 
-def _clamp_probability(p: float) -> float:
-    return min(max(p, 0.0), 1.0)
-
-
 def require_unit_snr(snr: float) -> None:
     """Raise :class:`DomainError` unless snr >= 1, where the power laws hold."""
     if not snr >= 1.0:
@@ -149,41 +146,8 @@ def perr_exponential_outage(secret_rate: float, snr: float) -> ExponentialOutage
         raise ValueError(f"secret_rate must be >= 0, got {secret_rate}")
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    x = (2.0**secret_rate - 1.0) / snr
-    return ExponentialOutage(_clamp_probability(x), -math.expm1(-x))
-
-
-def _linear_deltas(grid, scale: float, damping: float, *, zero_ratio: bool = True) -> list:
-    """scale * (1 - sigma) * damping at each sigma of ``grid``, which must lie
-    in [0, 1], or in (0, 1] without ``zero_ratio``.  The single-carrier,
-    multicarrier and g-scaled tradeoffs are this line with scale Z or l * Z
-    and damping 1 or 1 - g."""
-    for s in grid:
-        if not 0.0 <= s <= 1.0 or not (zero_ratio or s > 0.0):
-            interval = "[0, 1]" if zero_ratio else "(0, 1]"
-            raise DomainError(f"multiplex_ratio must lie in {interval}, got {s}")
-    return [scale * (1.0 - s) * damping for s in grid]
-
-
-def _check_dims(k_in: int, k_out: int) -> None:
-    if k_in < 1 or k_out < 1:
-        raise ValueError(f"matrix dimensions must be >= 1, got {k_in} x {k_out}")
-
-
-def _check_knots(k_in: int, k_out: int) -> None:
-    # the largest knot value (K_in - i) * (K_out - i) is the first, K_in * K_out
-    if not k_in * k_out <= sys.float_info.max:
-        raise ValueError("K_in * K_out must fit a double")
-
-
-def _complement_deltas(grid, k_in: int, k_out: int) -> list:
-    """(K_in - sigma) * (K_out - sigma) at each sigma of ``grid``, which must
-    lie in [0, min(K_in, K_out)]; the dimensions are checked by the caller."""
-    top = min(k_in, k_out)
-    for s in grid:
-        if not 0.0 <= s <= top:
-            raise DomainError(f"multiplex_ratio must lie in [0, {top}], got {s}")
-    return [(k_in - s) * (k_out - s) for s in grid]
+    x = (2.0**secret_rate - 1.0) / snr  # >= 0
+    return ExponentialOutage(min(x, 1.0), -math.expm1(-x))
 
 
 def manifold_dims(k_in: int, k_out: int, multiplex_ratio: float) -> ManifoldDims:
@@ -196,14 +160,11 @@ def manifold_dims(k_in: int, k_out: int, multiplex_ratio: float) -> ManifoldDims
     and the two always add up to the full search-space dimension
     K_in * K_out.
     """
-    _check_dims(k_in, k_out)
     if k_in > k_out:
         raise ValueError(f"expected K_in <= K_out, got {k_in} > {k_out}")
-    _check_knots(k_in, k_out)
-    n_perp = _complement_deltas([multiplex_ratio], k_in, k_out)[0]
-    s = multiplex_ratio
-    dim_m = k_in * s + (k_out - s) * s
-    return ManifoldDims(dim_m, n_perp, float(k_in * k_out))
+    curve = tradeoff_curve("orthogonal_complement", [multiplex_ratio], k_in=k_in, k_out=k_out)
+    ((s, n_perp),) = curve.points
+    return ManifoldDims(k_in * s + (k_out - s) * s, n_perp, float(k_in * k_out))
 
 
 def perr_rank_outage(
@@ -213,24 +174,19 @@ def perr_rank_outage(
     snr ** -((K_in - sigma) * (K_out - sigma))."""
     require_unit_snr(snr)
     dims = manifold_dims(k_in, k_out, multiplex_ratio)
-    return _clamp_probability(snr**-dims.n_dim_perp)
+    return snr**-dims.n_dim_perp
 
 
 def _multiaccess_deltas(grid, k_in: int, k_out: int) -> list:
-    """The multiple-access tradeoff at each sigma >= 0 of ``grid``; the
-    dimensions, and for K_in <= K_out that the knots fit a double, are
-    checked by the caller.
+    """The K_in <= K_out multiple-access tradeoff at each sigma >= 0 of
+    ``grid``; the caller checks the dimensions and that the knots fit a
+    double.
 
     Between the knots i and i + 1 around sigma the value is
     (v_(i+1) - v_i) * t + v_i at the exact offset t = sigma - i, and v_i at
     t = 0: np.interp(t, (0, 1), (v_i, v_(i+1))) rounds the same way, and the
     full knot list is never built.
     """
-    for s in grid:
-        if not s >= 0:
-            raise DomainError(f"multiplex_ratio must be >= 0, got {s}")
-    if k_in > k_out:
-        return [max(0.0, 2.0 * (2.0 - s)) for s in grid]
     values = []
     for s in grid:
         if s >= k_in:  # min(K_in, K_out), the last knot
@@ -279,35 +235,48 @@ def tradeoff_curve(
     if kind in ("single", "multicarrier", "g_scaled"):
         if not (math.isfinite(z_exponent) and z_exponent >= 1.0):
             raise ValueError(f"z_exponent must be finite and >= 1, got {z_exponent}")
-        if kind == "single":
-            params = {"z_exponent": z_exponent}
-            values = _linear_deltas(grid, z_exponent, 1.0, zero_ratio=False)
-        elif kind == "multicarrier":
+        params, scale, damping = {"z_exponent": z_exponent}, z_exponent, 1.0
+        if kind == "multicarrier":
             _check_l(l)
             # an int compares with a float exactly, so l converts only once it
             # fits; l > max / Z alone misses a product that rounds up past max
             if not (l <= sys.float_info.max and l * z_exponent <= sys.float_info.max):
                 raise ValueError("l * z_exponent must fit a double")
-            params = {"z_exponent": z_exponent, "l": l}
-            values = _linear_deltas(grid, l * z_exponent, 1.0)
-        else:
+            params["l"], scale = l, l * z_exponent
+        elif kind == "g_scaled":
             if not math.isfinite(g_scale):
                 raise ValueError(f"g_scale must be finite, got {g_scale}")
             if not 0.0 <= g_scale < 1.0:
                 raise DomainError(f"g_scale must lie in [0, 1), got {g_scale}")
-            params = {"z_exponent": z_exponent, "g_scale": g_scale}
-            values = _linear_deltas(grid, z_exponent, 1.0 - g_scale)
-        return TradeoffCurve(params, tuple(zip(grid, values)))
-    if k_in is None or k_out is None:
-        raise ValueError(f"curve kind {kind!r} needs k_in and k_out")
-    if kind == "multiaccess_in_gt_out":
-        if not k_in > k_out:
-            raise ValueError("multiaccess_in_gt_out needs k_in > k_out")
-    elif not k_in <= k_out:
-        raise ValueError(f"{kind} needs k_in <= k_out")
-    _check_dims(k_in, k_out)
-    if k_in <= k_out:
-        _check_knots(k_in, k_out)
-    deltas = _complement_deltas if kind == "orthogonal_complement" else _multiaccess_deltas
-    values = deltas(grid, k_in, k_out)
-    return TradeoffCurve({"k_in": k_in, "k_out": k_out}, tuple(zip(grid, values)))
+            params["g_scale"], damping = g_scale, 1.0 - g_scale
+        top, domain = 1, "lie in (0, 1]" if kind == "single" else "lie in [0, 1]"
+    else:
+        if k_in is None or k_out is None:
+            raise ValueError(f"curve kind {kind!r} needs k_in and k_out")
+        if kind == "multiaccess_in_gt_out":
+            if not k_in > k_out:
+                raise ValueError("multiaccess_in_gt_out needs k_in > k_out")
+        elif not k_in <= k_out:
+            raise ValueError(f"{kind} needs k_in <= k_out")
+        if k_in < 1 or k_out < 1:
+            raise ValueError(f"matrix dimensions must be >= 1, got {k_in} x {k_out}")
+        # the largest knot value (K_in - i) * (K_out - i) is the first, K_in * K_out
+        if kind != "multiaccess_in_gt_out" and not k_in * k_out <= sys.float_info.max:
+            raise ValueError("K_in * K_out must fit a double")
+        params = {"k_in": k_in, "k_out": k_out}
+        if kind == "orthogonal_complement":
+            top, domain = k_in, f"lie in [0, {k_in}]"  # k_in = min(K_in, K_out)
+        else:
+            top, domain = math.inf, "be >= 0"
+    for s in grid:
+        if not 0.0 <= s <= top or (s == 0.0 and kind == "single"):
+            raise DomainError(f"multiplex_ratio must {domain}, got {s}")
+    if kind == "orthogonal_complement":
+        values = [(k_in - s) * (k_out - s) for s in grid]
+    elif kind == "multiaccess_in_le_out":
+        values = _multiaccess_deltas(grid, k_in, k_out)
+    elif kind == "multiaccess_in_gt_out":
+        values = [max(0.0, 2.0 * (2.0 - s)) for s in grid]
+    else:
+        values = [scale * (1.0 - s) * damping for s in grid]
+    return TradeoffCurve(params, tuple(zip(grid, values)))

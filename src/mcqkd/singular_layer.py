@@ -8,7 +8,8 @@ non-negative singular values ("eigenchannels") in descending order, and
 lambda_i^2 are the eigenvalues of F^dagger F.
 
 Matrix CSV format accepted by :func:`load_matrix_csv`: row-major, one row per
-line, entries comma-separated, each entry ``re:im``:
+line, entries comma-separated, each entry ``re:im``; ``#`` starts a comment and
+blank lines are skipped:
 
     0.5:0.0,0.1:-0.2
     0.0:1.0,0.3:0.0
@@ -59,11 +60,14 @@ def log_det_rate(m: TransmittanceMatrix, snr: float) -> float:
     (snr / K_in) * I:  log2 det(I + F K_o F^dagger).
 
     Equals the sum over eigenchannels of log2(1 + (snr / K_in) * lambda_i^2).
+    By Sylvester's identity the determinant is taken on the K_in x K_in side,
+    det(I + (snr / K_in) * F^dagger F), so a tall matrix costs no K_out x K_out
+    product.
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
     f = m.entries
-    gram = np.eye(m.k_out) + (snr / m.k_in) * (f @ f.conj().T)
+    gram = np.eye(m.k_in) + (snr / m.k_in) * (f.conj().T @ f)
     sign, logdet = np.linalg.slogdet(gram)
     if sign.real <= 0:
         raise DegenerateInputError("log-det argument is not positive definite")

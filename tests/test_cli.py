@@ -773,6 +773,46 @@ class TestExitCodes:
 BIG_K = str(10**200)  # K_in * K_out beyond the largest double
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("tradeoff", "--kind", "single", "--grid", "0.5", "--precision", "abc"), None,
+         "mcqkd tradeoff: error: argument --precision: "
+         "must be an integer in [1, 2147483647], got 'abc'"),
+        (("mc", "--config", "{path}"), "mode=mean_fade\nsnr\n",
+         "error: {path}:2: expected key=value, got 'snr'"),
+        (("mc", "--config", "{path}"), "mode=mean_fade\nsnr=5,10,20\nseed=1\nseed=2\n",
+         "error: {path}:4: duplicate key 'seed'"),
+        # the comment line and the blank line are skipped, and counted
+        (("svd", "--matrix", "{path}"), "# header\n0.5:0,0.1:0\n\n0.2:0,1:x\n",
+         "error: {path}:4: bad entry '1:x'"),
+        (("svd", "--matrix", "{path}"), "# only a comment\n\n# another\n",
+         "error: {path}: no matrix rows found"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2", "--fades", "0.5,0.6,0.7"),
+         CHANNEL_TEXT, "error: expected 2 fade values, got 3"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "re_t=0.5 noise_var\n",
+         "error: {path}:1: expected key=value, got 'noise_var'"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
+         "bogus=1\nre_t=0.5 noise_var=0.2 eve_w=1.4\n",
+         "error: {path}:1: unknown directive keys ['bogus']"),
+    ],
+    ids=["precision-not-an-integer", "config-line-without-value", "config-key-twice",
+         "matrix-bad-cell-after-comment", "matrix-comments-only", "fade-count",
+         "channel-field-without-value", "channel-unknown-directive"],
+)
+def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
+    """Only argparse prints a usage block, above its error line."""
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    code = main([a.format(path=path) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    *usage, last = captured.err.splitlines()
+    assert last == message.format(path=path)
+    assert not usage or usage[0].startswith("usage: mcqkd tradeoff")
+
+
 class TestTableWideParametersFirst:
     """A bad table-wide parameter exits with its own code and message whatever
     the grid holds: it is checked before any grid point, so a bad point before

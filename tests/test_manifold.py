@@ -1,6 +1,7 @@
 """Outage power laws, tradeoff curves, dimension counting and the log-det
 rate."""
 
+import math
 import sys
 import tracemalloc
 
@@ -238,6 +239,108 @@ class TestTradeoffCurveSampler:
             tradeoff_curve("multiaccess_in_le_out", [0.5])
 
 
+BIG = 10**200  # K_in * K_out overflows a double
+ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
+            "multiaccess_in_le_out", "orthogonal_complement")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: tradeoff_curve("spiral", [0.5]), ValueError,
+         f"unknown curve kind 'spiral'; choose from {ANY_KIND}"),
+        (lambda: tradeoff_curve("single", []), ValueError, "sigma_grid must be non-empty"),
+        (lambda: delta("single", 0.5, z_exponent=np.nan), ValueError,
+         "z_exponent must be finite and >= 1, got nan"),
+        (lambda: delta("multicarrier", 0.5, z_exponent=np.inf), ValueError,
+         "z_exponent must be finite and >= 1, got inf"),
+        (lambda: delta("g_scaled", 0.5, z_exponent=0.5), ValueError,
+         "z_exponent must be finite and >= 1, got 0.5"),
+        (lambda: delta("multicarrier", 0.5, l=0), ValueError, "l must be >= 1, got 0"),
+        (lambda: delta("multicarrier", 0.5, l=10**400), ValueError,
+         "l * z_exponent must fit a double"),
+        (lambda: delta("multicarrier", 0.5, l=10, z_exponent=1e308), ValueError,
+         "l * z_exponent must fit a double"),
+        (lambda: delta("g_scaled", 0.5, g_scale=np.nan), ValueError,
+         "g_scale must be finite, got nan"),
+        (lambda: delta("g_scaled", 0.5, g_scale=1.0), DomainError,
+         "g_scale must lie in [0, 1), got 1.0"),
+        (lambda: delta("g_scaled", 0.5, g_scale=-0.1), DomainError,
+         "g_scale must lie in [0, 1), got -0.1"),
+        (lambda: delta("multiaccess_in_le_out", 0.5, k_in=2), ValueError,
+         "curve kind 'multiaccess_in_le_out' needs k_in and k_out"),
+        (lambda: delta("orthogonal_complement", 0.5, k_out=2), ValueError,
+         "curve kind 'orthogonal_complement' needs k_in and k_out"),
+        (lambda: delta("multiaccess_in_gt_out", 0.5, k_in=2, k_out=2), ValueError,
+         "multiaccess_in_gt_out needs k_in > k_out"),
+        (lambda: delta("multiaccess_in_le_out", 0.5, k_in=3, k_out=2), ValueError,
+         "multiaccess_in_le_out needs k_in <= k_out"),
+        (lambda: delta("orthogonal_complement", 0.5, k_in=3, k_out=2), ValueError,
+         "orthogonal_complement needs k_in <= k_out"),
+        (lambda: delta("multiaccess_in_gt_out", 0.5, k_in=2, k_out=0), ValueError,
+         "matrix dimensions must be >= 1, got 2 x 0"),
+        (lambda: delta("multiaccess_in_le_out", 0.5, k_in=0, k_out=2), ValueError,
+         "matrix dimensions must be >= 1, got 0 x 2"),
+        (lambda: delta("orthogonal_complement", 0.5, k_in=-1, k_out=2), ValueError,
+         "matrix dimensions must be >= 1, got -1 x 2"),
+        (lambda: delta("multiaccess_in_le_out", 0.5, k_in=BIG, k_out=BIG), ValueError,
+         "K_in * K_out must fit a double"),
+        (lambda: delta("orthogonal_complement", 0.5, k_in=BIG, k_out=BIG), ValueError,
+         "K_in * K_out must fit a double"),
+        (lambda: tradeoff_curve("single", [0.5, 0.0]), DomainError,
+         "multiplex_ratio must lie in (0, 1], got 0.0"),
+        (lambda: delta("single", -0.0), DomainError,
+         "multiplex_ratio must lie in (0, 1], got -0.0"),
+        (lambda: delta("single", 1.5), DomainError,
+         "multiplex_ratio must lie in (0, 1], got 1.5"),
+        (lambda: delta("multicarrier", -0.1, l=3), DomainError,
+         "multiplex_ratio must lie in [0, 1], got -0.1"),
+        (lambda: delta("multicarrier", np.nan), DomainError,
+         "multiplex_ratio must lie in [0, 1], got nan"),
+        (lambda: delta("g_scaled", 1.0 + 2**-52, g_scale=0.5), DomainError,
+         "multiplex_ratio must lie in [0, 1], got 1.0000000000000002"),
+        (lambda: delta("multiaccess_in_gt_out", -0.5, k_in=4, k_out=2), DomainError,
+         "multiplex_ratio must be >= 0, got -0.5"),
+        (lambda: delta("multiaccess_in_le_out", np.nan, k_in=2, k_out=4), DomainError,
+         "multiplex_ratio must be >= 0, got nan"),
+        (lambda: delta("orthogonal_complement", 2.5, k_in=2, k_out=4), DomainError,
+         "multiplex_ratio must lie in [0, 2], got 2.5"),
+        (lambda: delta("orthogonal_complement", -np.inf, k_in=2, k_out=4), DomainError,
+         "multiplex_ratio must lie in [0, 2], got -inf"),
+        (lambda: manifold_dims(0, 2, 0.5), ValueError,
+         "matrix dimensions must be >= 1, got 0 x 2"),
+        (lambda: manifold_dims(-1, -1, 0.5), ValueError,
+         "matrix dimensions must be >= 1, got -1 x -1"),
+        (lambda: manifold_dims(4, 2, 1.0), ValueError, "expected K_in <= K_out, got 4 > 2"),
+        (lambda: manifold_dims(BIG, BIG, 0.5), ValueError, "K_in * K_out must fit a double"),
+        (lambda: manifold_dims(2, 4, 2.5), DomainError,
+         "multiplex_ratio must lie in [0, 2], got 2.5"),
+        (lambda: manifold_dims(2, 4, -0.1), DomainError,
+         "multiplex_ratio must lie in [0, 2], got -0.1"),
+        (lambda: manifold_dims(2, 4, np.nan), DomainError,
+         "multiplex_ratio must lie in [0, 2], got nan"),
+        (lambda: perr_rank_outage(0, 2, 0.5, 10.0), ValueError,
+         "matrix dimensions must be >= 1, got 0 x 2"),
+        (lambda: perr_rank_outage(4, 2, 1.0, 10.0), ValueError,
+         "expected K_in <= K_out, got 4 > 2"),
+        (lambda: perr_rank_outage(BIG, BIG, 0.5, 10.0), ValueError,
+         "K_in * K_out must fit a double"),
+        (lambda: perr_rank_outage(2, 4, 2.5, 10.0), DomainError,
+         "multiplex_ratio must lie in [0, 2], got 2.5"),
+        (lambda: perr_rank_outage(2, 4, -0.1, 10.0), DomainError,
+         "multiplex_ratio must lie in [0, 2], got -0.1"),
+        (lambda: perr_rank_outage(2, 4, 1.0, 0.5), DomainError,
+         "power-law outage needs snr >= 1, got 0.5"),
+    ],
+)
+def test_single_fault_error_type_and_message(call, error, message):
+    """Each input with one fault raises exactly this type and message."""
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 class TestManifoldDims:
     def test_zero_ratio(self):
         dims = manifold_dims(3, 5, 0.0)
@@ -304,6 +407,23 @@ class TestLogDetRate:
         lambdas = svd_decompose(m).lambdas
         rhs = np.sum(np.log2(1.0 + (snr / m.k_in) * lambdas**2))
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_tall_single_input_matrix_uses_the_input_side_gram(self):
+        # K_in = 1: det(I + snr * F^dagger F) = 1 + snr * sum |f_i|^2; an
+        # output-side Gram would hold 3000 x 3000 complex entries (137 MiB)
+        rng = np.random.default_rng(43)
+        column = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+        m = TransmittanceMatrix(column.reshape(-1, 1))
+        snr = 3.0
+        tracemalloc.start()
+        try:
+            rate = log_det_rate(m, snr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        exact = math.log2(1.0 + snr * math.fsum(abs(f) ** 2 for f in column.tolist()))
+        assert rate == pytest.approx(exact, rel=1e-12)
 
 
 class TestOutageParamsValidation:
