@@ -1,4 +1,4 @@
-"""Finite phase-space constellations, their product distance and pairwise error.
+"""Finite phase-space constellations and their permutation across sub-channels.
 
 A rate of ``secret_rate`` bits is carried by 2**ceil(secret_rate) points on a
 centred rectangular grid whose nearest-neighbour distance is
@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-from .errors import DegenerateInputError
 
 _MAX_BITS = 16.0
 
@@ -77,40 +74,6 @@ class PermutationConstellation:
         return tuple(self.base.points[i] for i in perm)
 
 
-@dataclass(frozen=True)
-class CodewordPair:
-    """Two codewords, one constellation point per sub-channel each."""
-
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        a = tuple(complex(p) for p in self.a)
-        b = tuple(complex(p) for p in self.b)
-        if len(a) != len(b) or len(a) < 1:
-            raise ValueError("codewords must be non-empty and of equal length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-
-class ProductDistance(NamedTuple):
-    value: float
-    passes_51: bool
-    passes_116: bool
-    c: float
-    bits: float
-
-
-def gaussian_q(x: float) -> float:
-    """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def build_constellation(secret_rate: float) -> PhaseConstellation:
     """Grid constellation for ``secret_rate`` bits per sub-channel.
 
@@ -143,50 +106,3 @@ def permute_constellation(
     perms = tuple(tuple(rng.permutation(n).tolist()) for _ in range(l - 1))
     return PermutationConstellation(base, perms)
 
-
-def product_distance(diffs, secret_rate: float, c: float = 1.0) -> ProductDistance:
-    """Product of squared difference magnitudes and its two admission checks.
-
-    ``passes_51`` tests value > (c / (l * 2**secret_rate)) ** l and
-    ``passes_116`` tests value ** (1/l) > c / (l! * 2**secret_rate); the two
-    printed forms normalise the per-sub-channel budget differently, so both
-    are reported.
-    """
-    diffs = [complex(d) for d in diffs]
-    if not diffs:
-        raise ValueError("diffs must be non-empty")
-    if not secret_rate >= 0:
-        raise ValueError(f"secret_rate must be >= 0, got {secret_rate}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
-    mags = [abs(d) ** 2 for d in diffs]
-    if any(m == 0.0 for m in mags):
-        raise DegenerateInputError("zero component makes the product distance vanish")
-    value = float(np.prod(mags))
-    l = len(diffs)
-    scale = 2.0**secret_rate
-    passes_51 = value > (c / (l * scale)) ** l
-    passes_116 = value ** (1.0 / l) > c / (math.factorial(l) * scale)
-    return ProductDistance(value, bool(passes_51), bool(passes_116), float(c), float(secret_rate))
-
-
-def pairwise_error(fades_sq, diffs, mod_variance: float, noise_variance: float) -> float:
-    """Pairwise codeword error over faded sub-channels:
-
-        Q( sqrt( mod_variance / (2 * noise_variance)
-                 * sum_i fades_sq_i * |diff_i|^2 ) )
-    """
-    fades_sq = np.asarray(fades_sq, dtype=float)
-    diffs = np.asarray([complex(d) for d in diffs])
-    if fades_sq.shape != diffs.shape:
-        raise ValueError(
-            f"expected matching lengths, got {fades_sq.size} fades and {diffs.size} diffs"
-        )
-    if np.any(fades_sq < 0):
-        raise ValueError("fades_sq must be non-negative")
-    if not mod_variance > 0:
-        raise ValueError(f"mod_variance must be positive, got {mod_variance}")
-    if not noise_variance > 0:
-        raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-    arg = mod_variance / (2.0 * noise_variance) * float(np.sum(fades_sq * np.abs(diffs) ** 2))
-    return gaussian_q(math.sqrt(arg))

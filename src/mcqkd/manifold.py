@@ -16,17 +16,16 @@ All probabilities computed from power laws lie in [0, 1]: snr >= 1 and the
 exponent is <= 0.
 
 Validation happens once per table: :func:`tradeoff_curve` checks Z, l, g
-and the dimensions (that l * Z and K_in * K_out fit a double included)
-before any grid point, then each point against the curve's multiplex-ratio
-domain, and :func:`perr_rows` checks the multiplex ratio and every l before
-any snr, then each snr >= 1.  Every cell is then a plain scalar
-expression.  The single-point functions ``tradeoff_multiaccess``,
-``manifold_dims``, ``perr_single`` and ``perr_amqd`` are one-point calls of
-these tables.
+and the dimensions (each, l * Z and K_in * K_out must fit a double)
+before any grid point, then that each point fits a double and lies in the
+curve's multiplex-ratio domain, and :func:`perr_rows` checks the multiplex
+ratio and that every l and snr fits a double before any row, then each
+snr >= 1.  Every cell is then a plain scalar expression.  The single-point
+functions ``tradeoff_multiaccess``, ``manifold_dims``, ``perr_single`` and
+``perr_amqd`` are one-point calls of these tables.
 
 The module needs only the standard library, so the CLI's table subcommands
-load it without numpy; the log-det rate of a transmittance matrix lives
-beside the matrix in :mod:`mcqkd.singular_layer`.
+load it without numpy.
 """
 
 from __future__ import annotations
@@ -51,6 +50,14 @@ CURVE_KINDS = (
 def _check_l(l: int) -> None:
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
+
+
+def _to_double(x, name: str, error: type = ValueError) -> float:
+    """``float(x)``, or ``error`` "<name> must fit a double" on overflow."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise error(f"{name} must fit a double") from None
 
 
 def _check_multiplex_ratio(multiplex_ratio: float) -> None:
@@ -122,11 +129,16 @@ def perr_rows(snr_grid, multiplex_ratio: float, l_values) -> list[tuple]:
     snr ** -(l * (1 - multiplex_ratio)) at each l of ``l_values``.
 
     ``multiplex_ratio`` and every l are checked once, with the messages of
-    :class:`OutageParams`, before any snr; each snr must be >= 1.
+    :class:`OutageParams`, before any snr; every l and snr must fit a double
+    and each snr must be >= 1.
     """
     _check_multiplex_ratio(multiplex_ratio)
     for l in l_values:
         _check_l(l)
+        _to_double(l, "l")
+    snr_grid = list(snr_grid)
+    for snr in snr_grid:
+        _to_double(snr, "snr")
     exponents = [-(l * (1.0 - multiplex_ratio)) for l in (1, *l_values)]
     # snr >= 1 and every exponent <= 0, so each cell already lies in [0, 1]
     rows = []
@@ -165,16 +177,6 @@ def manifold_dims(k_in: int, k_out: int, multiplex_ratio: float) -> ManifoldDims
     curve = tradeoff_curve("orthogonal_complement", [multiplex_ratio], k_in=k_in, k_out=k_out)
     ((s, n_perp),) = curve.points
     return ManifoldDims(k_in * s + (k_out - s) * s, n_perp, float(k_in * k_out))
-
-
-def perr_rank_outage(
-    k_in: int, k_out: int, multiplex_ratio: float, snr: float
-) -> float:
-    """Outage power law of losing rank below the multiplex target:
-    snr ** -((K_in - sigma) * (K_out - sigma))."""
-    require_unit_snr(snr)
-    dims = manifold_dims(k_in, k_out, multiplex_ratio)
-    return snr**-dims.n_dim_perp
 
 
 def _multiaccess_deltas(grid, k_in: int, k_out: int) -> list:
@@ -229,10 +231,11 @@ def tradeoff_curve(
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}; choose from {CURVE_KINDS}")
-    grid = [float(s) for s in sigma_grid]
-    if not grid:
+    sigma_grid = list(sigma_grid)
+    if not sigma_grid:
         raise ValueError("sigma_grid must be non-empty")
     if kind in ("single", "multicarrier", "g_scaled"):
+        _to_double(z_exponent, "z_exponent")
         if not (math.isfinite(z_exponent) and z_exponent >= 1.0):
             raise ValueError(f"z_exponent must be finite and >= 1, got {z_exponent}")
         params, scale, damping = {"z_exponent": z_exponent}, z_exponent, 1.0
@@ -244,7 +247,7 @@ def tradeoff_curve(
                 raise ValueError("l * z_exponent must fit a double")
             params["l"], scale = l, l * z_exponent
         elif kind == "g_scaled":
-            if not math.isfinite(g_scale):
+            if not math.isfinite(_to_double(g_scale, "g_scale")):
                 raise ValueError(f"g_scale must be finite, got {g_scale}")
             if not 0.0 <= g_scale < 1.0:
                 raise DomainError(f"g_scale must lie in [0, 1), got {g_scale}")
@@ -268,6 +271,7 @@ def tradeoff_curve(
             top, domain = k_in, f"lie in [0, {k_in}]"  # k_in = min(K_in, K_out)
         else:
             top, domain = math.inf, "be >= 0"
+    grid = [_to_double(s, "multiplex_ratio", DomainError) for s in sigma_grid]
     for s in grid:
         if not 0.0 <= s <= top or (s == 0.0 and kind == "single"):
             raise DomainError(f"multiplex_ratio must {domain}, got {s}")

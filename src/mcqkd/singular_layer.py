@@ -17,12 +17,11 @@ blank lines are skipped:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+_ORTHONORMAL_TOL = 1e-10  # largest |m^dagger m - I| entry of orthonormal columns
 
 
 @dataclass(frozen=True)
@@ -55,31 +54,12 @@ class TransmittanceMatrix:
         return self.entries.shape[1]
 
 
-def log_det_rate(m: TransmittanceMatrix, snr: float) -> float:
-    """Rate of the full matrix channel with isotropic input covariance
-    (snr / K_in) * I:  log2 det(I + F K_o F^dagger).
-
-    Equals the sum over eigenchannels of log2(1 + (snr / K_in) * lambda_i^2).
-    By Sylvester's identity the determinant is taken on the K_in x K_in side,
-    det(I + (snr / K_in) * F^dagger F), so a tall matrix costs no K_out x K_out
-    product.
-    """
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    f = m.entries
-    gram = np.eye(m.k_in) + (snr / m.k_in) * (f.conj().T @ f)
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign.real <= 0:
-        raise DegenerateInputError("log-det argument is not positive definite")
-    return float(logdet / math.log(2.0))
-
-
-def _check_orthonormal_columns(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
+def _check_orthonormal_columns(m: np.ndarray, name: str) -> None:
     # m^dagger m without BLAS: OpenBLAS runs a 64 x 64 product on two
     # threads, and on a busy host the second can wait milliseconds to run
     gram = np.einsum("ki,kj->ij", m.conj(), m)
     err = np.max(np.abs(gram - np.eye(m.shape[1])))
-    if err > tol:
+    if err > _ORTHONORMAL_TOL:
         raise ValueError(f"{name} does not have orthonormal columns (max deviation {err:.3e})")
 
 

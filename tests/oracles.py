@@ -3,8 +3,8 @@
 Everything in here deliberately avoids the code paths of the package under
 test: the gamma CDF is the closed-form series instead of scipy.special,
 eigenvalues come from the characteristic polynomial instead of numpy's SVD,
-the normal tail is numerically integrated, and the least-squares slope is
-the textbook ratio of sums.
+the rate outages are integrated or convolved numerically, and the
+least-squares slope is the textbook ratio of sums.
 """
 
 import decimal
@@ -48,13 +48,6 @@ def charpoly_eigs(m):
     roots = np.roots(coeffs)
     vals = np.sort(roots.real)[::-1]
     return np.clip(vals, 0.0, None)
-
-
-def normal_tail_quad(x):
-    """Q(x) by numerical integration of the standard normal density."""
-    density = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-    value, _ = quad(density, x, np.inf)
-    return value
 
 
 def min_distance_exhaustive(points):

@@ -1,4 +1,4 @@
-"""Grid constellations, permutations, distances and pairwise error bounds."""
+"""Grid constellations and their permutations across sub-channels."""
 
 from itertools import permutations
 
@@ -8,16 +8,11 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from mcqkd.constellation import (
-    CodewordPair,
     PermutationConstellation,
     build_constellation,
-    gaussian_q,
-    pairwise_error,
     permute_constellation,
-    product_distance,
 )
-from mcqkd.errors import DegenerateInputError
-from oracles import min_distance_exhaustive, normal_tail_quad
+from oracles import min_distance_exhaustive
 
 
 class TestBuildConstellation:
@@ -131,101 +126,4 @@ class TestPermutations:
         p = 1.0 / 24.0
         stderr = np.sqrt(p * (1 - p) / 10_000)
         assert np.max(np.abs(counts / 10_000 - p)) < 3 * stderr
-
-
-class TestCodewordPair:
-    def test_points_become_complex_tuples(self):
-        pair = CodewordPair(np.array([1.0, 2j]), [0, 1 - 1j])
-        assert pair.a == (1 + 0j, 2j) and pair.b == (0j, 1 - 1j)
-        assert len(pair) == 2
-
-    def test_unequal_or_empty_codewords_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            CodewordPair([1.0, 2.0], [0.0])
-        with pytest.raises(ValueError, match="equal length"):
-            CodewordPair([], [])
-
-
-class TestProductDistance:
-    def test_single_component(self):
-        d = product_distance([np.sqrt(0.5)], secret_rate=1.0, c=0.25)
-        assert d.value == pytest.approx(0.5)
-        assert d.passes_51 and d.passes_116
-
-    def test_two_components(self):
-        d = product_distance([np.sqrt(0.5), np.sqrt(0.5)], secret_rate=2.0, c=1.0)
-        assert d.value == pytest.approx(0.25)
-        assert d.passes_51  # 0.25 > (1/8)^2
-
-    def test_zero_component_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            product_distance([0.5, 0.0], secret_rate=1.0)
-
-    def test_carries_config(self):
-        d = product_distance([0.5], secret_rate=1.5, c=0.7)
-        assert d.c == 0.7
-        assert d.bits == 1.5
-
-
-class TestPairwiseError:
-    def test_zero_differences(self):
-        p = pairwise_error([1.0, 1.0], [0.0, 0.0], 1.0, 1.0)
-        assert p == pytest.approx(0.5)
-
-    def test_reference_quantile(self):
-        # arrange the argument to be the 10% normal quantile
-        target = 1.2815515655446004
-        # mod/(2 noise) * fade * |d|^2 = target^2 with fade=1, |d|=1
-        mod = 2.0 * target**2
-        p = pairwise_error([1.0], [1.0], mod, 1.0)
-        assert p == pytest.approx(0.1, abs=1e-6)
-        assert p == pytest.approx(normal_tail_quad(target), abs=1e-12)
-
-    def test_extra_subchannel_reduces_error(self):
-        base = pairwise_error([1.0], [0.5], 1.0, 1.0)
-        more = pairwise_error([1.0, 0.8], [0.5, 0.5], 1.0, 1.0)
-        assert more < base
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pairwise_error([1.0], [0.5, 0.5], 1.0, 1.0)
-
-
-class TestWorstCase:
-    def test_worst_case_consistency_with_simplified_form(self):
-        # at the worst-case fades (v_eve / |d_i|^2 - 1) / snr with snr =
-        # mod/noise, the error is Q(sqrt(0.5 * sum_i (v_eve - |d_i|^2)))
-        mod, noise = 2.0, 0.5
-        snr = mod / noise
-        v_eve = 3.0
-        diffs = [1.0 + 0j, 0.5 + 0.5j, 0.2 - 0.1j]
-        fades = [(v_eve / abs(d) ** 2 - 1.0) / snr for d in diffs]
-        direct = pairwise_error(fades, diffs, mod, noise)
-        simplified = normal_tail_quad(np.sqrt(0.5 * sum(v_eve - abs(d) ** 2 for d in diffs)))
-        assert direct == pytest.approx(simplified, abs=1e-9)
-
-
-class TestGaussianQ:
-    def test_zero(self):
-        assert gaussian_q(0.0) == 0.5
-
-    def test_five_percent_point(self):
-        assert gaussian_q(1.6449) == pytest.approx(0.05, abs=1e-4)
-
-    def test_deep_tail(self):
-        assert gaussian_q(6.0) < 1e-8
-
-    def test_matches_quadrature_oracle(self):
-        for x in (-2.0, -0.3, 0.7, 2.5, 4.0):
-            assert gaussian_q(x) == pytest.approx(normal_tail_quad(x), abs=1e-12)
-
-    def test_symmetry(self):
-        for x in np.linspace(-8, 8, 33):
-            assert abs(gaussian_q(x) + gaussian_q(-x) - 1.0) < 1e-12
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_q(np.nan)
-        with pytest.raises(ValueError):
-            gaussian_q(np.inf)
 

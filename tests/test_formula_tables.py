@@ -101,6 +101,21 @@ def test_perr_rows_need_snr_of_at_least_one(snr):
         perr_rows([10.0, snr], 0.5, [2])
 
 
+@pytest.mark.parametrize(
+    "snr, l_values, message",
+    [
+        ([0.5, 10**400], (2,), "snr must fit a double"),
+        ([10.0], (2, 10**400), "l must fit a double"),
+    ],
+)
+def test_perr_rows_reject_integers_beyond_the_double_range(snr, l_values, message):
+    # before any row, so the snr below one ahead of a huge snr does not mask it
+    with pytest.raises(ValueError) as excinfo:
+        perr_rows(snr, 0.5, l_values)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------- tradeoff
 
 

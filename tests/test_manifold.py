@@ -1,7 +1,5 @@
-"""Outage power laws, tradeoff curves, dimension counting and the log-det
-rate."""
+"""Outage power laws, tradeoff curves and dimension counting."""
 
-import math
 import sys
 import tracemalloc
 
@@ -16,12 +14,10 @@ from mcqkd.manifold import (
     manifold_dims,
     perr_amqd,
     perr_exponential_outage,
-    perr_rank_outage,
     perr_single,
     tradeoff_curve,
     tradeoff_multiaccess,
 )
-from mcqkd.singular_layer import TransmittanceMatrix, log_det_rate, svd_decompose
 
 
 class TestPowerLaws:
@@ -129,6 +125,11 @@ class TestTradeoffFamilies:
             delta("multicarrier", 0.5, z_exponent=z, l=l)
         assert not isinstance(excinfo.value, DomainError)
         assert delta("multicarrier", 0.0, z_exponent=1e308, l=1) == 1e308
+
+    def test_a_parameter_fault_is_reported_before_a_huge_ratio(self):
+        with pytest.raises(ValueError, match="z_exponent must be finite") as excinfo:
+            tradeoff_curve("single", [10**400], z_exponent=np.nan)
+        assert not isinstance(excinfo.value, DomainError)
 
     def test_g_scaled(self):
         assert delta("g_scaled", 0.3, g_scale=0.0) == pytest.approx(0.7)
@@ -240,6 +241,7 @@ class TestTradeoffCurveSampler:
 
 
 BIG = 10**200  # K_in * K_out overflows a double
+HUGE = 10**400  # overflows a double on its own
 ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
             "multiaccess_in_le_out", "orthogonal_complement")
 
@@ -261,8 +263,12 @@ ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
          "l * z_exponent must fit a double"),
         (lambda: delta("multicarrier", 0.5, l=10, z_exponent=1e308), ValueError,
          "l * z_exponent must fit a double"),
+        (lambda: delta("single", 0.5, z_exponent=HUGE), ValueError,
+         "z_exponent must fit a double"),
         (lambda: delta("g_scaled", 0.5, g_scale=np.nan), ValueError,
          "g_scale must be finite, got nan"),
+        (lambda: delta("g_scaled", 0.5, g_scale=HUGE), ValueError,
+         "g_scale must fit a double"),
         (lambda: delta("g_scaled", 0.5, g_scale=1.0), DomainError,
          "g_scale must lie in [0, 1), got 1.0"),
         (lambda: delta("g_scaled", 0.5, g_scale=-0.1), DomainError,
@@ -289,6 +295,12 @@ ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
          "K_in * K_out must fit a double"),
         (lambda: tradeoff_curve("single", [0.5, 0.0]), DomainError,
          "multiplex_ratio must lie in (0, 1], got 0.0"),
+        (lambda: tradeoff_curve("single", [HUGE]), DomainError,
+         "multiplex_ratio must fit a double"),
+        (lambda: tradeoff_curve("orthogonal_complement", [HUGE], k_in=2, k_out=4),
+         DomainError, "multiplex_ratio must fit a double"),
+        (lambda: tradeoff_curve("multiaccess_in_le_out", [0.5, -HUGE], k_in=2, k_out=4),
+         DomainError, "multiplex_ratio must fit a double"),
         (lambda: delta("single", -0.0), DomainError,
          "multiplex_ratio must lie in (0, 1], got -0.0"),
         (lambda: delta("single", 1.5), DomainError,
@@ -319,18 +331,7 @@ ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
          "multiplex_ratio must lie in [0, 2], got -0.1"),
         (lambda: manifold_dims(2, 4, np.nan), DomainError,
          "multiplex_ratio must lie in [0, 2], got nan"),
-        (lambda: perr_rank_outage(0, 2, 0.5, 10.0), ValueError,
-         "matrix dimensions must be >= 1, got 0 x 2"),
-        (lambda: perr_rank_outage(4, 2, 1.0, 10.0), ValueError,
-         "expected K_in <= K_out, got 4 > 2"),
-        (lambda: perr_rank_outage(BIG, BIG, 0.5, 10.0), ValueError,
-         "K_in * K_out must fit a double"),
-        (lambda: perr_rank_outage(2, 4, 2.5, 10.0), DomainError,
-         "multiplex_ratio must lie in [0, 2], got 2.5"),
-        (lambda: perr_rank_outage(2, 4, -0.1, 10.0), DomainError,
-         "multiplex_ratio must lie in [0, 2], got -0.1"),
-        (lambda: perr_rank_outage(2, 4, 1.0, 0.5), DomainError,
-         "power-law outage needs snr >= 1, got 0.5"),
+        (lambda: manifold_dims(2, 4, HUGE), DomainError, "multiplex_ratio must fit a double"),
     ],
 )
 def test_single_fault_error_type_and_message(call, error, message):
@@ -369,61 +370,6 @@ class TestManifoldDims:
             manifold_dims(2, 4, -0.1)
         with pytest.raises(ValueError):
             manifold_dims(4, 2, 1.0)  # K_in must not exceed K_out
-
-
-class TestRankOutage:
-    def test_zero_ratio_square(self):
-        assert perr_rank_outage(2, 2, 0.0, 10.0) == pytest.approx(1e-4)
-
-    def test_hand_point(self):
-        assert perr_rank_outage(2, 4, 1.0, 10.0) == pytest.approx(1e-3)
-
-    def test_full_ratio_is_one(self):
-        assert perr_rank_outage(3, 5, 3.0, 100.0) == 1.0
-
-    def test_exponent_matches_dims(self):
-        for k_in, k_out, ratio in [(2, 3, 0.5), (3, 3, 1.0), (2, 6, 1.5)]:
-            p = perr_rank_outage(k_in, k_out, ratio, 50.0)
-            n_perp = manifold_dims(k_in, k_out, ratio).n_dim_perp
-            assert p == pytest.approx(50.0**-n_perp)
-
-
-class TestLogDetRate:
-    def test_zero_matrix(self):
-        m = TransmittanceMatrix(np.zeros((2, 2), dtype=complex))
-        assert log_det_rate(m, 2.0) == pytest.approx(0.0)
-
-    def test_identity_hand_value(self):
-        m = TransmittanceMatrix(np.eye(2, dtype=complex))
-        assert log_det_rate(m, 2.0) == pytest.approx(2.0)
-
-    def test_det_form_matches_svd_form(self):
-        rng = np.random.default_rng(41)
-        m = TransmittanceMatrix(
-            rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        )
-        snr = 7.0
-        lhs = log_det_rate(m, snr)
-        lambdas = svd_decompose(m).lambdas
-        rhs = np.sum(np.log2(1.0 + (snr / m.k_in) * lambdas**2))
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_tall_single_input_matrix_uses_the_input_side_gram(self):
-        # K_in = 1: det(I + snr * F^dagger F) = 1 + snr * sum |f_i|^2; an
-        # output-side Gram would hold 3000 x 3000 complex entries (137 MiB)
-        rng = np.random.default_rng(43)
-        column = rng.normal(size=3000) + 1j * rng.normal(size=3000)
-        m = TransmittanceMatrix(column.reshape(-1, 1))
-        snr = 3.0
-        tracemalloc.start()
-        try:
-            rate = log_det_rate(m, snr)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20
-        exact = math.log2(1.0 + snr * math.fsum(abs(f) ** 2 for f in column.tolist()))
-        assert rate == pytest.approx(exact, rel=1e-12)
 
 
 class TestOutageParamsValidation:

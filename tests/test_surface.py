@@ -1,5 +1,5 @@
-"""Every top-level definition of the package has a consumer, and no module
-imports what it never uses.
+"""Every top-level definition of the package has a consumer, every oracle
+of ``tests/oracles.py`` has a test, and no module imports what it never uses.
 
 A function, class or module constant of ``src/mcqkd`` passes when another
 definition of the package uses it, when ``tests/test_acceptance.py`` or the
@@ -7,6 +7,7 @@ console script in ``pyproject.toml`` uses it, when the benchmark traces it
 (``perfbench.tracing.TRACED``), or when ``KEEP`` below lists it with the
 ROADMAP item that will consume it.  Anything else is code that no subcommand
 and no acceptance check runs; it goes, or it comes back with a consumer.
+``KEEP`` is empty: a future entry must name the ROADMAP item that consumes it.
 
 A use goes through a binding: a loaded bare name counts only where a package
 import or a top-level definition of the same module binds it, and an
@@ -23,13 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mcqkd"
 
 # name -> the ROADMAP open item (or check) that consumes it
-KEEP = {
-    "constellation.CodewordPair": "item 4, sampled codeword error",
-    "constellation.pairwise_error": "item 4, sampled codeword error",
-    "constellation.product_distance": "item 4, sampled codeword error",
-    "manifold.perr_rank_outage": "item 6, sampled multiaccess tradeoff",
-    "singular_layer.log_det_rate": "item 6, sampled multiaccess tradeoff",
-}
+KEEP = {}
 
 
 def _defined_names(node) -> list:
@@ -125,6 +120,30 @@ def test_every_definition_has_a_consumer():
 
 def test_keep_list_names_only_definitions():
     assert set(KEEP) <= set(_definitions())
+
+
+def unused_oracles() -> list:
+    """The top-level functions of ``tests/oracles.py`` that no test module
+    uses through an import of ``oracles``."""
+    tests = ROOT / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    used = set()
+    for path in sorted(tests.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                names.update({a.asname or a.name: f"oracles.{a.name}" for a in node.names})
+            elif isinstance(node, ast.Import):
+                modules.update({a.asname or a.name: "oracles" for a in node.names
+                                if a.name == "oracles"})
+        used |= _uses(tree, names, modules)
+    return [node.name for node in oracles.body
+            if isinstance(node, ast.FunctionDef) and f"oracles.{node.name}" not in used]
+
+
+def test_every_oracle_has_a_test():
+    assert unused_oracles() == []
 
 
 def unused_imports(path: Path) -> list:
