@@ -9,11 +9,13 @@ from numpy.testing import assert_allclose
 
 from mcqkd.errors import DomainError
 from mcqkd.manifold import (
+    ManifoldDims,
     OutageParams,
     TradeoffCurve,
     manifold_dims,
     perr_amqd,
     perr_exponential_outage,
+    perr_rows,
     perr_single,
     tradeoff_curve,
     tradeoff_multiaccess,
@@ -76,6 +78,17 @@ class TestExponentialOutage:
     def test_asymptotic_coincidence_at_high_snr(self):
         q, e = perr_exponential_outage(1.0, 1e6)
         assert abs(e - q) / q < 1e-6
+
+    def test_exp_form_keeps_its_relative_precision_at_tiny_x(self):
+        # x = 1e-12: 1 - exp(-x) in floating point keeps only ~4 digits
+        q, e = perr_exponential_outage(1.0, 1e12)
+        assert q == 1e-12
+        assert e == pytest.approx(1e-12 - 0.5e-24, rel=1e-15)
+
+    def test_linear_form_is_capped_at_one(self):
+        q, e = perr_exponential_outage(4.0, 2.0)  # x = 7.5
+        assert q == 1.0
+        assert e == pytest.approx(1.0 - np.exp(-7.5), abs=1e-15)
 
     def test_forms_never_cross(self):
         # 1 - exp(-x) <= x for all x >= 0
@@ -332,6 +345,35 @@ ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
         (lambda: manifold_dims(2, 4, np.nan), DomainError,
          "multiplex_ratio must lie in [0, 2], got nan"),
         (lambda: manifold_dims(2, 4, HUGE), DomainError, "multiplex_ratio must fit a double"),
+        (lambda: manifold_dims(4, 2, np.nan), ValueError, "expected K_in <= K_out, got 4 > 2"),
+        (lambda: tradeoff_curve("orthogonal_complement", [0.5, -0.1], k_in=2, k_out=4),
+         DomainError, "multiplex_ratio must lie in [0, 2], got -0.1"),
+        (lambda: tradeoff_multiaccess(0, 2, 0.5), ValueError,
+         "matrix dimensions must be >= 1, got 0 x 2"),
+        (lambda: tradeoff_multiaccess(BIG, BIG, 0.5), ValueError,
+         "K_in * K_out must fit a double"),
+        (lambda: tradeoff_multiaccess(2, 4, -0.1), DomainError,
+         "multiplex_ratio must be >= 0, got -0.1"),
+        (lambda: tradeoff_multiaccess(4, 2, np.nan), DomainError,
+         "multiplex_ratio must be >= 0, got nan"),
+        (lambda: OutageParams(snr=0.0, multiplex_ratio=0.5), ValueError,
+         "snr must be positive, got 0.0"),
+        (lambda: OutageParams(snr=10.0, multiplex_ratio=-0.1), ValueError,
+         "multiplex_ratio must lie in [0, 1], got -0.1"),
+        (lambda: OutageParams(snr=10.0, multiplex_ratio=0.5, l=0), ValueError,
+         "l must be >= 1, got 0"),
+        (lambda: perr_single(OutageParams(snr=0.5, multiplex_ratio=0.5)), DomainError,
+         "power-law outage needs snr >= 1, got 0.5"),
+        (lambda: perr_rows([10.0, 0.5], 0.5, (2,)), DomainError,
+         "power-law outage needs snr >= 1, got 0.5"),
+        (lambda: perr_exponential_outage(-1.0, 10.0), ValueError,
+         "secret_rate must be >= 0, got -1.0"),
+        (lambda: perr_exponential_outage(np.nan, 10.0), ValueError,
+         "secret_rate must be >= 0, got nan"),
+        (lambda: perr_exponential_outage(1.0, 0.0), ValueError,
+         "snr must be positive, got 0.0"),
+        (lambda: perr_exponential_outage(1.0, np.nan), ValueError,
+         "snr must be positive, got nan"),
     ],
 )
 def test_single_fault_error_type_and_message(call, error, message):
@@ -355,6 +397,9 @@ class TestManifoldDims:
 
     def test_full_rank_no_complement(self):
         assert manifold_dims(2, 4, 2.0).n_dim_perp == 0.0
+
+    def test_square_full_ratio_fills_the_space(self):
+        assert manifold_dims(3, 3, 3.0) == ManifoldDims(9.0, 0.0, 9.0)
 
     def test_identity_exact_on_quarter_grid(self):
         for k_in in range(1, 9):

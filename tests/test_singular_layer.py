@@ -1,5 +1,8 @@
 """Eigenchannel decomposition of the transmittance matrix."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,6 +81,35 @@ class TestDecompose:
         assert d.u2.shape == (k_out, k_in)
         assert_allclose(d.u2.conj().T @ d.u2, np.eye(k_in), atol=1e-10)
         assert_allclose(d.f1_inv @ d.f1_inv.conj().T, np.eye(k_in), atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (4, 4), (6, 3)])
+    def test_eigenchannel_rates_sum_to_the_log_det_rate(self, shape):
+        """sum_i log2(1 + (snr/K_in) lambda_i^2) = log2 det(I + (snr/K_in) F^dagger F)."""
+        m = random_matrix(*shape, seed=41 + shape[0])
+        snr = 7.0
+        lambdas = svd_decompose(m).lambdas
+        gram = np.eye(m.k_in) + (snr / m.k_in) * (m.entries.conj().T @ m.entries)
+        sign, logdet = np.linalg.slogdet(gram)
+        assert sign == pytest.approx(1.0)
+        rate = np.sum(np.log2(1.0 + (snr / m.k_in) * lambdas**2))
+        assert rate == pytest.approx(logdet / np.log(2.0), rel=1e-12)
+
+    def test_tall_single_input_matrix_stays_thin(self):
+        """K_in = 1: the one singular value is the column norm, and no
+        K_out x K_out factor (3000 x 3000 complex, 137 MiB) is built."""
+        rng = np.random.default_rng(43)
+        column = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+        m = TransmittanceMatrix(column.reshape(-1, 1))
+        tracemalloc.start()
+        try:
+            d = svd_decompose(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert d.u2.shape == (3000, 1)
+        exact = math.sqrt(math.fsum(abs(f) ** 2 for f in column.tolist()))
+        assert d.lambdas[0] == pytest.approx(exact, rel=1e-12)
 
     def test_constructed_low_rank(self):
         # build a rank-2 4x4 matrix from two rank-one terms
