@@ -7,7 +7,8 @@ unit transmit power budget is respected independently of the rate.
 
 For multicarrier use the same point set is reused on every sub-channel but,
 except for the first one, in an independently permuted order; permutations
-are drawn uniformly and reproducibly from a seed.
+are drawn uniformly and reproducibly from a seed.  The points and those
+permutations form a permutation code, held in one :class:`Constellation`.
 """
 
 from __future__ import annotations
@@ -21,41 +22,24 @@ _MAX_BITS = 16.0
 
 
 @dataclass(frozen=True)
-class PhaseConstellation:
-    """A rectangular-grid constellation of 2**ceil(bits) phase-space points."""
+class Constellation:
+    """Phase-space points on l = len(perms) + 1 sub-channels: message i sends
+    ``points[i]`` on sub-channel 1 and ``points[perms[j - 2][i]]`` on
+    sub-channel j >= 2."""
 
     points: tuple
-    bits: float
+    perms: tuple = ()
 
     def __post_init__(self):
-        pts = tuple(complex(p) for p in self.points)
+        pts = tuple(map(complex, self.points))
         if len(pts) < 2:
             raise ValueError("a constellation needs at least two points")
-        if not 0.0 < self.bits <= _MAX_BITS:
-            raise ValueError(f"bits must lie in (0, {_MAX_BITS}], got {self.bits}")
-        if len(pts) != 2 ** math.ceil(self.bits):
-            raise ValueError(
-                f"expected {2 ** math.ceil(self.bits)} points for {self.bits} bits, "
-                f"got {len(pts)}"
-            )
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
-class PermutationConstellation:
-    """One base constellation reused across l sub-channels; the first keeps
-    the base order, the others each apply their own uniform permutation."""
-
-    base: PhaseConstellation
-    perms: tuple
-
-    def __post_init__(self):
-        n = len(self.base.points)
-        indices = set(range(n))
+        indices = set(range(len(pts)))
         perms = tuple(map(tuple, self.perms))
         for p in perms:
-            if len(p) != n or set(p) != indices:
+            if len(p) != len(pts) or set(p) != indices:
                 raise ValueError("each permutation must rearrange all point indices")
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "perms", perms)
 
     @property
@@ -69,12 +53,12 @@ class PermutationConstellation:
                 f"subchannel must lie in [1, {self.subchannel_count}], got {subchannel}"
             )
         if subchannel == 1:
-            return self.base.points
+            return self.points
         perm = self.perms[subchannel - 2]
-        return tuple(self.base.points[i] for i in perm)
+        return tuple(self.points[i] for i in perm)
 
 
-def build_constellation(secret_rate: float) -> PhaseConstellation:
+def build_constellation(secret_rate: float) -> Constellation:
     """Grid constellation for ``secret_rate`` bits per sub-channel.
 
     2**ceil(secret_rate) points on a centred rectangular grid with
@@ -88,15 +72,13 @@ def build_constellation(secret_rate: float) -> PhaseConstellation:
     spacing = 2.0 ** (-secret_rate / 2.0)
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
-    points = [complex(x, y) for y in ys for x in xs]
-    return PhaseConstellation(tuple(points), float(secret_rate))
+    return Constellation(tuple(complex(x, y) for y in ys for x in xs))
 
 
-def permute_constellation(
-    base: PhaseConstellation, l: int, seed: int
-) -> PermutationConstellation:
-    """Reuse ``base`` on l sub-channels, drawing an independent uniform
-    permutation for each sub-channel after the first.  Reproducible by seed."""
+def permute_constellation(base: Constellation, l: int, seed: int) -> Constellation:
+    """The points of ``base`` on l sub-channels, with an independent uniform
+    permutation drawn for each sub-channel after the first.  Reproducible by
+    seed; any permutations ``base`` already carries are replaced."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if seed < 0:
@@ -104,5 +86,4 @@ def permute_constellation(
     rng = np.random.default_rng(seed)
     n = len(base.points)
     perms = tuple(tuple(rng.permutation(n).tolist()) for _ in range(l - 1))
-    return PermutationConstellation(base, perms)
-
+    return Constellation(base.points, perms)

@@ -158,7 +158,11 @@ def perr_exponential_outage(secret_rate: float, snr: float) -> ExponentialOutage
         raise ValueError(f"secret_rate must be >= 0, got {secret_rate}")
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    x = (2.0**secret_rate - 1.0) / snr  # >= 0
+    try:
+        power = 2.0**secret_rate
+    except OverflowError:
+        raise ValueError("2**secret_rate must fit a double") from None
+    x = (power - 1.0) / _to_double(snr, "snr")  # >= 0
     return ExponentialOutage(min(x, 1.0), -math.expm1(-x))
 
 

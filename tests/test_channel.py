@@ -160,3 +160,29 @@ class TestModelFile:
         p = self.write(tmp_path, "re_t=0.5 re_t=0.6 noise_var=0.2\n")
         with pytest.raises(ValueError, match="duplicate"):
             load_channel_model(p)
+
+
+SUB = SubchannelParams.from_real(0.5, 0.2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ChannelModel((), 1), ValueError,
+         "a channel model needs at least one sub-channel"),
+        (lambda: ChannelModel((SUB,), 1, vacuum_variance=0.0), ValueError,
+         "vacuum_variance must be positive, got 0.0"),
+        (lambda: eve_transmittance(complex(0.8, 0.8)), ValueError,
+         "|T|^2 must not exceed 1, got 1.28"),
+        (lambda: excess_noise(0.5, 0.3), ValueError, "eve_epr_variance must be >= 1, got 0.5"),
+        (lambda: excess_noise(2.0, 1.5), ValueError, "eve_trans_sq must lie in [0, 1], got 1.5"),
+        (lambda: total_input_noise(2.0, 0.5, vacuum_variance=0.0), ValueError,
+         "vacuum_variance must be positive, got 0.0"),
+    ],
+)
+def test_single_fault_error_type_and_message(call, error, message):
+    """Each input with one fault raises exactly this type and message."""
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

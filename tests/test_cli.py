@@ -795,10 +795,13 @@ BIG_K = str(10**200)  # K_in * K_out beyond the largest double
         (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
          "bogus=1\nre_t=0.5 noise_var=0.2 eve_w=1.4\n",
          "error: {path}:1: unknown directive keys ['bogus']"),
+        (("constellation", "--bits", "2", "--l", "0"), None, "error: l must be >= 1, got 0"),
+        (("constellation", "--bits", "2", "--l", "-3"), None, "error: l must be >= 1, got -3"),
     ],
     ids=["precision-not-an-integer", "config-line-without-value", "config-key-twice",
          "matrix-bad-cell-after-comment", "matrix-comments-only", "fade-count",
-         "channel-field-without-value", "channel-unknown-directive"],
+         "channel-field-without-value", "channel-unknown-directive",
+         "constellation-no-subchannel", "constellation-negative-l"],
 )
 def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
     """Only argparse prints a usage block, above its error line."""

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from mcqkd.constellation import (
-    PermutationConstellation,
+    Constellation,
     build_constellation,
     permute_constellation,
 )
@@ -110,7 +110,7 @@ class TestPermutations:
     def test_a_perm_that_misses_an_index_is_rejected(self, perm):
         base = build_constellation(2.0)
         with pytest.raises(ValueError, match="rearrange all point indices"):
-            PermutationConstellation(base, ((3, 2, 1, 0), perm))
+            Constellation(base.points, ((3, 2, 1, 0), perm))
 
     def test_uniform_over_permutation_group(self):
         # 4-point base: 24 possible orderings, swept over ten thousand seeds
@@ -127,3 +127,24 @@ class TestPermutations:
         stderr = np.sqrt(p * (1 - p) / 10_000)
         assert np.max(np.abs(counts / 10_000 - p)) < 3 * stderr
 
+
+
+SPREAD = permute_constellation(build_constellation(2.0), 3, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Constellation((0j,)), ValueError, "a constellation needs at least two points"),
+        (lambda: SPREAD.subchannel_points(0), ValueError, "subchannel must lie in [1, 3], got 0"),
+        (lambda: SPREAD.subchannel_points(4), ValueError, "subchannel must lie in [1, 3], got 4"),
+        (lambda: permute_constellation(build_constellation(2.0), 0, 1), ValueError,
+         "l must be >= 1, got 0"),
+    ],
+)
+def test_single_fault_error_type_and_message(call, error, message):
+    """Each input with one fault raises exactly this type and message."""
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -90,6 +90,11 @@ class TestExponentialOutage:
         assert q == 1.0
         assert e == pytest.approx(1.0 - np.exp(-7.5), abs=1e-15)
 
+    @pytest.mark.parametrize("rate", [1023.9, np.inf])
+    def test_a_rate_whose_power_fits_a_double_caps_both_forms(self, rate):
+        # 2**1023.9 is just below the largest double; 2**inf is inf
+        assert perr_exponential_outage(rate, 10.0) == (1.0, 1.0)
+
     def test_forms_never_cross(self):
         # 1 - exp(-x) <= x for all x >= 0
         for rate in (0.5, 1.0, 2.0, 4.0):
@@ -374,6 +379,14 @@ ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
          "snr must be positive, got 0.0"),
         (lambda: perr_exponential_outage(1.0, np.nan), ValueError,
          "snr must be positive, got nan"),
+        (lambda: perr_exponential_outage(1024.0, 10.0), ValueError,
+         "2**secret_rate must fit a double"),
+        (lambda: perr_exponential_outage(2000.0, 10.0), ValueError,
+         "2**secret_rate must fit a double"),
+        (lambda: perr_exponential_outage(HUGE, 10.0), ValueError,
+         "2**secret_rate must fit a double"),
+        (lambda: perr_exponential_outage(1.0, HUGE), ValueError,
+         "snr must fit a double"),
     ],
 )
 def test_single_fault_error_type_and_message(call, error, message):

@@ -209,3 +209,18 @@ class TestMatrixCsv:
         p.write_text("1:0,2:0\n1:0\n")
         with pytest.raises(ValueError):
             load_matrix_csv(p)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TransmittanceMatrix(np.zeros(3)), ValueError,
+         "entries must be a two-dimensional matrix"),
+    ],
+)
+def test_single_fault_error_type_and_message(call, error, message):
+    """Each input with one fault raises exactly this type and message."""
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
