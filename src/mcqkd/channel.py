@@ -25,7 +25,8 @@ eavesdropper port in the vacuum state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 from .errors import SingularNoiseError
 
@@ -34,8 +35,13 @@ _RECORD_KEYS = ("re_t", "noise_var", "eve_w")
 _DIRECTIVE_KEYS = ("vacuum_variance", "active_count")
 
 
-@dataclass(frozen=True)
-class SubchannelParams:
+class _SubchannelFields(NamedTuple):
+    transmittance: complex
+    noise_variance: float
+    eve_epr_variance: float = 1.0
+
+
+class SubchannelParams(_SubchannelFields):
     """Static parameters of one Gaussian sub-channel.
 
     ``transmittance`` must satisfy 0 <= Re T = Im T <= 1/sqrt(2) (hence
@@ -44,16 +50,15 @@ class SubchannelParams:
     eavesdropper's EPR ancilla input.  All three must be finite.
     """
 
-    transmittance: complex
-    noise_variance: float
-    eve_epr_variance: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = complex(self.transmittance)
+    def __new__(cls, transmittance: complex, noise_variance: float,
+                eve_epr_variance: float = 1.0):
+        t = complex(transmittance)
         for name, value in (
             ("transmittance real part", t.real),
-            ("noise_variance", self.noise_variance),
-            ("eve_epr_variance", self.eve_epr_variance),
+            ("noise_variance", noise_variance),
+            ("eve_epr_variance", eve_epr_variance),
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -65,12 +70,16 @@ class SubchannelParams:
             raise ValueError(
                 f"transmittance real part must lie in [0, 1/sqrt(2)], got {t.real}"
             )
-        if not self.noise_variance > 0:
-            raise ValueError(f"noise_variance must be positive, got {self.noise_variance}")
-        if not self.eve_epr_variance >= 1.0:
-            raise ValueError(
-                f"eve_epr_variance must be >= 1, got {self.eve_epr_variance}"
-            )
+        if not noise_variance > 0:
+            raise ValueError(f"noise_variance must be positive, got {noise_variance}")
+        if not eve_epr_variance >= 1.0:
+            raise ValueError(f"eve_epr_variance must be >= 1, got {eve_epr_variance}")
+        return super().__new__(cls, transmittance, noise_variance, eve_epr_variance)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which skips ``__new__``
+        return cls(*iterable)
 
     @classmethod
     def from_real(cls, re_t: float, noise_variance: float, eve_epr_variance: float = 1.0):
@@ -78,29 +87,40 @@ class SubchannelParams:
         return cls(complex(re_t, re_t), noise_variance, eve_epr_variance)
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """A set of n Gaussian sub-channels of which the first ``active_count``
-    carry modulation; the inactive remainder is kept for bookkeeping but is
-    excluded from every rate and outage sum."""
-
+class _ChannelFields(NamedTuple):
     subchannels: tuple
     active_count: int
     vacuum_variance: float = 1.0
 
-    def __post_init__(self):
-        subs = tuple(self.subchannels)
+
+class ChannelModel(_ChannelFields):
+    """A set of n Gaussian sub-channels of which the first ``active_count``
+    (an integer) carry modulation; the inactive remainder is kept for
+    bookkeeping but is excluded from every rate and outage sum."""
+
+    __slots__ = ()
+
+    def __new__(cls, subchannels, active_count: int, vacuum_variance: float = 1.0):
+        subs = tuple(subchannels)
         if len(subs) < 1:
             raise ValueError("a channel model needs at least one sub-channel")
-        if not 1 <= self.active_count <= len(subs):
+        try:
+            operator.index(active_count)  # what a slice bound must support
+        except TypeError:
+            raise ValueError(f"active_count must be an integer, got {active_count!r}") from None
+        if not 1 <= active_count <= len(subs):
             raise ValueError(
-                f"active_count must lie in [1, {len(subs)}], got {self.active_count}"
+                f"active_count must lie in [1, {len(subs)}], got {active_count}"
             )
-        if not math.isfinite(self.vacuum_variance):
-            raise ValueError(f"vacuum_variance must be finite, got {self.vacuum_variance}")
-        if not self.vacuum_variance > 0:
-            raise ValueError(f"vacuum_variance must be positive, got {self.vacuum_variance}")
-        object.__setattr__(self, "subchannels", subs)
+        if not math.isfinite(vacuum_variance):
+            raise ValueError(f"vacuum_variance must be finite, got {vacuum_variance}")
+        if not vacuum_variance > 0:
+            raise ValueError(f"vacuum_variance must be positive, got {vacuum_variance}")
+        return super().__new__(cls, subs, active_count, vacuum_variance)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def active(self) -> tuple:

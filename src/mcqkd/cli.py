@@ -22,9 +22,11 @@ headers use the linear scale (the ``perr`` table also prints a dB column).
 Grids are given as comma lists (``1,10,100``) or ranges (``start:stop:step``,
 end inclusive).
 
-Start-up imports only the modules that need no numpy (``channel``,
-``errors``, ``manifold`` and ``rates``), so ``tradeoff``, ``perr`` and
-``rates`` run without numpy.  The ``mc``, ``svd`` and ``constellation``
+Start-up imports only ``errors``, ``manifold`` and ``rates``, which need
+neither numpy nor ``dataclasses`` (their records are named tuples, and
+``dataclasses`` would bring ``inspect``, ``ast`` and ``dis``), so
+``tradeoff``, ``perr`` and ``rates`` run without either; ``_run_rates``
+imports ``channel`` when it runs.  The ``mc``, ``svd`` and ``constellation``
 handlers import ``montecarlo``, ``singular_layer`` and ``constellation``,
 and with them numpy, when they run.  No subcommand loads scipy: the
 regularised gamma P(l, x) of the mean-fade refusal and the Tricomi
@@ -40,7 +42,6 @@ import math
 import sys
 
 from . import __version__
-from .channel import load_channel_model
 from .errors import DegenerateInputError, DomainError, InsufficientTrialsError
 from .manifold import CURVE_KINDS, perr_rows, tradeoff_curve
 from .rates import SUBCHANNEL_COLUMNS, rate_report
@@ -295,6 +296,8 @@ def _run_svd(args) -> tuple[dict, str]:
 
 
 def _run_rates(args) -> tuple[dict, str]:
+    from .channel import load_channel_model
+
     model = load_channel_model(args.channel)
     fades_sq = None
     if args.fades:

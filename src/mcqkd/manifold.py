@@ -19,20 +19,23 @@ Validation happens once per table: :func:`tradeoff_curve` checks Z, l, g
 and the dimensions (each, l * Z and K_in * K_out must fit a double)
 before any grid point, then that each point fits a double and lies in the
 curve's multiplex-ratio domain, and :func:`perr_rows` checks the multiplex
-ratio and that every l and snr fits a double before any row, then each
-snr >= 1.  Every cell is then a plain scalar expression.  The single-point
-functions ``tradeoff_multiaccess``, ``manifold_dims``, ``perr_single`` and
-``perr_amqd`` are one-point calls of these tables.
+ratio, that every l is finite and that every l and snr fits a double
+before any row, then each snr >= 1 (an infinite snr gives the limit 0).
+Every cell is then a plain scalar expression.  The single-point functions
+``tradeoff_multiaccess``, ``manifold_dims``, ``perr_single`` and
+``perr_amqd`` are one-point calls of these tables; :class:`OutageParams`
+takes only a finite snr.
 
-The module needs only the standard library, so the CLI's table subcommands
-load it without numpy.
+The module needs only the standard library, and its records are
+``NamedTuple`` classes rather than dataclasses (``dataclasses`` imports
+``inspect``), so the CLI's table subcommands load it without numpy and
+without ``inspect``.  :class:`OutageParams` checks its fields in ``__new__``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -50,6 +53,10 @@ CURVE_KINDS = (
 def _check_l(l: int) -> None:
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
+    # not math.isfinite, which raises OverflowError for an int beyond the
+    # double range: the callers name that fault themselves
+    if not l < math.inf:
+        raise ValueError(f"l must be finite, got {l}")
 
 
 def _to_double(x, name: str, error: type = ValueError) -> float:
@@ -65,23 +72,33 @@ def _check_multiplex_ratio(multiplex_ratio: float) -> None:
         raise ValueError(f"multiplex_ratio must lie in [0, 1], got {multiplex_ratio}")
 
 
-@dataclass(frozen=True)
-class OutageParams:
-    """Parameters of a power-law outage evaluation."""
-
+class _OutageFields(NamedTuple):
     snr: float
     multiplex_ratio: float
     l: int = 1
 
-    def __post_init__(self):
-        if not self.snr > 0:
-            raise ValueError(f"snr must be positive, got {self.snr}")
-        _check_multiplex_ratio(self.multiplex_ratio)
-        _check_l(self.l)
+
+class OutageParams(_OutageFields):
+    """Parameters of a power-law outage evaluation."""
+
+    __slots__ = ()
+
+    def __new__(cls, snr: float, multiplex_ratio: float, l: int = 1):
+        if not snr > 0:
+            raise ValueError(f"snr must be positive, got {snr}")
+        if snr == math.inf:
+            raise ValueError(f"snr must be finite, got {snr}")
+        _check_multiplex_ratio(multiplex_ratio)
+        _check_l(l)
+        return super().__new__(cls, snr, multiplex_ratio, l)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which skips ``__new__``
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ManifoldDims:
+class ManifoldDims(NamedTuple):
     """Dimension split of the extraction manifold inside the full
     K_in x K_out search space: the manifold itself, its orthogonal
     complement, and the total."""
@@ -96,8 +113,7 @@ class ExponentialOutage(NamedTuple):
     exp_form: float
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
+class TradeoffCurve(NamedTuple):
     """A sampled diversity-multiplexing curve, as :func:`tradeoff_curve`
     builds it: the family's parameters and a non-empty tuple of
     (sigma, delta) float pairs with delta >= 0."""

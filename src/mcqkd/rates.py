@@ -32,10 +32,12 @@ total that is not finite (a boosted variance that overflows, say) raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .channel import ChannelModel, eve_transmittance, total_input_noise
 from .errors import DegenerateRegimeError
+
+if TYPE_CHECKING:
+    from .channel import ChannelModel
 
 # the per-sub-channel values of a RateReport, in the order each row holds them
 SUBCHANNEL_COLUMNS = (
@@ -43,8 +45,7 @@ SUBCHANNEL_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Aggregated rates of a channel model: classical and gain-boosted
     capacities (real-domain, with the 1/2), private rates (complex-domain
     sums), and per active sub-channel one row of the values named by
@@ -55,13 +56,6 @@ class RateReport:
     private_capacity: float
     svd_private_capacity: float
     subchannels: tuple
-
-    def __post_init__(self):
-        # every cell is >= 0, so an inf cell makes its total inf and a NaN cell NaN
-        for name in ("capacity", "svd_capacity", "private_capacity", "svd_private_capacity"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        object.__setattr__(self, "subchannels", tuple(map(tuple, self.subchannels)))
 
 
 def _check_positive(**kwargs) -> None:
@@ -147,6 +141,9 @@ def rate_report(
     eavesdropper tap and excess noise are always derived from the static
     transmittances.
     """
+    # here, not at the top: ``mcqkd.cli`` starts without ``channel``
+    from .channel import eve_transmittance, total_input_noise
+
     for name, value in (("mod_variance", mod_variance), ("gain_c", gain_c)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -190,4 +187,9 @@ def rate_report(
         svd += row[3]
         private += row[4]
         svd_private += row[5]
-    return RateReport(capacity, svd, private, svd_private, tuple(rows))
+    totals = (capacity, svd, private, svd_private)
+    # every cell is >= 0, so an inf cell makes its total inf and a NaN cell NaN
+    for name, total in zip(RateReport._fields, totals):
+        if not 0 <= total < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {total}")
+    return RateReport(*totals, tuple(rows))

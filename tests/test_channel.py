@@ -102,6 +102,10 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="vacuum_variance must be finite"):
             ChannelModel(subs, active_count=1, vacuum_variance=value)
 
+    def test_a_numpy_integer_active_count_slices(self):
+        subs = tuple(SubchannelParams.from_real(0.1 * i, 1.0) for i in range(1, 4))
+        assert ChannelModel(subs, np.int64(2)).active == subs[:2]
+
     def test_active_count_bounds(self):
         subs = (SubchannelParams.from_real(0.5, 1.0),)
         with pytest.raises(ValueError):
@@ -172,6 +176,12 @@ SUB = SubchannelParams.from_real(0.5, 0.2)
          "a channel model needs at least one sub-channel"),
         (lambda: ChannelModel((SUB,), 1, vacuum_variance=0.0), ValueError,
          "vacuum_variance must be positive, got 0.0"),
+        (lambda: ChannelModel((SUB, SUB), 1.5), ValueError,
+         "active_count must be an integer, got 1.5"),
+        (lambda: ChannelModel((SUB, SUB), 2.0), ValueError,
+         "active_count must be an integer, got 2.0"),
+        (lambda: ChannelModel((SUB,), "1"), ValueError,
+         "active_count must be an integer, got '1'"),
         (lambda: eve_transmittance(complex(0.8, 0.8)), ValueError,
          "|T|^2 must not exceed 1, got 1.28"),
         (lambda: excess_noise(0.5, 0.3), ValueError, "eve_epr_variance must be >= 1, got 0.5"),

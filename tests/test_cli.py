@@ -938,6 +938,16 @@ def test_only_svd_constellation_and_mc_load_numpy(tmp_path, run):
     assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], "numpy") == ["0", str(loads)]
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("run", ["build_parser", "tradeoff", "perr", "rates"])
+def test_the_closed_form_tables_start_without_dataclasses(tmp_path, run, module):
+    """The records of ``manifold``, ``rates`` and ``channel`` are named
+    tuples: building the parser and a whole ``tradeoff``, ``perr`` or
+    ``rates`` run load neither ``dataclasses`` nor the ``inspect`` it
+    imports."""
+    assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], module) == ["0", "False"]
+
+
 # an argparse error, an unknown subcommand and --version besides every subcommand
 REPEATED_ARGV = {
     **{name: argv for name, argv in SUBCOMMAND_ARGV.items() if argv},

@@ -367,6 +367,20 @@ ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
          "multiplex_ratio must lie in [0, 1], got -0.1"),
         (lambda: OutageParams(snr=10.0, multiplex_ratio=0.5, l=0), ValueError,
          "l must be >= 1, got 0"),
+        (lambda: OutageParams(snr=np.inf, multiplex_ratio=0.5), ValueError,
+         "snr must be finite, got inf"),
+        (lambda: perr_single(OutageParams(np.inf, 0.5)), ValueError,
+         "snr must be finite, got inf"),
+        (lambda: perr_amqd(OutageParams(10.0, 0.5, np.nan)), ValueError,
+         "l must be finite, got nan"),
+        (lambda: OutageParams(10.0, 0.5, -np.inf), ValueError, "l must be >= 1, got -inf"),
+        (lambda: perr_rows([10.0], 0.5, [np.nan]), ValueError, "l must be finite, got nan"),
+        (lambda: perr_rows([10.0], 0.5, [2, np.inf]), ValueError,
+         "l must be finite, got inf"),
+        (lambda: tradeoff_curve("multicarrier", [0.5], l=np.nan), ValueError,
+         "l must be finite, got nan"),
+        (lambda: tradeoff_curve("multicarrier", [0.5], l=np.inf), ValueError,
+         "l must be finite, got inf"),
         (lambda: perr_single(OutageParams(snr=0.5, multiplex_ratio=0.5)), DomainError,
          "power-law outage needs snr >= 1, got 0.5"),
         (lambda: perr_rows([10.0, 0.5], 0.5, (2,)), DomainError,
