@@ -74,7 +74,7 @@ class SubchannelParams(_SubchannelFields):
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
         if not eve_epr_variance >= 1.0:
             raise ValueError(f"eve_epr_variance must be >= 1, got {eve_epr_variance}")
-        return super().__new__(cls, transmittance, noise_variance, eve_epr_variance)
+        return super().__new__(cls, t, noise_variance, eve_epr_variance)
 
     @classmethod
     def _make(cls, iterable):

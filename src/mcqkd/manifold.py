@@ -19,8 +19,8 @@ Validation happens once per table: :func:`tradeoff_curve` checks Z, l, g
 and the dimensions (each, l * Z and K_in * K_out must fit a double)
 before any grid point, then that each point fits a double and lies in the
 curve's multiplex-ratio domain, and :func:`perr_rows` checks the multiplex
-ratio, that every l is finite and that every l and snr fits a double
-before any row, then each snr >= 1 (an infinite snr gives the limit 0).
+ratio and that every l and snr is finite and fits a double before any
+row, then each snr >= 1.
 Every cell is then a plain scalar expression.  The single-point functions
 ``tradeoff_multiaccess``, ``manifold_dims``, ``perr_single`` and
 ``perr_amqd`` are one-point calls of these tables; :class:`OutageParams`
@@ -108,11 +108,6 @@ class ManifoldDims(NamedTuple):
     dim_s: float
 
 
-class ExponentialOutage(NamedTuple):
-    q_form: float
-    exp_form: float
-
-
 class TradeoffCurve(NamedTuple):
     """A sampled diversity-multiplexing curve, as :func:`tradeoff_curve`
     builds it: the family's parameters and a non-empty tuple of
@@ -120,12 +115,6 @@ class TradeoffCurve(NamedTuple):
 
     params: dict
     points: tuple
-
-
-def require_unit_snr(snr: float) -> None:
-    """Raise :class:`DomainError` unless snr >= 1, where the power laws hold."""
-    if not snr >= 1.0:
-        raise DomainError(f"power-law outage needs snr >= 1, got {snr}")
 
 
 def perr_single(p: OutageParams) -> float:
@@ -145,8 +134,9 @@ def perr_rows(snr_grid, multiplex_ratio: float, l_values) -> list[tuple]:
     snr ** -(l * (1 - multiplex_ratio)) at each l of ``l_values``.
 
     ``multiplex_ratio`` and every l are checked once, with the messages of
-    :class:`OutageParams`, before any snr; every l and snr must fit a double
-    and each snr must be >= 1.
+    :class:`OutageParams`, before any snr; every snr must be finite and fit
+    a double before any row, then each snr must be >= 1, where the power
+    laws hold.
     """
     _check_multiplex_ratio(multiplex_ratio)
     for l in l_values:
@@ -154,17 +144,19 @@ def perr_rows(snr_grid, multiplex_ratio: float, l_values) -> list[tuple]:
         _to_double(l, "l")
     snr_grid = list(snr_grid)
     for snr in snr_grid:
-        _to_double(snr, "snr")
+        if _to_double(snr, "snr") == math.inf:
+            raise ValueError(f"snr must be finite, got {snr}")
     exponents = [-(l * (1.0 - multiplex_ratio)) for l in (1, *l_values)]
     # snr >= 1 and every exponent <= 0, so each cell already lies in [0, 1]
     rows = []
     for snr in snr_grid:
-        require_unit_snr(snr)
+        if not snr >= 1.0:
+            raise DomainError(f"power-law outage needs snr >= 1, got {snr}")
         rows.append(tuple([snr**e for e in exponents]))
     return rows
 
 
-def perr_exponential_outage(secret_rate: float, snr: float) -> ExponentialOutage:
+def perr_exponential_outage(secret_rate: float, snr: float) -> tuple[float, float]:
     """Outage of an exponentially faded sub-channel against a fixed rate.
 
     Returns the linear form (2**secret_rate - 1)/snr and the exponential form
@@ -179,7 +171,7 @@ def perr_exponential_outage(secret_rate: float, snr: float) -> ExponentialOutage
     except OverflowError:
         raise ValueError("2**secret_rate must fit a double") from None
     x = (power - 1.0) / _to_double(snr, "snr")  # >= 0
-    return ExponentialOutage(min(x, 1.0), -math.expm1(-x))
+    return min(x, 1.0), -math.expm1(-x)
 
 
 def manifold_dims(k_in: int, k_out: int, multiplex_ratio: float) -> ManifoldDims:

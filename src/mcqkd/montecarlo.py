@@ -69,6 +69,7 @@ is the correctly rounded 97.5% normal quantile.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -111,6 +112,13 @@ class TrialConfig:
     fade_variance: float = 1.0
 
     def __post_init__(self):
+        # stored as plain ints; a float is refused, not truncated
+        for name in ("l", "trials", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.l <= _MAX_BLOCK_VALUES:
             raise ValueError(f"l must lie in [1, {_MAX_BLOCK_VALUES}], got {self.l}")
         if not 0.0 <= self.multiplex_ratio <= 1.0:
@@ -128,11 +136,9 @@ class TrialConfig:
             raise ValueError(
                 f"fade_variance must be finite and positive, got {self.fade_variance}"
             )
-        seed = int(self.seed)
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "snr_grid", grid)
-        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ huge one over a tiny bracket overflows it to inf; either raises
 these checks.
 
 Each scalar function checks its own arguments.  :func:`rate_report` checks
-``mod_variance`` and ``gain_c`` once, before any sub-channel, and per row
-only what depends on the row: a negative fade, the eavesdropper tap of the
-row's transmittance and the attack noise.  Its rates are the expressions
-of the scalar functions, so every cell and total rounds as they give it; a
-total that is not finite (a boosted variance that overflows, say) raises
-``ValueError``.
+``mod_variance`` and ``gain_c`` once, before the fade count and any
+sub-channel, and per row only what depends on the row: a negative fade,
+the eavesdropper tap of the row's transmittance and the attack noise.
+Its rates are the expressions of the scalar functions, so every cell and
+total rounds as they give it; a total that is not finite (a boosted
+variance that overflows, say) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -147,6 +147,9 @@ def rate_report(
     for name, value in (("mod_variance", mod_variance), ("gain_c", gain_c)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    _check_positive(mod_variance=mod_variance)
+    if not gain_c > 0:
+        raise ValueError(f"gain_c must be > 0, got {gain_c}")
     active = channel.active
     if fades_sq is None:
         fades_sq = [abs(sub.transmittance) ** 2 for sub in active]
@@ -155,9 +158,6 @@ def rate_report(
         raise ValueError(
             f"expected {len(active)} fade values, got {len(fades_sq)}"
         )
-    _check_positive(mod_variance=mod_variance)
-    if not gain_c > 0:
-        raise ValueError(f"gain_c must be > 0, got {gain_c}")
     # the eigenchannel-compensated modulation variance of the svd columns
     boosted = mod_variance * (1.0 + gain_c)
     # totals add one sub-channel at a time, in order: sum() is compensated from

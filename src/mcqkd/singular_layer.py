@@ -8,8 +8,9 @@ non-negative singular values ("eigenchannels") in descending order, and
 lambda_i^2 are the eigenvalues of F^dagger F.
 
 Matrix CSV format accepted by :func:`load_matrix_csv`: row-major, one row per
-line, entries comma-separated, each entry ``re:im``; ``#`` starts a comment and
-blank lines are skipped:
+line, entries comma-separated, each entry ``re:im`` of two finite numbers
+(a bad or non-finite entry is reported at its ``path:line``); ``#`` starts
+a comment and blank lines are skipped:
 
     0.5:0.0,0.1:-0.2
     0.0:1.0,0.3:0.0
@@ -17,6 +18,7 @@ blank lines are skipped:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +61,15 @@ def _check_orthonormal_columns(m: np.ndarray, name: str) -> None:
     # threads, and on a busy host the second can wait milliseconds to run
     gram = np.einsum("ki,kj->ij", m.conj(), m)
     err = np.max(np.abs(gram - np.eye(m.shape[1])))
-    if err > _ORTHONORMAL_TOL:
+    if not err <= _ORTHONORMAL_TOL:  # NaN fails too
         raise ValueError(f"{name} does not have orthonormal columns (max deviation {err:.3e})")
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Thin factorisation F = u2 * diag(lambdas) * f1_inv of a transmittance
-    matrix; u2 and f1_inv have orthonormal columns."""
+    matrix; the lambdas are finite and u2 and f1_inv have orthonormal
+    columns."""
 
     u2: np.ndarray
     lambdas: np.ndarray
@@ -78,6 +81,8 @@ class EigenDecomposition:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.ndim != 1 or not lam.size == u2.shape[1] == f1_inv.shape[0]:
             raise ValueError("lambdas must hold one value per eigenchannel")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("singular values must be finite")
         if np.any(lam < 0):
             raise ValueError("singular values must be non-negative")
         if np.any(np.diff(lam) > 0):
@@ -120,9 +125,14 @@ def load_matrix_csv(path) -> TransmittanceMatrix:
                 if not sep:
                     raise ValueError(f"{path}:{lineno}: expected re:im, got {cell!r}")
                 try:
-                    row.append(complex(float(re_part), float(im_part)))
+                    re, im = float(re_part), float(im_part)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad entry {cell!r}") from None
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError(
+                        f"{path}:{lineno}: matrix entries must be finite, got {cell!r}"
+                    )
+                row.append(complex(re, im))
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")

@@ -12,6 +12,7 @@ from mcqkd.channel import (
     total_input_noise,
 )
 from mcqkd.errors import SingularNoiseError
+from mcqkd.rates import rate_report
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -39,6 +40,16 @@ class TestSubchannelParams:
             SubchannelParams.from_real(0.5, 0.0)
         with pytest.raises(ValueError):
             SubchannelParams.from_real(0.5, 1.0, eve_epr_variance=0.9)
+
+    @pytest.mark.parametrize("transmittance", ["0.5+0.5j", np.complex64(0.5 + 0.5j)])
+    def test_the_checked_complex_is_stored(self, transmittance):
+        sub = SubchannelParams(transmittance, 0.2, 1.4)
+        assert type(sub.transmittance) is complex
+        assert sub.transmittance == complex(transmittance)
+        plain = SubchannelParams(complex(transmittance), 0.2, 1.4)
+        assert rate_report(ChannelModel((sub,), 1), 1.2) == rate_report(
+            ChannelModel((plain,), 1), 1.2
+        )
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize(

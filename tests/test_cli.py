@@ -788,6 +788,8 @@ BIG_K = str(10**200)  # K_in * K_out beyond the largest double
          "error: {path}:4: bad entry '1:x'"),
         (("svd", "--matrix", "{path}"), "# only a comment\n\n# another\n",
          "error: {path}: no matrix rows found"),
+        (("svd", "--matrix", "{path}"), "0.5:0,0.1:0\n\n0.2:0,1:nan\n",
+         "error: {path}:3: matrix entries must be finite, got '1:nan'"),
         (("rates", "--channel", "{path}", "--mod-variance", "1.2", "--fades", "0.5,0.6,0.7"),
          CHANNEL_TEXT, "error: expected 2 fade values, got 3"),
         (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "re_t=0.5 noise_var\n",
@@ -799,8 +801,8 @@ BIG_K = str(10**200)  # K_in * K_out beyond the largest double
         (("constellation", "--bits", "2", "--l", "-3"), None, "error: l must be >= 1, got -3"),
     ],
     ids=["precision-not-an-integer", "config-line-without-value", "config-key-twice",
-         "matrix-bad-cell-after-comment", "matrix-comments-only", "fade-count",
-         "channel-field-without-value", "channel-unknown-directive",
+         "matrix-bad-cell-after-comment", "matrix-comments-only", "matrix-non-finite-cell",
+         "fade-count", "channel-field-without-value", "channel-unknown-directive",
          "constellation-no-subchannel", "constellation-negative-l"],
 )
 def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
@@ -858,6 +860,23 @@ class TestTableWideParametersFirst:
         # a grid that starts with a negative value must be given as --grid=...
         points = grid[::-1] if bad_point_first else grid
         code = main([*argv, f"{grid_flag}={','.join(points)}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--mod-variance=0",), "mod_variance must be positive, got 0.0"),
+            (("--mod-variance=-1",), "mod_variance must be positive, got -1.0"),
+            (("--mod-variance=1.2", "--gain-c=0"), "gain_c must be > 0, got 0.0"),
+        ],
+        ids=["mod-variance-zero", "mod-variance-negative", "gain-c-zero"],
+    )
+    def test_rates_parameter_exits_2_before_the_fade_count(self, capsys, tmp_path, flags, message):
+        # three fades for the two active sub-channels of CHANNEL_TEXT
+        argv = with_input_files(tmp_path, ["rates", "--channel", "{channel}", *flags])
+        code = main([*argv, "--fades", "0.1,0.2,0.3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"

@@ -38,7 +38,7 @@ moderate = st.floats(1e-3, 1e3)
 @SETTINGS
 @given(
     snr=st.lists(
-        st.one_of(st.just(1.0), st.floats(1.0, 1e6), st.floats(1.0, MAX), st.just(math.inf)),
+        st.one_of(st.just(1.0), st.floats(1.0, 1e6), st.floats(1.0, MAX)),
         min_size=1, max_size=20,
     ).map(spaced),
     ratio=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0)),

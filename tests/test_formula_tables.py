@@ -56,7 +56,7 @@ def test_perr_rows_match_the_per_cell_outage_params_rule(snr, ratio, l_values):
 @SETTINGS
 @given(
     snr=st.lists(
-        st.one_of(st.just(1.0), st.just(math.inf), st.floats(1.0, math.inf)),
+        st.one_of(st.just(1.0), st.floats(1.0, allow_infinity=False)),
         min_size=1, max_size=20,
     ),
     ratio=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),

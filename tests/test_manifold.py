@@ -385,6 +385,9 @@ ANY_KIND = ("single", "multicarrier", "g_scaled", "multiaccess_in_gt_out",
          "power-law outage needs snr >= 1, got 0.5"),
         (lambda: perr_rows([10.0, 0.5], 0.5, (2,)), DomainError,
          "power-law outage needs snr >= 1, got 0.5"),
+        (lambda: perr_rows([np.inf], 0.5, [2]), ValueError, "snr must be finite, got inf"),
+        # before any row, so the snr below one ahead of it does not mask it
+        (lambda: perr_rows([0.5, np.inf], 0.5, ()), ValueError, "snr must be finite, got inf"),
         (lambda: perr_exponential_outage(-1.0, 10.0), ValueError,
          "secret_rate must be >= 0, got -1.0"),
         (lambda: perr_exponential_outage(np.nan, 10.0), ValueError,

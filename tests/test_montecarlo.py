@@ -212,6 +212,28 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(**base)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(l=2.0), "l must be an integer, got 2.0"),
+            (dict(trials=2000.0), "trials must be an integer, got 2000.0"),
+            (dict(seed=1.7), "seed must be an integer, got 1.7"),
+        ],
+        ids=["l", "trials", "seed"],
+    )
+    def test_a_float_where_an_integer_belongs_is_rejected(self, kwargs, message):
+        base = dict(l=2, multiplex_ratio=0.0, snr_grid=(2, 3, 4), trials=2000, seed=1)
+        base.update(kwargs)
+        with pytest.raises(ValueError) as excinfo:
+            TrialConfig(**base)
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = TrialConfig(l=np.int64(2), multiplex_ratio=0.0, snr_grid=(2, 3, 4),
+                          trials=np.uint32(2000), seed=np.int8(3))
+        assert (cfg.l, cfg.trials, cfg.seed) == (2, 2000, 3)
+        assert {type(cfg.l), type(cfg.trials), type(cfg.seed)} == {int}
+
 
 class TestMeanFadeOutage:
     def test_single_channel_calibration(self):

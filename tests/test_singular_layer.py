@@ -181,6 +181,25 @@ class TestEigenDecompositionType:
         with pytest.raises(ValueError, match="u2 does not have orthonormal columns"):
             EigenDecomposition(u2, d.lambdas, d.f1_inv)
 
+    @pytest.mark.parametrize(
+        "u2, lam, message",
+        [
+            (np.eye(2), math.nan, "singular values must be finite"),
+            (np.eye(2), math.inf, "singular values must be finite"),
+            (np.full((2, 2), np.nan), 1.0,
+             "u2 does not have orthonormal columns (max deviation nan)"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, u2, lam, message):
+        with pytest.raises(ValueError) as excinfo:
+            EigenDecomposition(u2, np.array([lam, 0.5]), np.eye(2))
+        assert str(excinfo.value) == message
+
+    def test_an_overflowing_svd_is_rejected(self):
+        # finite entries whose largest singular value overflows to inf
+        with pytest.raises(ValueError, match="^singular values must be finite$"):
+            svd_decompose(TransmittanceMatrix(np.full((2, 2), 1e308, complex)))
+
     def test_full_u2_rejected(self):
         """u2 holds one column per eigenchannel, not a K_out x K_out unitary."""
         with pytest.raises(ValueError, match="one value per eigenchannel"):
@@ -203,6 +222,14 @@ class TestMatrixCsv:
         p.write_text("1:0\n0.5\n")
         with pytest.raises(ValueError, match=r":2:"):
             load_matrix_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan:0", "1:inf", "-inf:-inf", "1e309:0"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        p = tmp_path / "m.csv"
+        p.write_text(f"1:0,2:0\n# comment\n1:0,{cell}\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_matrix_csv(p)
+        assert str(excinfo.value) == f"{p}:3: matrix entries must be finite, got {cell!r}"
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
