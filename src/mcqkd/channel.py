@@ -7,6 +7,9 @@ Each sub-channel i carries a complex transmittance T_i whose real part
 splitter.  The fluctuating, Fourier-domain transmission coefficient of a
 sub-channel is a zero-mean circular symmetric complex Gaussian, so its squared
 magnitude is exponentially distributed (Rayleigh amplitude fading).
+:func:`total_input_noise` takes that tap, e = 1 - |T_i|^2, from a checked
+:class:`SubchannelParams` and adds to the vacuum variance the excess noise
+N = (W - 1) * e / (1 - e) of the eavesdropper's EPR ancilla of variance W.
 
 File format accepted by :func:`load_channel_model` (one record per line):
 
@@ -28,7 +31,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import SingularNoiseError
+from .errors import SingularNoiseError, input_lines
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _RECORD_KEYS = ("re_t", "noise_var", "eve_w")
@@ -128,42 +131,19 @@ class ChannelModel(_ChannelFields):
         return self.subchannels[: self.active_count]
 
 
-def eve_transmittance(transmittance) -> float:
-    """Squared transmittance of the eavesdropper's beam-splitter tap,
-    1 - |T|^2."""
-    mag_sq = abs(complex(transmittance)) ** 2
-    if mag_sq > 1.0 + 1e-12:
-        raise ValueError(f"|T|^2 must not exceed 1, got {mag_sq}")
-    return 1.0 - min(mag_sq, 1.0)
-
-
-def excess_noise(eve_epr_variance: float, eve_trans_sq: float) -> float:
-    """Excess noise a tap of squared transmittance ``eve_trans_sq`` injects
-    when the eavesdropper's ancilla has variance ``eve_epr_variance``:
-
-        N = (W - 1) * e / (1 - e)
-
-    Diverges as e -> 1 (the tap takes the whole signal), which raises
-    :class:`SingularNoiseError`.
-    """
-    if not eve_epr_variance >= 1.0:
-        raise ValueError(f"eve_epr_variance must be >= 1, got {eve_epr_variance}")
-    if not 0.0 <= eve_trans_sq <= 1.0:
-        raise ValueError(f"eve_trans_sq must lie in [0, 1], got {eve_trans_sq}")
+def total_input_noise(sub: SubchannelParams, vacuum_variance: float = 1.0) -> float:
+    """Vacuum plus excess noise at the input of ``sub``; N diverges as e -> 1,
+    and a tap that takes everything (``re_t=0``) raises
+    :class:`SingularNoiseError`."""
+    if not vacuum_variance > 0:
+        raise ValueError(f"vacuum_variance must be positive, got {vacuum_variance}")
+    eve_trans_sq = 1.0 - min(abs(sub.transmittance) ** 2, 1.0)
     if eve_trans_sq == 1.0:
         raise SingularNoiseError(
             "excess noise diverges: the eavesdropper tap transmits everything"
         )
-    return (eve_epr_variance - 1.0) * eve_trans_sq / (1.0 - eve_trans_sq)
-
-
-def total_input_noise(
-    eve_epr_variance: float, eve_trans_sq: float, vacuum_variance: float = 1.0
-) -> float:
-    """Vacuum plus excess noise seen at a sub-channel input."""
-    if not vacuum_variance > 0:
-        raise ValueError(f"vacuum_variance must be positive, got {vacuum_variance}")
-    return vacuum_variance + excess_noise(eve_epr_variance, eve_trans_sq)
+    excess = (sub.eve_epr_variance - 1.0) * eve_trans_sq / (1.0 - eve_trans_sq)
+    return vacuum_variance + excess
 
 
 def _parse_assignments(line: str) -> dict[str, str]:
@@ -201,46 +181,40 @@ def load_channel_model(path) -> ChannelModel:
     directives: dict[str, float | int] = {}
     where: dict[str, int] = {}
     records: list[SubchannelParams] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                fields = _parse_assignments(line)
-                if any(k in fields for k in _RECORD_KEYS):
-                    unknown = set(fields) - set(_RECORD_KEYS)
-                    if unknown:
-                        raise ValueError(f"unknown record keys {sorted(unknown)}")
-                    missing = {"re_t", "noise_var"} - set(fields)
-                    if missing:
-                        raise ValueError(f"missing record keys {sorted(missing)}")
-                    records.append(
-                        SubchannelParams.from_real(
-                            float(fields["re_t"]),
-                            float(fields["noise_var"]),
-                            float(fields.get("eve_w", 1.0)),
-                        )
+    for lineno, line in input_lines(path):
+        try:
+            fields = _parse_assignments(line)
+            if any(k in fields for k in _RECORD_KEYS):
+                unknown = set(fields) - set(_RECORD_KEYS)
+                if unknown:
+                    raise ValueError(f"unknown record keys {sorted(unknown)}")
+                missing = {"re_t", "noise_var"} - set(fields)
+                if missing:
+                    raise ValueError(f"missing record keys {sorted(missing)}")
+                records.append(
+                    SubchannelParams.from_real(
+                        float(fields["re_t"]),
+                        float(fields["noise_var"]),
+                        float(fields.get("eve_w", 1.0)),
                     )
-                else:
-                    unknown = set(fields) - set(_DIRECTIVE_KEYS)
-                    if unknown:
-                        raise ValueError(f"unknown directive keys {sorted(unknown)}")
-                    if records:
-                        raise ValueError("directives must precede sub-channel records")
-                    for key, value in fields.items():
-                        if key in directives:
-                            raise ValueError(f"duplicate key {key!r}")
-                        directives[key] = _parse_directive(key, value)
-                        where[key] = lineno
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                )
+            else:
+                unknown = set(fields) - set(_DIRECTIVE_KEYS)
+                if unknown:
+                    raise ValueError(f"unknown directive keys {sorted(unknown)}")
+                if records:
+                    raise ValueError("directives must precede sub-channel records")
+                for key, value in fields.items():
+                    if key in directives:
+                        raise ValueError(f"duplicate key {key!r}")
+                    directives[key] = _parse_directive(key, value)
+                    where[key] = lineno
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not records:
         raise ValueError(f"{path}: no sub-channel records found")
-    active = directives.get("active_count", len(records))
-    if active > len(records):
-        raise ValueError(
-            f"{path}:{where['active_count']}: active_count must lie in "
-            f"[1, {len(records)}], got {active}"
-        )
-    return ChannelModel(tuple(records), active, directives.get("vacuum_variance", 1.0))
+    try:
+        return ChannelModel(tuple(records), directives.get("active_count", len(records)),
+                            directives.get("vacuum_variance", 1.0))
+    except ValueError as exc:  # the directives are checked: only active_count > n is left
+        raise ValueError(f"{path}:{where['active_count']}: {exc}") from None

@@ -42,9 +42,9 @@ import math
 import sys
 
 from . import __version__
-from .errors import DegenerateInputError, DomainError, InsufficientTrialsError
+from .errors import DegenerateInputError, DomainError, InsufficientTrialsError, input_lines
 from .manifold import CURVE_KINDS, perr_rows, tradeoff_curve
-from .rates import SUBCHANNEL_COLUMNS, rate_report
+from .rates import SUBCHANNEL_COLUMNS, check_rate_parameters, rate_report
 
 # every mc setting: the type a flag or config-file value is converted to, the
 # default (None where the setting is required) and the allowed values (None
@@ -63,17 +63,23 @@ _MC_SETTINGS = {
 _MAX_GRID_POINTS = 1_000_000
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, name: str) -> list[float]:
     """Parse ``a,b,c`` lists or ``start:stop:step`` inclusive ranges of finite
-    values; a range may hold at most ``_MAX_GRID_POINTS`` points."""
+    values; a range may hold at most ``_MAX_GRID_POINTS`` points.  A cell
+    that is not a number is reported with ``name``, the flag or setting."""
     text = text.strip()
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+        cells = text.split(":")
+        if len(cells) != 3:
             raise ValueError(f"expected start:stop:step, got {text!r}")
-        values = [float(p) for p in parts]
     else:
-        values = [float(p) for p in text.split(",") if p.strip()]
+        cells = [p for p in text.split(",") if p.strip()]
+    values = []
+    for cell in cells:
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"{name} values must be numbers, got {cell!r}") from None
     if not values:
         raise ValueError(f"empty grid {text!r}")
     if not all(math.isfinite(v) for v in values):
@@ -159,7 +165,7 @@ def _grid_param(values: list[float]) -> str:
 
 
 def _run_tradeoff(args) -> tuple[dict, str]:
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, "--grid")
     curve = tradeoff_curve(
         args.kind,
         grid,
@@ -175,8 +181,8 @@ def _run_tradeoff(args) -> tuple[dict, str]:
 
 
 def _run_perr(args) -> tuple[dict, str]:
-    snr = _to_linear(_parse_grid(args.snr), args.snr_unit)
-    l_grid = _parse_grid(args.l)
+    snr = _to_linear(_parse_grid(args.snr, "--snr"), args.snr_unit)
+    l_grid = _parse_grid(args.l, "--l")
     if not all(v >= 1 and v == int(v) for v in l_grid):
         raise ValueError(f"every l must be an integer >= 1, got {args.l!r}")
     l_values = [int(v) for v in l_grid]
@@ -199,32 +205,28 @@ def _run_perr(args) -> tuple[dict, str]:
 
 def _read_mc_config(path) -> dict:
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key not in _MC_SETTINGS:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown key {key!r}; allowed: {', '.join(_MC_SETTINGS)}"
-                )
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            convert, _, choices = _MC_SETTINGS[key]
-            try:
-                out[key] = convert(value)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: {key} must be of type {convert.__name__}, got {value!r}"
-                ) from None
-            if choices and out[key] not in choices:
-                raise ValueError(
-                    f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {value!r}"
-                )
+    for lineno, line in input_lines(path):
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in _MC_SETTINGS:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r}; allowed: {', '.join(_MC_SETTINGS)}"
+            )
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        convert, _, choices = _MC_SETTINGS[key]
+        try:
+            out[key] = convert(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be of type {convert.__name__}, got {value!r}"
+            ) from None
+        if choices and out[key] not in choices:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {value!r}"
+            )
     return out
 
 
@@ -241,7 +243,8 @@ def _run_mc(args) -> tuple[dict, str]:
     if missing:
         raise ValueError(f"missing mc settings: {', '.join(missing)}")
     mode = settings["mode"]
-    snr = _to_linear(_parse_grid(settings["snr"]), settings["snr_unit"])
+    snr_grid = _parse_grid(settings["snr"], "snr" if args.snr is None else "--snr")
+    snr = _to_linear(snr_grid, settings["snr_unit"])
     cfg = TrialConfig(
         l=settings["l"],
         multiplex_ratio=settings["multiplex"],
@@ -298,10 +301,10 @@ def _run_svd(args) -> tuple[dict, str]:
 def _run_rates(args) -> tuple[dict, str]:
     from .channel import load_channel_model
 
+    # the --fades syntax, then the table-wide parameters, then the file
+    fades_sq = _parse_grid(args.fades, "--fades") if args.fades else None
+    check_rate_parameters(args.mod_variance, args.gain_c)
     model = load_channel_model(args.channel)
-    fades_sq = None
-    if args.fades:
-        fades_sq = _parse_grid(args.fades)
     report = rate_report(model, args.mod_variance, args.gain_c, fades_sq)
     rows = [(i, *sub) for i, sub in enumerate(report.subchannels)]
     rows.append(

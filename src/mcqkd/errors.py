@@ -1,9 +1,12 @@
-"""Typed errors raised across the toolkit.
+"""Typed errors raised across the toolkit, and the reader of its input files.
 
 ``DomainError`` and its subclasses signal inputs that are syntactically fine
 but lie outside the physical or analytic domain of a formula.  They subclass
 ``ValueError`` so generic argument validation and domain failures can be
 caught together when the distinction does not matter.
+
+:func:`input_lines` reads the three input file formats, so that a file that
+is not UTF-8 is reported at its path, as the loaders report other faults.
 """
 
 
@@ -50,3 +53,14 @@ class InsufficientTrialsError(RuntimeError):
     def __init__(self, message: str, outage=None):
         self.outage = outage
         super().__init__(message)
+
+
+def input_lines(path) -> list:
+    """The ``(line number, text)`` pairs of the UTF-8 file ``path``, each text
+    cut at its first ``#`` and stripped; blank texts are left out but counted."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]

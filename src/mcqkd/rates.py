@@ -21,9 +21,10 @@ huge one over a tiny bracket overflows it to inf; either raises
 these checks.
 
 Each scalar function checks its own arguments.  :func:`rate_report` checks
-``mod_variance`` and ``gain_c`` once, before the fade count and any
-sub-channel, and per row only what depends on the row: a negative fade,
-the eavesdropper tap of the row's transmittance and the attack noise.
+``mod_variance`` and ``gain_c`` with :func:`check_rate_parameters` before
+the fade count and any sub-channel, and per row only what depends on the
+row: a negative fade, a diverging tap (``channel.total_input_noise``) and
+the attack noise.
 Its rates are the expressions of the scalar functions, so every cell and
 total rounds as they give it; a total that is not finite (a boosted
 variance that overflows, say) raises ``ValueError``.
@@ -128,6 +129,16 @@ def private_capacity_complex(mod_variance: float, fade_sq: float, attack_noise: 
     return 2.0 * subchannel_capacity(mod_variance, fade_sq, attack_noise)
 
 
+def check_rate_parameters(mod_variance: float, gain_c: float) -> None:
+    """:func:`rate_report`'s table-wide checks: both finite, then positive."""
+    for name, value in (("mod_variance", mod_variance), ("gain_c", gain_c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    _check_positive(mod_variance=mod_variance)
+    if not gain_c > 0:
+        raise ValueError(f"gain_c must be > 0, got {gain_c}")
+
+
 def rate_report(
     channel: ChannelModel,
     mod_variance: float,
@@ -142,14 +153,9 @@ def rate_report(
     transmittances.
     """
     # here, not at the top: ``mcqkd.cli`` starts without ``channel``
-    from .channel import eve_transmittance, total_input_noise
+    from .channel import total_input_noise
 
-    for name, value in (("mod_variance", mod_variance), ("gain_c", gain_c)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    _check_positive(mod_variance=mod_variance)
-    if not gain_c > 0:
-        raise ValueError(f"gain_c must be > 0, got {gain_c}")
+    check_rate_parameters(mod_variance, gain_c)
     active = channel.active
     if fades_sq is None:
         fades_sq = [abs(sub.transmittance) ** 2 for sub in active]
@@ -167,9 +173,7 @@ def rate_report(
     for sub, fade_sq in zip(active, fades_sq):
         _check_fade_sq(fade_sq)
         # positive: the vacuum variance plus a non-negative excess noise
-        input_noise = total_input_noise(
-            sub.eve_epr_variance, eve_transmittance(sub.transmittance), channel.vacuum_variance
-        )
+        input_noise = total_input_noise(sub, channel.vacuum_variance)
         noise_star = _attack_noise(mod_variance, fade_sq, input_noise)
         # the expressions of subchannel_capacity (at mod_variance and at the
         # boosted variance) and of private_capacity_complex, so each rate

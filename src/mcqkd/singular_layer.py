@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import input_lines
+
 _ORTHONORMAL_TOL = 1e-10  # largest |m^dagger m - I| entry of orthonormal columns
 
 
@@ -114,26 +116,20 @@ def reconstruct(d: EigenDecomposition) -> TransmittanceMatrix:
 def load_matrix_csv(path) -> TransmittanceMatrix:
     """Read a complex matrix from the row-major ``re:im`` CSV format."""
     rows: list[list[complex]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            row = []
-            for cell in line.split(","):
-                re_part, sep, im_part = cell.strip().partition(":")
-                if not sep:
-                    raise ValueError(f"{path}:{lineno}: expected re:im, got {cell!r}")
-                try:
-                    re, im = float(re_part), float(im_part)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad entry {cell!r}") from None
-                if not (math.isfinite(re) and math.isfinite(im)):
-                    raise ValueError(
-                        f"{path}:{lineno}: matrix entries must be finite, got {cell!r}"
-                    )
-                row.append(complex(re, im))
-            rows.append(row)
+    for lineno, line in input_lines(path):
+        row = []
+        for cell in line.split(","):
+            re_part, sep, im_part = cell.strip().partition(":")
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected re:im, got {cell!r}")
+            try:
+                re, im = float(re_part), float(im_part)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad entry {cell!r}") from None
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"{path}:{lineno}: matrix entries must be finite, got {cell!r}")
+            row.append(complex(re, im))
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
     widths = {len(r) for r in rows}

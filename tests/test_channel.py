@@ -6,8 +6,6 @@ import pytest
 from mcqkd.channel import (
     ChannelModel,
     SubchannelParams,
-    eve_transmittance,
-    excess_noise,
     load_channel_model,
     total_input_noise,
 )
@@ -64,41 +62,46 @@ class TestSubchannelParams:
 
 
 @pytest.mark.parametrize(
-    "re_t,expected",
+    "re_t,eve_trans_sq",
     [
         (SQRT_HALF, 0.0),  # lossless
-        (0.0, 1.0),  # fully intercepted
         (np.sqrt(0.18), 0.64),  # |T|^2 = 0.36
     ],
 )
-def test_eve_transmittance_values(re_t, expected):
-    sub = SubchannelParams.from_real(re_t, 1.0)
-    assert eve_transmittance(sub.transmittance) == pytest.approx(expected, abs=1e-12)
+def test_eve_transmittance_values(re_t, eve_trans_sq):
+    # at W = 2 the excess noise is e / (1 - e) for the tap's e = 1 - |T|^2
+    sub = SubchannelParams.from_real(re_t, 1.0, 2.0)
+    excess = eve_trans_sq / (1.0 - eve_trans_sq)
+    assert total_input_noise(sub) - 1.0 == pytest.approx(excess, abs=1e-12)
 
 
 def test_eve_plus_channel_transmittance_is_one():
-    for re_t in np.linspace(0.0, SQRT_HALF, 13):
-        sub = SubchannelParams.from_real(re_t, 1.0)
-        total = eve_transmittance(sub.transmittance) + abs(sub.transmittance) ** 2
-        assert total == pytest.approx(1.0, abs=1e-12)
+    # the tap takes e = 1 - |T|^2, so at W = 2 the excess noise is e / |T|^2
+    for re_t in np.linspace(0.0, SQRT_HALF, 13)[1:]:
+        sub = SubchannelParams.from_real(re_t, 1.0, 2.0)
+        mag_sq = abs(sub.transmittance) ** 2
+        assert total_input_noise(sub) - 1.0 == pytest.approx((1.0 - mag_sq) / mag_sq, rel=1e-12)
 
 
 class TestExcessNoise:
     def test_unit_epr_variance_gives_zero(self):
-        for e in (0.0, 0.3, 0.99):
-            assert excess_noise(1.0, e) == 0.0
+        for re_t in (SQRT_HALF, 0.5, 0.05):
+            assert total_input_noise(SubchannelParams.from_real(re_t, 1.0, 1.0)) == 1.0
 
     def test_hand_values(self):
-        assert excess_noise(2.0, 0.5) == pytest.approx(1.0)
-        assert excess_noise(3.0, 0.8) == pytest.approx(8.0)
+        # |T|^2 = 0.5 and 0.2, so e = 0.5 and 0.8
+        assert total_input_noise(SubchannelParams.from_real(0.5, 1.0, 2.0)) == pytest.approx(2.0)
+        sub = SubchannelParams.from_real(np.sqrt(0.1), 1.0, 3.0)
+        assert total_input_noise(sub) == pytest.approx(9.0)
 
     def test_full_interception_is_singular(self):
         with pytest.raises(SingularNoiseError):
-            excess_noise(2.0, 1.0)
+            total_input_noise(SubchannelParams.from_real(0.0, 1.0, 2.0))
 
     def test_total_input_noise_adds_vacuum(self):
-        assert total_input_noise(2.0, 0.5) == pytest.approx(2.0)
-        assert total_input_noise(2.0, 0.5, vacuum_variance=0.5) == pytest.approx(1.5)
+        sub = SubchannelParams.from_real(0.5, 1.0, 2.0)
+        assert total_input_noise(sub) == pytest.approx(2.0)
+        assert total_input_noise(sub, vacuum_variance=0.5) == pytest.approx(1.5)
 
 
 class TestChannelModel:
@@ -193,11 +196,7 @@ SUB = SubchannelParams.from_real(0.5, 0.2)
          "active_count must be an integer, got 2.0"),
         (lambda: ChannelModel((SUB,), "1"), ValueError,
          "active_count must be an integer, got '1'"),
-        (lambda: eve_transmittance(complex(0.8, 0.8)), ValueError,
-         "|T|^2 must not exceed 1, got 1.28"),
-        (lambda: excess_noise(0.5, 0.3), ValueError, "eve_epr_variance must be >= 1, got 0.5"),
-        (lambda: excess_noise(2.0, 1.5), ValueError, "eve_trans_sq must lie in [0, 1], got 1.5"),
-        (lambda: total_input_noise(2.0, 0.5, vacuum_variance=0.0), ValueError,
+        (lambda: total_input_noise(SUB, vacuum_variance=0.0), ValueError,
          "vacuum_variance must be positive, got 0.0"),
     ],
 )

@@ -61,13 +61,13 @@ def header_map(lines):
 
 class TestGridParsing:
     def test_comma_list(self):
-        assert _parse_grid("1,10,100") == [1.0, 10.0, 100.0]
+        assert _parse_grid("1,10,100", "--grid") == [1.0, 10.0, 100.0]
 
     def test_range_is_end_inclusive(self):
-        assert _parse_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert _parse_grid("0:1:0.25", "--grid") == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_range_with_uneven_step_stops_short(self):
-        assert _parse_grid("1:2:0.4") == pytest.approx([1.0, 1.4, 1.8])
+        assert _parse_grid("1:2:0.4", "--grid") == pytest.approx([1.0, 1.4, 1.8])
 
     @pytest.mark.parametrize(
         "text",
@@ -78,13 +78,13 @@ class TestGridParsing:
     )
     def test_malformed_grids_rejected(self, text):
         with pytest.raises(ValueError):
-            _parse_grid(text)
+            _parse_grid(text, "--grid")
 
     def test_range_point_count_bounded(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 10)
-        assert len(_parse_grid("1:10:1")) == 10
+        assert len(_parse_grid("1:10:1", "--grid")) == 10
         with pytest.raises(ValueError, match="more than 10 points"):
-            _parse_grid("1:11:1")
+            _parse_grid("1:11:1", "--grid")
 
     @pytest.mark.parametrize(
         "argv",
@@ -324,6 +324,16 @@ class TestRates:
         p.write_text("re_t=0.5 noise_var=0.2\n")
         code, _ = run(capsys, "rates", "--channel", str(p), "--mod-variance", "2")
         assert code == 3
+
+    def test_a_fully_tapped_subchannel_exits_3(self, capsys, tmp_path):
+        p = tmp_path / "chan.txt"
+        p.write_text("re_t=0.5 noise_var=0.2 eve_w=1.4\nre_t=0 noise_var=0.2 eve_w=1.4\n")
+        code = main(["rates", "--channel", str(p), "--mod-variance", "1.2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "error: excess noise diverges: the eavesdropper tap transmits everything\n"
+        )
 
     @pytest.mark.parametrize(
         "text, flags, code, message",
@@ -771,6 +781,9 @@ class TestExitCodes:
 
 
 BIG_K = str(10**200)  # K_in * K_out beyond the largest double
+UNDECODABLE = (
+    "error: {path}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
+)
 
 
 @pytest.mark.parametrize(
@@ -799,17 +812,41 @@ BIG_K = str(10**200)  # K_in * K_out beyond the largest double
          "error: {path}:1: unknown directive keys ['bogus']"),
         (("constellation", "--bits", "2", "--l", "0"), None, "error: l must be >= 1, got 0"),
         (("constellation", "--bits", "2", "--l", "-3"), None, "error: l must be >= 1, got -3"),
+        # a grid cell that is not a number is named with its flag or setting,
+        # before any table-wide parameter (--z 0.5 is bad too)
+        (("perr", "--snr", "1,x", "--multiplex", "0.5"), None,
+         "error: --snr values must be numbers, got 'x'"),
+        (("perr", "--snr", "1", "--multiplex", "0.5", "--l", "1,x"), None,
+         "error: --l values must be numbers, got 'x'"),
+        (("tradeoff", "--kind", "single", "--grid", "0.5,x", "--z", "0.5"), None,
+         "error: --grid values must be numbers, got 'x'"),
+        (("tradeoff", "--kind", "single", "--grid", "0:1:y"), None,
+         "error: --grid values must be numbers, got 'y'"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2", "--fades", "1,x"),
+         CHANNEL_TEXT, "error: --fades values must be numbers, got 'x'"),
+        (("mc", "--mode", "rate", "--snr", "2,3,x"), None,
+         "error: --snr values must be numbers, got 'x'"),
+        (("mc", "--config", "{path}"), "mode=rate\nsnr=2,3,x\n",
+         "error: snr values must be numbers, got 'x'"),
+        # the file is written as latin-1, so "\xff" is the byte 0xff, not UTF-8
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "# \xff\n",
+         UNDECODABLE),
+        (("svd", "--matrix", "{path}"), "# \xff\n", UNDECODABLE),
+        (("mc", "--config", "{path}"), "# \xff\n", UNDECODABLE),
     ],
     ids=["precision-not-an-integer", "config-line-without-value", "config-key-twice",
          "matrix-bad-cell-after-comment", "matrix-comments-only", "matrix-non-finite-cell",
          "fade-count", "channel-field-without-value", "channel-unknown-directive",
-         "constellation-no-subchannel", "constellation-negative-l"],
+         "constellation-no-subchannel", "constellation-negative-l", "perr-snr-cell",
+         "perr-l-cell", "tradeoff-grid-cell", "tradeoff-range-cell", "rates-fades-cell",
+         "mc-snr-cell", "mc-config-snr-cell", "channel-not-utf8", "matrix-not-utf8",
+         "config-not-utf8"],
 )
 def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
     """Only argparse prints a usage block, above its error line."""
     path = tmp_path / "input.txt"
     if text is not None:
-        path.write_text(text)
+        path.write_text(text, encoding="latin-1")
     code = main([a.format(path=path) for a in argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -877,6 +914,27 @@ class TestTableWideParametersFirst:
         # three fades for the two active sub-channels of CHANNEL_TEXT
         argv = with_input_files(tmp_path, ["rates", "--channel", "{channel}", *flags])
         code = main([*argv, "--fades", "0.1,0.2,0.3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--mod-variance=0",), "mod_variance must be positive, got 0.0"),
+            (("--mod-variance=1.2", "--gain-c=inf"), "gain_c must be finite, got inf"),
+        ],
+        ids=["mod-variance-zero", "gain-c-infinite"],
+    )
+    @pytest.mark.parametrize("channel_text", ["re_t=0.9 noise_var=0.2\n", None],
+                             ids=["bad-file", "missing-file"])
+    def test_rates_parameter_exits_2_before_the_channel_file(
+        self, capsys, tmp_path, flags, message, channel_text
+    ):
+        path = tmp_path / "channel.txt"
+        if channel_text is not None:
+            path.write_text(channel_text)
+        code = main(["rates", "--channel", str(path), *flags])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"

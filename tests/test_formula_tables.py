@@ -13,7 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mcqkd.channel import (  # noqa: E402
-    ChannelModel, SubchannelParams, eve_transmittance, total_input_noise,
+    ChannelModel, SubchannelParams, total_input_noise,
 )
 from mcqkd.manifold import (  # noqa: E402
     OutageParams, perr_rows, tradeoff_curve,
@@ -213,9 +213,7 @@ def report_per_row(model, mod_variance, gain_c, fades_sq):
     totals = [0.0] * 4
     rows = []
     for sub, fade_sq in zip(model.active, fades_sq):
-        input_noise = total_input_noise(
-            sub.eve_epr_variance, eve_transmittance(sub.transmittance), model.vacuum_variance
-        )
+        input_noise = total_input_noise(sub, model.vacuum_variance)
         noise_star = optimal_attack_noise(mod_variance, fade_sq, input_noise)
         rates = (
             subchannel_capacity(mod_variance, fade_sq, sub.noise_variance),
