@@ -3,14 +3,15 @@
 Every subcommand writes CSV, either to stdout or to ``-o PATH``.  The file
 starts with ``#``-prefixed comment lines recording the tool version and the
 full resolved configuration, so a result file is self-describing and two runs
-with identical configurations produce identical bytes (for ``svd``, at one
-BLAS thread count: the singular values of larger matrices can move in their
-last digits between ``OPENBLAS_NUM_THREADS`` settings).  ``--precision N``
-sets the significant digits of float cells, printed as ``%.Ng``; every other
-cell prints as ``str``.  N must lie in [1, 2**31 - 1], the largest precision
-a format string takes; any other value exits 2 before any work.  The Monte Carlo
-thread count is deliberately not part of the recorded configuration: results
-are bit-identical for any thread count.
+with identical configurations produce identical bytes.  ``svd`` runs its
+numeric work with numpy's BLAS on one thread, so its bytes do not depend on
+``OPENBLAS_NUM_THREADS``; with a BLAS that exports no known thread-count
+call, they hold at a fixed thread count only.  ``--precision N`` sets the
+significant digits of float cells, printed as ``%.Ng`` by ``errors._table``;
+every other cell prints as ``str``.  N must lie in [1, 2**31 - 1], the
+largest precision a format string takes; any other value exits 2 before any
+work.  The Monte Carlo thread count is deliberately not part of the recorded
+configuration: results are bit-identical for any thread count.
 
 The parser is built once per process.  Each ``_run_<subcommand>`` handler
 only computes: it returns the header params and the CSV body, and ``main``
@@ -20,7 +21,7 @@ SNR values are accepted either as linear ratios (default) or in dB with
 ``--snr-unit db``; they are converted once at parse time and all outputs and
 headers use the linear scale (the ``perr`` table also prints a dB column).
 Grids are given as comma lists (``1,10,100``) or ranges (``start:stop:step``,
-end inclusive).
+end inclusive); a fault in one is reported with its flag.
 
 Start-up imports only ``errors``, ``manifold`` and ``rates``, which need
 neither numpy nor ``dataclasses`` (their records are named tuples, and
@@ -43,6 +44,7 @@ import sys
 
 from . import __version__
 from .errors import DegenerateInputError, DomainError, InsufficientTrialsError, input_lines
+from .errors import _csv, _format_rows, _table
 from .manifold import CURVE_KINDS, perr_rows, tradeoff_curve
 from .rates import SUBCHANNEL_COLUMNS, check_rate_parameters, rate_report
 
@@ -65,13 +67,13 @@ _MAX_GRID_POINTS = 1_000_000
 
 def _parse_grid(text: str, name: str) -> list[float]:
     """Parse ``a,b,c`` lists or ``start:stop:step`` inclusive ranges of finite
-    values; a range may hold at most ``_MAX_GRID_POINTS`` points.  A cell
-    that is not a number is reported with ``name``, the flag or setting."""
+    values; a range may hold at most ``_MAX_GRID_POINTS`` points.  Every fault
+    is reported with ``name``, the flag or setting."""
     text = text.strip()
     if ":" in text:
         cells = text.split(":")
         if len(cells) != 3:
-            raise ValueError(f"expected start:stop:step, got {text!r}")
+            raise ValueError(f"{name} range must be start:stop:step, got {text!r}")
     else:
         cells = [p for p in text.split(",") if p.strip()]
     values = []
@@ -81,17 +83,17 @@ def _parse_grid(text: str, name: str) -> list[float]:
         except ValueError:
             raise ValueError(f"{name} values must be numbers, got {cell!r}") from None
     if not values:
-        raise ValueError(f"empty grid {text!r}")
+        raise ValueError(f"{name} is an empty grid, got {text!r}")
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"grid values must be finite, got {text!r}")
+        raise ValueError(f"{name} values must be finite, got {text!r}")
     if ":" not in text:
         return values
     start, stop, step = values
     if step <= 0 or stop < start:
-        raise ValueError(f"bad range {text!r}: need step > 0 and stop >= start")
+        raise ValueError(f"{name} range {text!r} needs step > 0 and stop >= start")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_GRID_POINTS:
-        raise ValueError(f"range {text!r} has more than {_MAX_GRID_POINTS} points")
+        raise ValueError(f"{name} range {text!r} has more than {_MAX_GRID_POINTS} points")
     return [start + i * step for i in range(int(math.floor(span)) + 1)]
 
 
@@ -120,32 +122,6 @@ def _to_linear(values: list[float], unit: str) -> list[float]:
         except OverflowError:
             raise ValueError(f"snr {v:g} dB exceeds the largest double") from None
     return linear
-
-
-def _format_rows(rows, precision: int) -> list[str]:
-    """Each row as one CSV line: a float cell (numpy ``float64`` included)
-    prints as ``%.<precision>g``, any other cell as ``str``.  A row is one
-    ``%`` operation, with one format string per distinct tuple of cell types."""
-    formats = {}
-    lines = []
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                f"%.{precision}g" if issubclass(t, float) else "%s" for t in types
-            )
-        lines.append(fmt % row)
-    return lines
-
-
-def _csv(columns, lines: list[str]) -> str:
-    return "\n".join([",".join(columns), *lines]) + "\n"
-
-
-def _table(columns, rows, precision: int) -> str:
-    return _csv(columns, _format_rows(rows, precision))
 
 
 def _emit(output, subcommand: str, params: dict, body: str) -> None:
@@ -184,7 +160,7 @@ def _run_perr(args) -> tuple[dict, str]:
     snr = _to_linear(_parse_grid(args.snr, "--snr"), args.snr_unit)
     l_grid = _parse_grid(args.l, "--l")
     if not all(v >= 1 and v == int(v) for v in l_grid):
-        raise ValueError(f"every l must be an integer >= 1, got {args.l!r}")
+        raise ValueError(f"--l must be an integer >= 1 in every cell, got {args.l!r}")
     l_values = [int(v) for v in l_grid]
     if len(snr) * len(l_values) > _MAX_GRID_POINTS:
         raise ValueError(
@@ -280,17 +256,19 @@ def _run_mc(args) -> tuple[dict, str]:
 def _run_svd(args) -> tuple[dict, str]:
     import numpy as np
 
-    from .singular_layer import load_matrix_csv, reconstruct, svd_decompose
+    from .singular_layer import load_matrix_csv, one_blas_thread, reconstruct, svd_decompose
 
     matrix = load_matrix_csv(args.matrix)
-    # numpy sums the squares unscaled, so finite entries can still overflow
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(matrix.entries))
-    if not math.isfinite(norm):
-        raise ValueError("matrix Frobenius norm must fit a double")
-    decomp = svd_decompose(matrix)
-    rebuilt = reconstruct(decomp)
-    err = float(np.linalg.norm(matrix.entries - rebuilt.entries))
+    # the decomposition and both norms sum through BLAS, on one thread
+    with one_blas_thread():
+        # numpy sums the squares unscaled, so finite entries can still overflow
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(matrix.entries))
+        if not math.isfinite(norm):
+            raise ValueError("matrix Frobenius norm must fit a double")
+        decomp = svd_decompose(matrix)
+        rebuilt = reconstruct(decomp)
+        err = float(np.linalg.norm(matrix.entries - rebuilt.entries))
     rel = err / norm if norm > 0 else err
     rows = [(i, lam) for i, lam in enumerate(decomp.lambdas)]
     rows.append(("recon_error", rel))
@@ -302,7 +280,7 @@ def _run_rates(args) -> tuple[dict, str]:
     from .channel import load_channel_model
 
     # the --fades syntax, then the table-wide parameters, then the file
-    fades_sq = _parse_grid(args.fades, "--fades") if args.fades else None
+    fades_sq = _parse_grid(args.fades, "--fades") if args.fades is not None else None
     check_rate_parameters(args.mod_variance, args.gain_c)
     model = load_channel_model(args.channel)
     report = rate_report(model, args.mod_variance, args.gain_c, fades_sq)

@@ -1,4 +1,5 @@
-"""Typed errors raised across the toolkit, and the reader of its input files.
+"""Typed errors raised across the toolkit, the reader of its input files and
+the writer of its CSV tables.
 
 ``DomainError`` and its subclasses signal inputs that are syntactically fine
 but lie outside the physical or analytic domain of a formula.  They subclass
@@ -7,6 +8,8 @@ caught together when the distinction does not matter.
 
 :func:`input_lines` reads the three input file formats, so that a file that
 is not UTF-8 is reported at its path, as the loaders report other faults.
+:func:`_table` writes every CSV body, the ``mc`` table included: a float
+cell prints as ``%.Ng``, any other cell as ``str``.
 """
 
 
@@ -64,3 +67,29 @@ def input_lines(path) -> list:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
+
+
+def _format_rows(rows, precision: int) -> list[str]:
+    """Each row as one CSV line: a float cell (numpy ``float64`` included)
+    prints as ``%.<precision>g``, any other cell as ``str``.  A row is one
+    ``%`` operation, with one format string per distinct tuple of cell types."""
+    formats = {}
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                f"%.{precision}g" if issubclass(t, float) else "%s" for t in types
+            )
+        lines.append(fmt % row)
+    return lines
+
+
+def _csv(columns, lines: list[str]) -> str:
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
+def _table(columns, rows, precision: int) -> str:
+    return _csv(columns, _format_rows(rows, precision))

@@ -48,9 +48,10 @@ an upper bound on its outage, the Chernoff bound at theta = 1, so that it
 refuses only points that sampling truly cannot resolve; a zero rate is an
 impossible event.
 
-The diversity slope is fitted to log2 p_hat of the grid points with at
-least one event; ``EmpiricalOutage.excluded`` counts the zero estimates
-left out, and an all-zero grid is refused before any fit.  Every failure
+The diversity slope is the least-squares slope of log2 p_hat against
+log2 snr over the grid points with at least one event, fitted in
+``_assemble``; ``EmpiricalOutage.excluded`` counts the zero estimates left
+out, and an all-zero grid is refused before any fit.  Every failure
 after sampling (that refusal, fewer than three fitted points, a constant
 grid) carries the partial result, with a NaN slope, as the error's
 ``outage``.
@@ -74,11 +75,11 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, InsufficientTrialsError
+from .errors import DegenerateInputError, InsufficientTrialsError, _table
 
 _BLOCK = 1 << 16
 _MAX_BLOCK_VALUES = 1 << 20
@@ -169,17 +170,9 @@ class EmpiricalOutage:
         """CSV rows ``snr,p_hat,ci_low,ci_high`` plus a slope/stderr trailer."""
         if precision < 1:
             raise ValueError(f"precision must be >= 1, got {precision}")
-        fmt = f"{{:.{precision}g}}"
-        lines = ["snr,p_hat,ci_low,ci_high"]
-        for snr, p, lo, hi in zip(self.snr_grid, self.p_hat, self.ci_low, self.ci_high):
-            lines.append(",".join(fmt.format(v) for v in (snr, p, lo, hi)))
-        lines.append(f"slope,{fmt.format(self.slope)},stderr,{fmt.format(self.slope_stderr)}")
-        return "\n".join(lines) + "\n"
-
-
-class SlopeFit(NamedTuple):
-    slope: float
-    stderr: float
+        rows = [*zip(self.snr_grid, self.p_hat, self.ci_low, self.ci_high),
+                ("slope", self.slope, "stderr", self.slope_stderr)]
+        return _table(("snr", "p_hat", "ci_low", "ci_high"), rows, precision)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -201,33 +194,6 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     lower = 0.0 if successes == 0 else max(centre - half, 0.0)
     upper = 1.0 if successes == trials else min(centre + half, 1.0)
     return lower, upper
-
-
-def fit_diversity_slope(snr_grid, p_hats) -> SlopeFit:
-    """Least-squares slope of log2(p_hat) against log2(snr) with its standard
-    error.  Every p_hat must be a positive probability, so the caller leaves
-    zero estimates out; fewer than three points, or a constant snr grid, make
-    the fit impossible."""
-    grid = np.asarray(snr_grid, dtype=float)
-    p = np.asarray(p_hats, dtype=float)
-    if grid.shape != p.shape or grid.ndim != 1:
-        raise ValueError("snr_grid and p_hats must be equal-length vectors")
-    if np.any(grid <= 0) or np.any(p <= 0) or np.any(p > 1):
-        raise ValueError("snr values must be positive and p_hats positive probabilities")
-    if grid.size < 3:
-        raise InsufficientTrialsError(
-            f"slope fit needs at least 3 nonzero points, got {grid.size}"
-        )
-    x = np.log2(grid)
-    y = np.log2(p)
-    if np.ptp(x) == 0.0:
-        raise DegenerateInputError("snr grid is constant; slope undefined")
-    xc = x - x.mean()
-    slope = float(np.sum(xc * y) / np.sum(xc * xc))
-    resid = y - (y.mean() + slope * xc)
-    # at least 3 points remain, so the residuals have x.size - 2 >= 1 dof
-    stderr = float(np.sqrt(np.sum(resid**2) / (x.size - 2) / np.sum(xc * xc)))
-    return SlopeFit(slope, stderr)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -379,11 +345,21 @@ def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
             "increase trials or lower the snr grid",
             outage=partial,
         )
-    try:
-        fit = fit_diversity_slope(grid, [p for p in p_hat if p])
-    except (InsufficientTrialsError, DegenerateInputError) as exc:
-        raise type(exc)(str(exc), outage=partial) from None
-    return replace(partial, slope=-fit.slope, slope_stderr=fit.stderr)
+    if len(grid) < 3:
+        raise InsufficientTrialsError(
+            f"slope fit needs at least 3 nonzero points, got {len(grid)}", outage=partial
+        )
+    # least squares of log2 p_hat on log2 snr over the positive estimates
+    x = np.log2(grid)
+    y = np.log2([p for p in p_hat if p])
+    if np.ptp(x) == 0.0:
+        raise DegenerateInputError("snr grid is constant; slope undefined", outage=partial)
+    xc = x - x.mean()
+    slope = float(np.sum(xc * y) / np.sum(xc * xc))
+    resid = y - (y.mean() + slope * xc)
+    # at least 3 points remain, so the residuals have x.size - 2 >= 1 dof
+    stderr = float(np.sqrt(np.sum(resid**2) / (x.size - 2) / np.sum(xc * xc)))
+    return replace(partial, slope=-slope, slope_stderr=stderr)
 
 
 def _count_above(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:

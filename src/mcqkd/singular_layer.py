@@ -18,6 +18,9 @@ a comment and blank lines are skipped:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +29,13 @@ import numpy as np
 from .errors import input_lines
 
 _ORTHONORMAL_TOL = 1e-10  # largest |m^dagger m - I| entry of orthonormal columns
+# the (get, set) thread-count calls of the BLAS builds numpy links: the
+# OpenBLAS of numpy's wheels, then a system OpenBLAS (ILP64 and LP64)
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,44 @@ def reconstruct(d: EigenDecomposition) -> TransmittanceMatrix:
     for i, lam in enumerate(d.lambdas):
         m += lam * np.outer(d.u2[:, i], d.f1_inv[i, :])
     return TransmittanceMatrix(m)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The first pair of ``_BLAS_THREAD_CALLS`` that numpy's linalg module
+    can reach, looked up once per process, or None."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        # a handle's symbol lookup also searches the libraries it links
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _BLAS_THREAD_CALLS:
+        get_threads, set_threads = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get_threads and set_threads:
+            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's BLAS on one thread, so that its sums round
+    the same whatever thread count the process has, and restore the count
+    afterwards.  Where the BLAS exports no known call, the body runs as is."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def load_matrix_csv(path) -> TransmittanceMatrix:

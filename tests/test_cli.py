@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcqkd import __version__, cli, montecarlo
+from mcqkd import __version__, cli, montecarlo, singular_layer
 from mcqkd.constellation import build_constellation, permute_constellation
 from mcqkd.cli import _parse_grid, _to_linear, main
 
@@ -828,6 +828,26 @@ UNDECODABLE = (
          "error: --snr values must be numbers, got 'x'"),
         (("mc", "--config", "{path}"), "mode=rate\nsnr=2,3,x\n",
          "error: snr values must be numbers, got 'x'"),
+        # every other grid fault is named with its flag or setting too
+        (("perr", "--snr", "inf,10", "--multiplex", "0.6"), None,
+         "error: --snr values must be finite, got 'inf,10'"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1", "--fades=1:0:1"), CHANNEL_TEXT,
+         "error: --fades range '1:0:1' needs step > 0 and stop >= start"),
+        (("mc", "--mode", "rate", "--snr", "1:2"), None,
+         "error: --snr range must be start:stop:step, got '1:2'"),
+        (("mc", "--config", "{path}"), "mode=rate\nsnr=1:2\n",
+         "error: snr range must be start:stop:step, got '1:2'"),
+        (("perr", "--snr", "", "--multiplex", "0.5"), None,
+         "error: --snr is an empty grid, got ''"),
+        (("tradeoff", "--kind", "single", "--grid", "0:1:1e-7"), None,
+         "error: --grid range '0:1:1e-7' has more than 1000000 points"),
+        (("perr", "--snr", "10", "--multiplex", "0.5", "--l", "0.5"), None,
+         "error: --l must be an integer >= 1 in every cell, got '0.5'"),
+        # an empty --fades is refused, not taken for no --fades
+        (("rates", "--channel", "{path}", "--mod-variance", "1", "--fades="), CHANNEL_TEXT,
+         "error: --fades is an empty grid, got ''"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1", "--fades", ","), CHANNEL_TEXT,
+         "error: --fades is an empty grid, got ','"),
         # the file is written as latin-1, so "\xff" is the byte 0xff, not UTF-8
         (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "# \xff\n",
          UNDECODABLE),
@@ -839,8 +859,10 @@ UNDECODABLE = (
          "fade-count", "channel-field-without-value", "channel-unknown-directive",
          "constellation-no-subchannel", "constellation-negative-l", "perr-snr-cell",
          "perr-l-cell", "tradeoff-grid-cell", "tradeoff-range-cell", "rates-fades-cell",
-         "mc-snr-cell", "mc-config-snr-cell", "channel-not-utf8", "matrix-not-utf8",
-         "config-not-utf8"],
+         "mc-snr-cell", "mc-config-snr-cell", "perr-snr-not-finite", "rates-fades-bad-range",
+         "mc-snr-range-shape", "mc-config-snr-range-shape", "perr-snr-empty",
+         "tradeoff-grid-too-many-points", "perr-l-not-an-integer", "rates-fades-empty",
+         "rates-fades-no-cell", "channel-not-utf8", "matrix-not-utf8", "config-not-utf8"],
 )
 def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
     """Only argparse prints a usage block, above its error line."""
@@ -1084,6 +1106,80 @@ def test_recorded_mc_bytes(tmp_path, capsys, monkeypatch, recorded, threads):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded["sha256"]
 
 
+# sha256 of the ``-o`` file of each ``BENCH_12.json`` configuration at
+# ``--precision 17``, where a last-bit change of any cell shows; recorded at
+# 0.5.0, before the slope fit moved into ``montecarlo._assemble`` and the mc
+# table into ``errors._table``
+RECORDED_MC_17 = {
+    "mean_fade-l1-10,31.6,100":
+        "49c4a75a8513b5fcf53e66794488ea45965865b83a78d58466960d192e4b3fb5",
+    "mean_fade-l3-2,4,8":
+        "7707debd1a189a13226dd09c64833de32b620567bb6434d7cd7a5549275035f7",
+    "mean_fade-l4-2,2.5,3,4,5,6,8,10":
+        "59540fc1d425348ca78044f80d53e84f953abf1909510b68740c4201f748cb00",
+    "mean_fade-l7-1.5,2,3":
+        "56b0332d2c3e6faba4d5561db7ceb77fee79e54f67a67f5efe56783f292ff7a7",
+    "mean_fade-l16-1.2,1.4,1.6":
+        "aaad2cb8f8db5bd1a4ce55f27e8cc30d047509a7165dd0b646945a34dbd0648a",
+    "mean_fade-l64-1.1,1.2,1.3":
+        "fe74c86017dcd0669fedf8880be16b82bffb558a760e9bc56a34671978b766a3",
+    "mean_fade-l200-1.05,1.1,1.2":
+        "3305448b1f2ddd435bac63b4525123f072f9c7b0fc801e41ff98c5e993a95839",
+    "mean_fade-l700-1.05,1.1,1.15":
+        "af17f0544c315162fcee4c6a3fc7490aacd2d4d7c369d607fa41daf2fd1168e9",
+    "mean_fade-l1000-1.02,1.05,1.1":
+        "66d31786d2842754a8c9c42fb71ecc96a2c0dad7323c9dd17e416cdb322258d0",
+    "mean_fade-l4096-1.01,1.02,1.03":
+        "577a5a6670f9d4e7dd6e7cf08201a8ac1c2b0fa630a4992702ea42f94d737cd4",
+    "rate-l1-10,31.6,100":
+        "14a7620e0526867f2c4f71fd8fb98f0889687bd5d12ca550ba5461b800dc05ee",
+    "rate-l2-10,100,1000":
+        "e265902491c921d3760ec747278a2600b171131202435322733864098c9585dd",
+    "rate-l3-10,30,100":
+        "1dcc1ad235856470a6c0a5ab64151def81f3ea5c3483d2e7a0cd1eb42da83d86",
+    "rate-l5-5,20,80":
+        "1317e3e7142e93eb184de452b19c971992a79a91b84359f2796ee800219cd308",
+    "rate-l16-10,30,100":
+        "4e7165fc1fc3cf17fe00819b3caea27dd7cfd98ae21abb92c6a793ee4bbff712",
+    "rate-l16-1000,2000,4000":
+        "59a5419acfe4039a4e4b6290670a040ee2a12932a0b57dda04539a77c21b4ec2",
+    "rate-l16-1e19,1.37e19,1e20":
+        "13ff586bc27f014b268bc36beede3bb910232b7e8efbf5dccfe6572155474660",
+    "rate-l16-1.5e19,1.7e19,1.84e19":
+        "d5ff0f06dc29fbf96c03d9cefee3e035246d24cc989b318e51c5c581388a3abc",
+    "rate-l64-10,30,100":
+        "f9567b4758d31043de3dade3c0ffa705a65e60077abda7cc6e5e22c750d691c5",
+    "rate-l200-10,30,100":
+        "4c620eb0062d5df361d7805e0b61e7bec5a290bdc2974c9a0dcc5b26d9fd147c",
+    "rate-l200-1e150,1e151,1e152":
+        "8027e8ac781d80db3d678d6ef3e06a02c2e5ee8a7ec2ee5b52a53ff6b38593c3",
+    "rate-l1536-1e3,1e4,1e5":
+        "a4d2daf914c0870fb6e05f0f4911cc5bd406904b3d9ba5516de638bb7e5faac1",
+    "rate-l4096-1e3,1e4,1e5":
+        "1d31b49d3a3f78c1163265ac5b6a980c9a7ecca70b83f3cdbe8810dd97e66400",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("recorded", BENCH_12_RUNS, ids=list(RECORDED_MC_17))
+def test_recorded_mc_bytes_at_17_digits(tmp_path, capsys, monkeypatch, recorded, threads):
+    """The 23 ``mc`` configurations of ``BENCH_12.json`` write the recorded
+    bytes at 17 significant digits.  A regression pin on output bytes, not a
+    correctness oracle."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "mc.csv"
+    code = main([
+        "mc", "--mode", recorded["mode"], "--l", str(recorded["l"]),
+        "--multiplex", repr(recorded["multiplex"]), "--snr", recorded["snr"],
+        "--fade-variance", repr(recorded["fade_variance"]), "--trials", str(recorded["trials"]),
+        "--seed", str(recorded["seed"]), "--threads", str(threads), "--precision", "17",
+        "-o", str(out),
+    ])
+    key = f"{recorded['mode']}-l{recorded['l']}-{recorded['snr']}"
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_MC_17[key]
+
+
 BENCH_13_BYTES = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCH_13.json").read_text()
 )["byte_identity"]
@@ -1143,6 +1239,57 @@ def test_recorded_svd_bytes(tmp_path, monkeypatch, capsys, shape, sha256):
     text = MATRIX_TEXT if shape == "3x2" else random_matrix_text(*map(int, shape.split("x")))
     code, out, err = run_svd_in(tmp_path, monkeypatch, capsys, text)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, sha256, "")
+
+
+@pytest.mark.skipif(singular_layer._blas_thread_calls() is None,
+                    reason="numpy's BLAS exports no known thread-count call")
+def test_svd_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``svd`` of a 200 x 150 matrix, whose singular values move in their
+    last digits between one and two BLAS threads, prints the same bytes in
+    fresh interpreters under either ``OPENBLAS_NUM_THREADS`` setting."""
+    (tmp_path / "m.csv").write_text(random_matrix_text(200, 150))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-m", "mcqkd.cli", "svd", "--matrix", "m.csv", "--precision", "17"],
+            capture_output=True, text=True, check=True, env=env, cwd=tmp_path,
+        )
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(singular_layer._blas_thread_calls() is None,
+                    reason="numpy's BLAS exports no known thread-count call")
+@pytest.mark.parametrize("text, code", [(MATRIX_TEXT, 0), ("1e200:0\n", 2)], ids=["ok", "fails"])
+def test_svd_restores_the_blas_thread_count(tmp_path, monkeypatch, capsys, text, code):
+    """The decomposition runs on one BLAS thread, and the process's count is
+    restored afterwards, also when the run fails."""
+    get_threads, set_threads = singular_layer._blas_thread_calls()
+    seen, decompose = [], singular_layer.svd_decompose
+
+    def spy(matrix):
+        seen.append(get_threads())
+        return decompose(matrix)
+
+    monkeypatch.setattr(singular_layer, "svd_decompose", spy)
+    before = get_threads()
+    set_threads(2)
+    try:
+        # read back, as a BLAS may cap the count it accepts
+        threads = get_threads()
+        assert run_svd_in(tmp_path, monkeypatch, capsys, text)[0] == code
+        assert get_threads() == threads
+    finally:
+        set_threads(before)
+    assert seen == ([1] if code == 0 else [])
+
+
+def test_svd_runs_where_the_blas_has_no_known_thread_call(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(singular_layer, "_blas_thread_calls", lambda: None)
+    code, out, err = run_svd_in(tmp_path, monkeypatch, capsys, MATRIX_TEXT)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, RECORDED_SVD["3x2"], "")
 
 
 def test_recorded_svd_bytes_of_a_tall_matrix(tmp_path, monkeypatch, capsys):

@@ -24,7 +24,6 @@ from mcqkd.montecarlo import (
     TrialConfig,
     estimate_mean_fade_outage,
     estimate_rate_outage,
-    fit_diversity_slope,
     wilson_interval,
 )
 from mcqkd import montecarlo
@@ -96,31 +95,40 @@ class TestWilsonInterval:
 
 
 class TestSlopeFit:
+    """The slope that ``_assemble`` fits to the positive estimates, on counts
+    whose p_hat = s / trials follows a known law."""
+
+    def _assemble(self, snr_grid, successes):
+        cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=snr_grid, trials=10**12, seed=1)
+        return montecarlo._assemble(cfg, successes)
+
     def test_exact_power_law_recovered(self):
-        grid = np.array([10.0, 100.0, 1000.0, 10000.0])
-        fit = fit_diversity_slope(grid, grid**-3)
-        assert_allclose(fit.slope, -3.0, atol=1e-9)
-        assert fit.stderr < 1e-9
+        # p_hat = snr**-3 on snr 10 ... 1e4
+        out = self._assemble((10.0, 100.0, 1000.0, 10000.0), [10**9, 10**6, 10**3, 1])
+        assert_allclose(out.slope, 3.0, atol=1e-9)
+        assert out.slope_stderr < 1e-9
 
     def test_intercept_does_not_bias_slope(self):
-        grid = np.array(GRID)
-        fit = fit_diversity_slope(grid, 0.5 * grid**-2)
-        assert_allclose(fit.slope, -2.0, atol=1e-9)
+        # p_hat = 0.5 * snr**-2
+        out = self._assemble((10.0, 100.0, 1000.0), [5 * 10**9, 5 * 10**7, 5 * 10**5])
+        assert_allclose(out.slope, 2.0, atol=1e-9)
 
     def test_matches_least_squares_oracle(self):
         rng = np.random.default_rng(77)
         grid = np.logspace(1, 4, 6)
-        p = grid**-1.3 * np.exp(rng.normal(0.0, 0.05, size=6))
-        fit = fit_diversity_slope(grid, p)
-        assert_allclose(fit.slope, ls_slope(np.log2(grid), np.log2(p)), rtol=1e-12)
+        counts = np.rint(1e12 * grid**-1.3 * np.exp(rng.normal(0.0, 0.05, size=6)))
+        out = self._assemble(tuple(grid), [int(c) for c in counts])
+        x, y = np.log2(grid), np.log2(np.array(out.p_hat))
+        assert_allclose(out.slope, -ls_slope(x, y), rtol=1e-12)
+        assert_allclose(out.slope_stderr, stats.linregress(x, y).stderr, rtol=1e-9)
 
     def test_zero_estimates_excluded_and_counted(self):
         cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=(10.0, 31.6, 100.0, 316.0),
                           trials=10_000, seed=1)
         out = montecarlo._assemble(cfg, [100, 10, 1, 0])
         assert out.excluded == 1 and out.p_hat[3] == 0.0
-        clean = fit_diversity_slope(cfg.snr_grid[:3], out.p_hat[:3])
-        assert_allclose(out.slope, -clean.slope, rtol=1e-12)
+        clean = ls_slope(np.log2(cfg.snr_grid[:3]), np.log2(out.p_hat[:3]))
+        assert_allclose(out.slope, -clean, rtol=1e-12)
 
     def test_too_few_nonzero_points(self):
         cfg = TrialConfig(l=1, multiplex_ratio=0.0, snr_grid=GRID, trials=1000, seed=1)
@@ -129,22 +137,9 @@ class TestSlopeFit:
         assert info.value.outage.excluded == 1 and math.isnan(info.value.outage.slope)
 
     def test_constant_grid_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            fit_diversity_slope([10.0, 10.0, 10.0], [0.1, 0.1, 0.1])
-
-    @pytest.mark.parametrize(
-        "grid,p",
-        [
-            ([10.0, 100.0], [0.1, 0.01, 0.001]),
-            ([10.0, -5.0, 100.0], [0.1, 0.01, 0.001]),
-            ([10.0, 31.6, 100.0], [0.1, 1.5, 0.001]),
-            ([10.0, 31.6, 100.0], [0.1, -0.2, 0.001]),
-            ([10.0, 31.6, 100.0], [0.1, 0.0, 0.001]),
-        ],
-    )
-    def test_shape_and_range_validation(self, grid, p):
-        with pytest.raises(ValueError):
-            fit_diversity_slope(grid, p)
+        with pytest.raises(DegenerateInputError, match="snr grid is constant") as info:
+            self._assemble((10.0, 10.0, 10.0), [10**11] * 3)
+        assert info.value.outage.p_hat == (0.1,) * 3 and math.isnan(info.value.outage.slope)
 
 
 class TestExcludedCount:
