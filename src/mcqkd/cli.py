@@ -3,25 +3,25 @@
 Every subcommand writes CSV, either to stdout or to ``-o PATH``.  The file
 starts with ``#``-prefixed comment lines recording the tool version and the
 full resolved configuration, so a result file is self-describing and two runs
-with identical configurations produce identical bytes.  ``svd`` runs its
-numeric work with numpy's BLAS on one thread, so its bytes do not depend on
-``OPENBLAS_NUM_THREADS``; with a BLAS that exports no known thread-count
-call, they hold at a fixed thread count only.  ``--precision N`` sets the
-significant digits of float cells, printed as ``%.Ng`` by ``errors._table``;
-every other cell prints as ``str``.  N must lie in [1, 2**31 - 1], the
-largest precision a format string takes; any other value exits 2 before any
-work.  The Monte Carlo thread count is deliberately not part of the recorded
-configuration: results are bit-identical for any thread count.
+with identical configurations produce identical bytes.  ``--precision N``
+sets the significant digits of float cells, printed as ``%.Ng`` by
+``errors._table``; every other cell prints as ``str``.  N must lie in
+[1, 2**31 - 1], the largest precision a format string takes; any other value
+exits 2 before any work.  The Monte Carlo thread count is deliberately not
+part of the recorded configuration: results are bit-identical for any thread
+count.
 
 The parser is built once per process.  Each ``_run_<subcommand>`` handler
-only computes: it returns the header params and the CSV body, and ``main``
-writes them with the one ``_emit`` call and maps errors to exit codes.
+only parses, calls its library module and formats: it returns the header
+params and the CSV body, and ``main`` writes them with the one ``_emit`` call
+and maps errors to exit codes.  ``cli`` itself imports no numpy.
 
 SNR values are accepted either as linear ratios (default) or in dB with
 ``--snr-unit db``; they are converted once at parse time and all outputs and
 headers use the linear scale (the ``perr`` table also prints a dB column).
 Grids are given as comma lists (``1,10,100``) or ranges (``start:stop:step``,
-end inclusive); a fault in one is reported with its flag.
+end inclusive: a range that reaches ``stop`` to within 1e-9 of a step ends on
+``stop`` itself); a fault in one is reported with its flag.
 
 Start-up imports only ``errors``, ``manifold`` and ``rates``, which need
 neither numpy nor ``dataclasses`` (their records are named tuples, and
@@ -91,10 +91,15 @@ def _parse_grid(text: str, name: str) -> list[float]:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise ValueError(f"{name} range {text!r} needs step > 0 and stop >= start")
-    span = (stop - start) / step + 1e-9
-    if not span < _MAX_GRID_POINTS:
+    span = (stop - start) / step
+    if not span + 1e-9 < _MAX_GRID_POINTS:
         raise ValueError(f"{name} range {text!r} has more than {_MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(int(math.floor(span)) + 1)]
+    last = math.floor(span + 1e-9)
+    points = [start + i * step for i in range(last + 1)]
+    if span - last <= 1e-9:
+        # start + last * step can miss stop by an ulp
+        points[-1] = stop
+    return points
 
 
 _MAX_PRECISION = 2**31 - 1  # the largest precision a format string takes
@@ -254,24 +259,11 @@ def _run_mc(args) -> tuple[dict, str]:
 
 
 def _run_svd(args) -> tuple[dict, str]:
-    import numpy as np
-
-    from .singular_layer import load_matrix_csv, one_blas_thread, reconstruct, svd_decompose
+    from .singular_layer import eigenchannels, load_matrix_csv
 
     matrix = load_matrix_csv(args.matrix)
-    # the decomposition and both norms sum through BLAS, on one thread
-    with one_blas_thread():
-        # numpy sums the squares unscaled, so finite entries can still overflow
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(matrix.entries))
-        if not math.isfinite(norm):
-            raise ValueError("matrix Frobenius norm must fit a double")
-        decomp = svd_decompose(matrix)
-        rebuilt = reconstruct(decomp)
-        err = float(np.linalg.norm(matrix.entries - rebuilt.entries))
-    rel = err / norm if norm > 0 else err
-    rows = [(i, lam) for i, lam in enumerate(decomp.lambdas)]
-    rows.append(("recon_error", rel))
+    lambdas, rel = eigenchannels(matrix)
+    rows = [*enumerate(lambdas), ("recon_error", rel)]
     params = {"matrix": args.matrix, "k_in": matrix.k_in, "k_out": matrix.k_out}
     return params, _table(("index", "eigenchannel"), rows, args.precision)
 

@@ -7,7 +7,8 @@ but lie outside the physical or analytic domain of a formula.  They subclass
 caught together when the distinction does not matter.
 
 :func:`input_lines` reads the three input file formats, so that a file that
-is not UTF-8 is reported at its path, as the loaders report other faults.
+is not UTF-8 is reported at its path, as the loaders report other faults; it
+skips a UTF-8 byte-order mark at the start of a file.
 :func:`_table` writes every CSV body, the ``mc`` table included: a float
 cell prints as ``%.Ng``, any other cell as ``str``.
 """
@@ -59,10 +60,11 @@ class InsufficientTrialsError(RuntimeError):
 
 
 def input_lines(path) -> list:
-    """The ``(line number, text)`` pairs of the UTF-8 file ``path``, each text
-    cut at its first ``#`` and stripped; blank texts are left out but counted."""
+    """The ``(line number, text)`` pairs of the UTF-8 file ``path``, after a
+    byte-order mark if it starts with one, each text cut at its first ``#``
+    and stripped; blank texts are left out but counted."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [raw.split("#", 1)[0].strip() for raw in fh]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

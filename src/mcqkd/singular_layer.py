@@ -5,7 +5,10 @@ arrangement factors as F = U2 * diag(lambda) * F1inv with the K_out x K_in U2
 and the K_in x K_in F1inv of orthonormal columns (thin: no eigenchannel meets
 the K_out - K_in further columns of a full U2); the lambda_i are the
 non-negative singular values ("eigenchannels") in descending order, and
-lambda_i^2 are the eigenvalues of F^dagger F.
+lambda_i^2 are the eigenvalues of F^dagger F.  :func:`eigenchannels` computes
+what ``svd`` prints with numpy's BLAS on one thread, so its bytes do not
+depend on ``OPENBLAS_NUM_THREADS``; with a BLAS that exports no known
+thread-count call, they hold at a fixed thread count only.
 
 Matrix CSV format accepted by :func:`load_matrix_csv`: row-major, one row per
 line, entries comma-separated, each entry ``re:im`` of two finite numbers
@@ -18,7 +21,6 @@ a comment and blank lines are skipped:
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -143,22 +145,26 @@ def _blas_thread_calls():
     return None
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body with numpy's BLAS on one thread, so that its sums round
-    the same whatever thread count the process has, and restore the count
-    afterwards.  Where the BLAS exports no known call, the body runs as is."""
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get_threads, set_threads = calls
+def eigenchannels(matrix: TransmittanceMatrix) -> tuple[np.ndarray, float]:
+    """The eigenchannels of ``matrix`` and the Frobenius norm of its
+    reconstruction error relative to the matrix's (the absolute error for a
+    zero matrix).  The norms, decomposition and reconstruction sum through
+    BLAS on one thread, and the process's thread count is restored after."""
+    # with no known call, getting and setting the count do nothing
+    get_threads, set_threads = _blas_thread_calls() or (lambda: None, lambda threads: None)
     threads = get_threads()
     set_threads(1)
     try:
-        yield
+        # numpy sums the squares unscaled, so finite entries can still overflow
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(matrix.entries))
+        if not math.isfinite(norm):
+            raise ValueError("matrix Frobenius norm must fit a double")
+        decomp = svd_decompose(matrix)
+        err = float(np.linalg.norm(matrix.entries - reconstruct(decomp).entries))
     finally:
         set_threads(threads)
+    return decomp.lambdas, err / norm if norm > 0 else err
 
 
 def load_matrix_csv(path) -> TransmittanceMatrix:

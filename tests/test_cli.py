@@ -1,5 +1,6 @@
 """Command line interface: parsing, CSV layout, headers and exit codes."""
 
+import ast
 import hashlib
 import json
 import os
@@ -79,6 +80,22 @@ class TestGridParsing:
     def test_malformed_grids_rejected(self, text):
         with pytest.raises(ValueError):
             _parse_grid(text, "--grid")
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            # 0.1 + 29 * 0.1 is 3.0000000000000004, outside [0, K_in]
+            (("tradeoff", "--kind", "orthogonal_complement", "--k-in", "3", "--k-out", "4",
+              "--grid", "0.1:3:0.1"), "3,0"),
+            # 0.1 + 3 * 0.3 is 0.9999999999999999, whose delta is 4.4e-16
+            (("tradeoff", "--kind", "multicarrier", "--l", "4", "--grid", "0.1:1:0.3"), "1,0"),
+        ],
+        ids=["orthogonal-complement", "multicarrier"],
+    )
+    def test_a_range_that_reaches_stop_ends_on_it(self, capsys, argv, last_line):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out.splitlines()[-1], captured.err) == (0, last_line, "")
 
     def test_range_point_count_bounded(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 10)
@@ -250,6 +267,14 @@ class TestSvd:
         label, err = rows[-1].split(",")
         assert label == "recon_error"
         assert float(err) < 1e-10
+
+    def test_zero_matrix_prints_the_absolute_error(self, capsys, tmp_path):
+        """A zero matrix has no norm to divide by: recon_error is the
+        absolute error."""
+        p = tmp_path / "m.csv"
+        p.write_text("0:0,0:0\n0:0,0:0\n0:0,0:0\n")
+        code, lines = run(capsys, "svd", "--matrix", str(p))
+        assert (code, data_rows(lines)) == (0, ["0,0", "1,0", "recon_error,0"])
 
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "svd", "--matrix", str(tmp_path / "nope.csv"))
@@ -877,6 +902,29 @@ def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, 
     assert not usage or usage[0].startswith("usage: mcqkd tradeoff")
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("svd", "--matrix", "{path}"), MATRIX_TEXT),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), CHANNEL_TEXT),
+        (("mc", "--config", "{path}"), "mode=mean_fade\nsnr=2,3,4\ntrials=1000\n"),
+    ],
+    ids=["matrix", "channel", "config"],
+)
+def test_an_input_file_may_start_with_a_byte_order_mark(capsys, tmp_path, argv, text):
+    """A UTF-8 byte-order mark is skipped: the file gives the bytes it gives
+    without one."""
+    path = tmp_path / "input.txt"
+    argv = [a.format(path=path) for a in argv]
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(text, encoding=encoding)
+        code = main(argv)
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    assert outputs[1] == outputs[0] and outputs[0][0] == 0
+
+
 class TestTableWideParametersFirst:
     """A bad table-wide parameter exits with its own code and message whatever
     the grid holds: it is checked before any grid point, so a bad point before
@@ -1035,6 +1083,17 @@ def test_only_svd_constellation_and_mc_load_numpy(tmp_path, run):
     it import it in their handlers."""
     loads = run in ("svd", "constellation", "mc")
     assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], "numpy") == ["0", str(loads)]
+
+
+def test_cli_imports_no_numpy():
+    """Every handler leaves the numerics to its library module: no import in
+    ``cli``, at module or at function level, names numpy."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
 
 
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
