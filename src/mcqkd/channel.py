@@ -31,7 +31,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import SingularNoiseError, input_lines
+from .errors import DomainError, input_lines
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _RECORD_KEYS = ("re_t", "noise_var", "eve_w")
@@ -133,13 +133,13 @@ class ChannelModel(_ChannelFields):
 
 def total_input_noise(sub: SubchannelParams, vacuum_variance: float = 1.0) -> float:
     """Vacuum plus excess noise at the input of ``sub``; N diverges as e -> 1,
-    and a tap that takes everything (``re_t=0``) raises
-    :class:`SingularNoiseError`."""
+    and a tap that takes everything (``re_t=0``) raises a
+    :class:`DomainError`."""
     if not vacuum_variance > 0:
         raise ValueError(f"vacuum_variance must be positive, got {vacuum_variance}")
     eve_trans_sq = 1.0 - min(abs(sub.transmittance) ** 2, 1.0)
     if eve_trans_sq == 1.0:
-        raise SingularNoiseError(
+        raise DomainError(
             "excess noise diverges: the eavesdropper tap transmits everything"
         )
     excess = (sub.eve_epr_variance - 1.0) * eve_trans_sq / (1.0 - eve_trans_sq)
@@ -159,15 +159,20 @@ def _parse_assignments(line: str) -> dict[str, str]:
     return out
 
 
+def _convert(key: str, text: str, kind: type = float) -> float | int:
+    """``text``, the value of ``key``, as a ``kind``; a fault names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
+
+
 def _parse_directive(key: str, text: str) -> float | int:
     """The value of directive ``key``, checked as far as it can be before
     the records are read."""
     kind = int if key == "active_count" else float
-    try:
-        value = kind(text)
-    except ValueError:
-        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {text!r}") from None
+    value = _convert(key, text, kind)
     if kind is int and value < 1:
         raise ValueError(f"active_count must be >= 1, got {value}")
     if kind is float and not (math.isfinite(value) and value > 0):
@@ -191,13 +196,9 @@ def load_channel_model(path) -> ChannelModel:
                 missing = {"re_t", "noise_var"} - set(fields)
                 if missing:
                     raise ValueError(f"missing record keys {sorted(missing)}")
-                records.append(
-                    SubchannelParams.from_real(
-                        float(fields["re_t"]),
-                        float(fields["noise_var"]),
-                        float(fields.get("eve_w", 1.0)),
-                    )
-                )
+                fields.setdefault("eve_w", "1")
+                records.append(SubchannelParams.from_real(
+                    *(_convert(key, fields[key]) for key in _RECORD_KEYS)))
             else:
                 unknown = set(fields) - set(_DIRECTIVE_KEYS)
                 if unknown:

@@ -43,7 +43,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import DegenerateInputError, DomainError, InsufficientTrialsError, input_lines
+from .errors import DomainError, InsufficientTrialsError, input_lines
 from .errors import _csv, _format_rows, _table
 from .manifold import CURVE_KINDS, perr_rows, tradeoff_curve
 from .rates import SUBCHANNEL_COLUMNS, check_rate_parameters, rate_report
@@ -239,7 +239,7 @@ def _run_mc(args) -> tuple[dict, str]:
     outage = None
     try:
         outage = estimate(cfg, threads=settings["threads"])
-    except (InsufficientTrialsError, DegenerateInputError) as exc:
+    except InsufficientTrialsError as exc:
         outage = exc.outage
         raise
     finally:

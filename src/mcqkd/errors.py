@@ -1,10 +1,11 @@
 """Typed errors raised across the toolkit, the reader of its input files and
 the writer of its CSV tables.
 
-``DomainError`` and its subclasses signal inputs that are syntactically fine
-but lie outside the physical or analytic domain of a formula.  They subclass
-``ValueError`` so generic argument validation and domain failures can be
-caught together when the distinction does not matter.
+``DomainError`` (exit 3) signals an input that is syntactically fine but lies
+outside the physical or analytic domain of a formula, and
+``InsufficientTrialsError`` (exit 4) a Monte Carlo run without usable
+estimates.  ``DomainError`` subclasses ``ValueError`` so that argument
+validation and domain failures can be caught together.
 
 :func:`input_lines` reads the three input file formats, so that a file that
 is not UTF-8 is reported at its path, as the loaders report other faults; it
@@ -32,19 +33,6 @@ class DegenerateRegimeError(DomainError):
             "optimal-attack noise undefined: the inverted SNR bracket "
             f"is {self.bracket:.6g} (must be > 0)"
         )
-
-
-class SingularNoiseError(DomainError):
-    """Excess noise diverges (the eavesdropper tap transmits everything)."""
-
-
-class DegenerateInputError(DomainError):
-    """Input data is degenerate for the requested fit or check; a Monte
-    Carlo run attaches its partial result as ``outage``."""
-
-    def __init__(self, message: str, outage=None):
-        self.outage = outage
-        super().__init__(message)
 
 
 class InsufficientTrialsError(RuntimeError):

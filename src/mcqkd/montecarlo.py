@@ -51,10 +51,10 @@ impossible event.
 The diversity slope is the least-squares slope of log2 p_hat against
 log2 snr over the grid points with at least one event, fitted in
 ``_assemble``; ``EmpiricalOutage.excluded`` counts the zero estimates left
-out, and an all-zero grid is refused before any fit.  Every failure
-after sampling (that refusal, fewer than three fitted points, a constant
-grid) carries the partial result, with a NaN slope, as the error's
-``outage``.
+out.  A constant grid (one value of log2 snr) is refused before sampling.
+Every failure after sampling (no events, fewer than three fitted points, or
+all of them at one snr value) is an ``InsufficientTrialsError`` that carries
+the partial result, with a NaN slope, as its ``outage``.
 
 Both refusals, and the Wilson z, are plain Python, so no run loads scipy.
 The regularised gamma P(l, x) is the series of Abramowitz & Stegun 6.5.29
@@ -79,7 +79,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, InsufficientTrialsError, _table
+from .errors import DomainError, InsufficientTrialsError, _table
 
 _BLOCK = 1 << 16
 _MAX_BLOCK_VALUES = 1 << 20
@@ -352,8 +352,9 @@ def _assemble(cfg: TrialConfig, successes: list[int]) -> EmpiricalOutage:
     # least squares of log2 p_hat on log2 snr over the positive estimates
     x = np.log2(grid)
     y = np.log2([p for p in p_hat if p])
-    if np.ptp(x) == 0.0:
-        raise DegenerateInputError("snr grid is constant; slope undefined", outage=partial)
+    if np.ptp(x) == 0.0:  # the grid is not constant: _estimate refuses that
+        raise InsufficientTrialsError("slope undefined: every nonzero estimate is at one snr "
+                                      f"value, {grid[0]:g}; increase trials", outage=partial)
     xc = x - x.mean()
     slope = float(np.sum(xc * y) / np.sum(xc * xc))
     resid = y - (y.mean() + slope * xc)
@@ -374,8 +375,9 @@ def _count_above(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _estimate(cfg: TrialConfig, threads: int, probabilities: list[float], what: str,
               measure: str, events: Callable) -> EmpiricalOutage:
     """Check ``threads``, refuse the grid if the outage probability of some
-    point is below _MIN_ANALYTIC_P (zero and NaN included), then count the
-    ``events`` kernel of :func:`_count_events` and assemble the estimates.
+    point is below _MIN_ANALYTIC_P (zero and NaN included) or if the grid is
+    constant, then count the ``events`` kernel of :func:`_count_events` and
+    assemble the estimates.
     ``probabilities`` holds one value per point, and ``measure`` names what
     it is (the probability itself or an upper bound on it)."""
     if threads < 1:
@@ -387,6 +389,8 @@ def _estimate(cfg: TrialConfig, threads: int, probabilities: list[float], what: 
                 f"{analytic:.3e} is below {_MIN_ANALYTIC_P:g} and cannot be resolved "
                 "by sampling; use the closed-form power laws for this regime"
             )
+    if np.ptp(np.log2(cfg.snr_grid)) == 0.0:
+        raise DomainError("snr grid is constant; slope undefined")
     return _assemble(cfg, _count_events(cfg, events, threads))
 
 

@@ -9,7 +9,7 @@ from mcqkd.channel import (
     load_channel_model,
     total_input_noise,
 )
-from mcqkd.errors import SingularNoiseError
+from mcqkd.errors import DomainError
 from mcqkd.rates import rate_report
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -95,7 +95,8 @@ class TestExcessNoise:
         assert total_input_noise(sub) == pytest.approx(9.0)
 
     def test_full_interception_is_singular(self):
-        with pytest.raises(SingularNoiseError):
+        with pytest.raises(DomainError, match="^excess noise diverges: the eavesdropper tap "
+                           "transmits everything$"):
             total_input_noise(SubchannelParams.from_real(0.0, 1.0, 2.0))
 
     def test_total_input_noise_adds_vacuum(self):

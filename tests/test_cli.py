@@ -699,8 +699,9 @@ class TestMonteCarloCommand:
             ("--l 64 --snr 1.2,1.5,2 --trials 100000 --seed 9", 4,
              [EXCLUDED_ONE, "error: slope fit needs at least 3 nonzero points, got 2"]),
             ("--l 64 --snr 1.2,1.3,1.4,2 --trials 100000 --seed 9", 0, [EXCLUDED_ONE]),
-            ("--l 64 --snr 1.2,1.2,1.2,2 --trials 100000 --seed 9", 3,
-             [EXCLUDED_ONE, "error: snr grid is constant; slope undefined"]),
+            ("--l 64 --snr 1.2,1.2,1.2,2 --trials 100000 --seed 9", 4,
+             [EXCLUDED_ONE, "error: slope undefined: every nonzero estimate is at one snr "
+              "value, 1.2; increase trials"]),
             ("--l 4 --snr 50,60,70 --trials 1000 --seed 3", 4,
              ["error: no outage events in 1000 trials at any grid point; "
               "increase trials or lower the snr grid"]),
@@ -713,12 +714,37 @@ class TestMonteCarloCommand:
         """A zero estimate left out of the slope fit is reported as one
         ``warning:`` line, with no Python warning text, whether or not the
         fit then succeeds.  An all-zero grid is refused before any fit, and a
-        constant grid without zero estimates leaves nothing out: neither
-        prints a ``warning:`` line."""
+        constant grid before sampling: neither prints a ``warning:`` line."""
         assert main(["mc", "--mode", "mean_fade", *flags.split()]) == code
         captured = capsys.readouterr()
         assert captured.err.splitlines() == err
         assert (captured.out == "") == (code != 0)
+
+    @pytest.mark.parametrize(
+        "flags, code, err",
+        [
+            # one event in a million per point: 1000 trials would see none
+            ("--mode mean_fade --l 1 --snr 1e6,1e6,1e6 --trials 1000", 3,
+             "error: snr grid is constant; slope undefined"),
+            ("--mode mean_fade --l 4 --snr 2,2,2 --threads 0", 2,
+             "error: threads must be >= 1, got 0"),
+            ("--mode mean_fade --l 4 --snr 1e5,1e5,1e5", 4,
+             "error: refusing mean-fade outage at snr=100000: analytic outage probability "
+             "1.067e-19 is below 1e-08 and cannot be resolved by sampling; use the "
+             "closed-form power laws for this regime"),
+            ("--mode rate --multiplex 0 --snr 2,2,2", 4,
+             "error: refusing rate outage at snr=2: outage upper bound 0.000e+00 is below "
+             "1e-08 and cannot be resolved by sampling; use the closed-form power laws for "
+             "this regime"),
+        ],
+        ids=["before_sampling", "after_threads", "after_mean_fade_refusal",
+             "after_rate_refusal"],
+    )
+    def test_constant_grid_is_refused_after_threads_and_refusal(self, capsys, flags, code, err):
+        """A constant grid exits 3 before anything is drawn, but only after a
+        bad thread count and a refused point have given their own exits."""
+        assert main(["mc", *flags.split()]) == code
+        assert capsys.readouterr() == ("", err + "\n")
 
     def test_refusal_exit_code(self, capsys):
         code = main([
@@ -740,6 +766,23 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--version"], 0),
+            (["frobnicate"], 2),
+            (["mc", "--mode", "mean_fade", "--l", "4", "--snr", "1e3,1e4,1e5"], 4),
+        ],
+        ids=["version", "unknown_subcommand", "refused_mc"],
+    )
+    def test_entry_exits_with_the_code_of_main(self, capsys, monkeypatch, argv, code):
+        """The console script ``entry`` reads ``sys.argv`` and exits with the
+        code ``main`` returns."""
+        monkeypatch.setattr(sys, "argv", ["mcqkd", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == code
 
     @pytest.mark.parametrize(
         "argv",
@@ -878,6 +921,14 @@ UNDECODABLE = (
          UNDECODABLE),
         (("svd", "--matrix", "{path}"), "# \xff\n", UNDECODABLE),
         (("mc", "--config", "{path}"), "# \xff\n", UNDECODABLE),
+        # a channel record value that is not a number is named with its key
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "re_t=abc noise_var=1\n",
+         "error: {path}:1: re_t must be a number, got 'abc'"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "re_t=0.5, noise_var=x\n",
+         "error: {path}:1: noise_var must be a number, got 'x'"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
+         "# a record\nre_t=0.5 noise_var=0.2 eve_w=1.4x\n",
+         "error: {path}:2: eve_w must be a number, got '1.4x'"),
     ],
     ids=["precision-not-an-integer", "config-line-without-value", "config-key-twice",
          "matrix-bad-cell-after-comment", "matrix-comments-only", "matrix-non-finite-cell",
@@ -887,7 +938,9 @@ UNDECODABLE = (
          "mc-snr-cell", "mc-config-snr-cell", "perr-snr-not-finite", "rates-fades-bad-range",
          "mc-snr-range-shape", "mc-config-snr-range-shape", "perr-snr-empty",
          "tradeoff-grid-too-many-points", "perr-l-not-an-integer", "rates-fades-empty",
-         "rates-fades-no-cell", "channel-not-utf8", "matrix-not-utf8", "config-not-utf8"],
+         "rates-fades-no-cell", "channel-not-utf8", "matrix-not-utf8", "config-not-utf8",
+         "channel-re_t-not-a-number", "channel-noise_var-not-a-number",
+         "channel-eve_w-not-a-number"],
 )
 def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
     """Only argparse prints a usage block, above its error line."""
@@ -1345,10 +1398,31 @@ def test_svd_restores_the_blas_thread_count(tmp_path, monkeypatch, capsys, text,
     assert seen == ([1] if code == 0 else [])
 
 
-def test_svd_runs_where_the_blas_has_no_known_thread_call(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(singular_layer, "_blas_thread_calls", lambda: None)
+@pytest.fixture
+def fresh_blas_lookup():
+    """Clear the cached BLAS thread-call lookup before and after a test that
+    changes what it finds, so that later tests see the real value."""
+    singular_layer._blas_thread_calls.cache_clear()
+    yield
+    singular_layer._blas_thread_calls.cache_clear()
+
+
+def test_svd_runs_where_the_blas_has_no_known_thread_call(
+    tmp_path, monkeypatch, capsys, fresh_blas_lookup
+):
+    monkeypatch.setattr(singular_layer, "_BLAS_THREAD_CALLS",
+                        (("mcqkd_no_get_num_threads", "mcqkd_no_set_num_threads"),))
+    assert singular_layer._blas_thread_calls() is None
     code, out, err = run_svd_in(tmp_path, monkeypatch, capsys, MATRIX_TEXT)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, RECORDED_SVD["3x2"], "")
+
+
+def test_no_blas_thread_call_where_numpy_linalg_cannot_be_opened(monkeypatch, fresh_blas_lookup):
+    def refuse(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(singular_layer.ctypes, "CDLL", refuse)
+    assert singular_layer._blas_thread_calls() is None
 
 
 def test_recorded_svd_bytes_of_a_tall_matrix(tmp_path, monkeypatch, capsys):

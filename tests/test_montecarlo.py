@@ -18,7 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
-from mcqkd.errors import DegenerateInputError, InsufficientTrialsError
+from mcqkd.errors import DomainError, InsufficientTrialsError
 from mcqkd.montecarlo import (
     EmpiricalOutage,
     TrialConfig,
@@ -136,10 +136,25 @@ class TestSlopeFit:
             montecarlo._assemble(cfg, [10, 1, 0])
         assert info.value.outage.excluded == 1 and math.isnan(info.value.outage.slope)
 
-    def test_constant_grid_rejected(self):
-        with pytest.raises(DegenerateInputError, match="snr grid is constant") as info:
-            self._assemble((10.0, 10.0, 10.0), [10**11] * 3)
-        assert info.value.outage.p_hat == (0.1,) * 3 and math.isnan(info.value.outage.slope)
+    @pytest.mark.parametrize(
+        "estimate, ratio, grid",
+        [
+            (estimate_mean_fade_outage, 0.0, (2.0, 2.0, 2.0)),
+            (estimate_rate_outage, 0.5, (2.0, 2.0, 2.0)),
+            # adjacent doubles share one log2, the fit's abscissa
+            (estimate_mean_fade_outage, 0.0, (1000.0, 1000.0000000000001, 1000.0000000000002)),
+        ],
+        ids=["mean_fade", "rate", "one_log2"],
+    )
+    def test_constant_grid_is_refused_before_sampling(self, monkeypatch, estimate, ratio, grid):
+        def draw(*args):
+            raise AssertionError("a uniform was drawn")
+
+        monkeypatch.setattr(montecarlo, "_block_fades", draw)
+        cfg = TrialConfig(l=2, multiplex_ratio=ratio, snr_grid=grid, trials=1000, seed=1)
+        with pytest.raises(DomainError, match="^snr grid is constant; slope undefined$") as info:
+            estimate(cfg)
+        assert not hasattr(info.value, "outage")
 
 
 class TestExcludedCount:
@@ -163,10 +178,12 @@ class TestExcludedCount:
         [
             # the all-zero refusal runs no fit, so it leaves nothing out
             (GRID, [0, 0, 0], InsufficientTrialsError, "no outage events", 0),
-            ((10.0, 10.0, 10.0, 100.0), [5, 5, 5, 0], DegenerateInputError, "constant", 1),
-            ((10.0, 10.0, 10.0), [5, 5, 5], DegenerateInputError, "constant", 0),
+            # every nonzero estimate at one snr value of a grid that is not constant
+            ((10.0, 10.0, 10.0, 100.0), [5, 5, 5, 0], InsufficientTrialsError,
+             "^slope undefined: every nonzero estimate is at one snr value, 10; increase trials$",
+             1),
         ],
-        ids=["all_zero", "constant_grid", "constant_grid_no_zero"],
+        ids=["all_zero", "one_snr_value"],
     )
     def test_each_failure_carries_its_count(self, grid, successes, error, match, excluded):
         with pytest.raises(error, match=match) as info:

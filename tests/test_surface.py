@@ -1,5 +1,6 @@
 """Every top-level definition of the package has a consumer, every oracle
-of ``tests/oracles.py`` has a test, and no module imports what it never uses.
+of ``tests/oracles.py`` has a test, no module imports what it never uses,
+and no exception type only renames its base.
 
 A function, class or module constant of ``src/mcqkd`` passes when another
 definition of the package uses it, when ``tests/test_acceptance.py`` or the
@@ -19,6 +20,8 @@ import ast
 import importlib.util
 import re
 from pathlib import Path
+
+from mcqkd import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mcqkd"
@@ -167,3 +170,23 @@ def unused_imports(path: Path) -> list:
 def test_every_import_is_used():
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [line for path in paths for line in unused_imports(path)] == []
+
+
+def name_only_error_types() -> list:
+    """The exception classes of ``errors`` that neither define their own
+    ``__init__`` nor are named in an ``except`` clause of ``cli.main``: a
+    type that adds nothing to its base and that no caller tells apart."""
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {name.id for handler in ast.walk(main)
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+    return [name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == errors.__name__
+            and "__init__" not in vars(value) and name not in caught]
+
+
+def test_every_error_type_has_a_reason():
+    assert name_only_error_types() == []
