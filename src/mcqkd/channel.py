@@ -34,8 +34,9 @@ from typing import NamedTuple
 from .errors import DomainError, input_lines
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_RECORD_KEYS = ("re_t", "noise_var", "eve_w")
-_DIRECTIVE_KEYS = ("vacuum_variance", "active_count")
+_RECORD_KEYS = frozenset(("re_t", "noise_var", "eve_w"))
+_REQUIRED_KEYS = frozenset(("re_t", "noise_var"))
+_DIRECTIVE_KEYS = frozenset(("vacuum_variance", "active_count"))
 
 
 class _SubchannelFields(NamedTuple):
@@ -189,18 +190,19 @@ def load_channel_model(path) -> ChannelModel:
     for lineno, line in input_lines(path):
         try:
             fields = _parse_assignments(line)
-            if any(k in fields for k in _RECORD_KEYS):
-                unknown = set(fields) - set(_RECORD_KEYS)
+            if not _RECORD_KEYS.isdisjoint(fields):
+                unknown = fields.keys() - _RECORD_KEYS
                 if unknown:
                     raise ValueError(f"unknown record keys {sorted(unknown)}")
-                missing = {"re_t", "noise_var"} - set(fields)
+                missing = _REQUIRED_KEYS - fields.keys()
                 if missing:
                     raise ValueError(f"missing record keys {sorted(missing)}")
-                fields.setdefault("eve_w", "1")
                 records.append(SubchannelParams.from_real(
-                    *(_convert(key, fields[key]) for key in _RECORD_KEYS)))
+                    _convert("re_t", fields["re_t"]),
+                    _convert("noise_var", fields["noise_var"]),
+                    _convert("eve_w", fields.get("eve_w", "1"))))
             else:
-                unknown = set(fields) - set(_DIRECTIVE_KEYS)
+                unknown = fields.keys() - _DIRECTIVE_KEYS
                 if unknown:
                     raise ValueError(f"unknown directive keys {sorted(unknown)}")
                 if records:

@@ -309,8 +309,12 @@ def _run_constellation(args) -> tuple[dict, str]:
             f"{_MAX_GRID_POINTS} table rows"
         )
     spread = permute_constellation(base, args.l, args.seed)
-    # each base point's "re,im" cells, formatted once for every sub-channel
-    points = _format_rows(((p.real, p.imag) for p in base.points), args.precision)
+    # each distinct grid coordinate formatted once (a 12-bit grid has 64 for
+    # its 8,192 cells), then each base point's "re,im" cells, once for every
+    # sub-channel; keying by float is exact, as the grid holds no -0.0
+    distinct = list({p.real for p in base.points} | {p.imag for p in base.points})
+    text = dict(zip(distinct, _format_rows(((v,) for v in distinct), args.precision)))
+    points = [f"{text[p.real]},{text[p.imag]}" for p in base.points]
     if args.l == 1:
         # one sub-channel: a plain listing of the base points
         columns = ("index", "re", "im")

@@ -70,8 +70,12 @@ def build_constellation(secret_rate: float) -> Constellation:
     rows = 2 ** (b // 2)
     cols = 2 ** ((b + 1) // 2)
     spacing = 2.0 ** (-secret_rate / 2.0)
-    xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
-    ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
+    # Python floats, for which complex() is cheaper than for numpy scalars.
+    # No coordinate is -0.0, which the CLI's per-value formatting relies on:
+    # cols and rows >= 2 are even, so every offset is a half-integer, and a
+    # single row sits at (0 - 0.0) * spacing = +0.0
+    xs = ((np.arange(cols) - (cols - 1) / 2.0) * spacing).tolist()
+    ys = ((np.arange(rows) - (rows - 1) / 2.0) * spacing).tolist()
     return Constellation(tuple(complex(x, y) for y in ys for x in xs))
 
 

@@ -21,6 +21,7 @@ a comment and blank lines are skipped:
 
 from __future__ import annotations
 
+import cmath
 import ctypes
 import functools
 import math
@@ -71,9 +72,9 @@ class TransmittanceMatrix:
 
 
 def _check_orthonormal_columns(m: np.ndarray, name: str) -> None:
-    # m^dagger m without BLAS: OpenBLAS runs a 64 x 64 product on two
-    # threads, and on a busy host the second can wait milliseconds to run
-    gram = np.einsum("ki,kj->ij", m.conj(), m)
+    # m^dagger m through BLAS: on the CLI path this runs under eigenchannels'
+    # one-thread pin, so no second OpenBLAS thread can keep it waiting
+    gram = m.conj().T @ m
     err = np.max(np.abs(gram - np.eye(m.shape[1])))
     if not err <= _ORTHONORMAL_TOL:  # NaN fails too
         raise ValueError(f"{name} does not have orthonormal columns (max deviation {err:.3e})")
@@ -173,20 +174,24 @@ def load_matrix_csv(path) -> TransmittanceMatrix:
     for lineno, line in input_lines(path):
         row = []
         for cell in line.split(","):
-            re_part, sep, im_part = cell.strip().partition(":")
+            # float() strips the whitespace around each part
+            re_part, sep, im_part = cell.partition(":")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected re:im, got {cell!r}")
             try:
-                re, im = float(re_part), float(im_part)
+                value = complex(float(re_part), float(im_part))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad entry {cell!r}") from None
-            if not (math.isfinite(re) and math.isfinite(im)):
+            if not cmath.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: matrix entries must be finite, got {cell!r}")
-            row.append(complex(re, im))
+            row.append(value)
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: rows have inconsistent lengths {sorted(widths)}")
-    return TransmittanceMatrix(np.array(rows, dtype=complex))
+    try:
+        return TransmittanceMatrix(np.array(rows, dtype=complex))
+    except ValueError as exc:  # the cells are checked: only a too-wide matrix is left
+        raise ValueError(f"{path}: {exc}") from None

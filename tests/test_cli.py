@@ -508,7 +508,7 @@ class TestConstellation:
 
     @pytest.mark.parametrize("precision", [3, 9, 17])
     @pytest.mark.parametrize("l", [1, 3])
-    @pytest.mark.parametrize("bits", ["1", "2.5", "12"])
+    @pytest.mark.parametrize("bits", ["1", "2.5", "7", "12", "16"])
     def test_bytes_match_the_per_cell_layout(self, capsys, tmp_path, bits, l, precision):
         # reference: every sub-channel's points in permuted order, each cell
         # formatted on its own with str.format
@@ -929,6 +929,16 @@ UNDECODABLE = (
         (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
          "# a record\nre_t=0.5 noise_var=0.2 eve_w=1.4x\n",
          "error: {path}:2: eve_w must be a number, got '1.4x'"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
+         "re_t=0.5 noise_var=0.2 bogus=1\n", "error: {path}:1: unknown record keys ['bogus']"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
+         "re_t=0.5 eve_w=1.2\n", "error: {path}:1: missing record keys ['noise_var']"),
+        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
+         "re_t=0.5 noise_var=0.2\nvacuum_variance=1\n",
+         "error: {path}:2: directives must precede sub-channel records"),
+        # a whole-file fault is named with its path
+        (("svd", "--matrix", "{path}"), "1:0,2:0\n",
+         "error: {path}: inputs must not exceed outputs, got 2 inputs and 1 outputs"),
     ],
     ids=["precision-not-an-integer", "config-line-without-value", "config-key-twice",
          "matrix-bad-cell-after-comment", "matrix-comments-only", "matrix-non-finite-cell",
@@ -940,7 +950,8 @@ UNDECODABLE = (
          "tradeoff-grid-too-many-points", "perr-l-not-an-integer", "rates-fades-empty",
          "rates-fades-no-cell", "channel-not-utf8", "matrix-not-utf8", "config-not-utf8",
          "channel-re_t-not-a-number", "channel-noise_var-not-a-number",
-         "channel-eve_w-not-a-number"],
+         "channel-eve_w-not-a-number", "channel-unknown-record-key",
+         "channel-missing-record-key", "channel-directive-after-record", "matrix-too-wide"],
 )
 def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
     """Only argparse prints a usage block, above its error line."""

@@ -1,5 +1,6 @@
 """Grid constellations and their permutations across sub-channels."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -45,6 +46,14 @@ class TestBuildConstellation:
         assert len(set(points)) == len(xs) * len(ys) == len(points)
         gaps = [b - a for axis in (xs, ys) for a, b in zip(axis, axis[1:])]
         assert min(gaps) == 2.0**-8
+
+    def test_no_coordinate_is_negative_zero(self):
+        # the CLI formats each distinct coordinate once, keyed by its float
+        # value, which would take -0.0 for 0.0
+        for bits in np.arange(0.5, 16.5, 0.5):
+            points = build_constellation(float(bits)).points
+            assert not any(math.copysign(1.0, v) < 0 for p in points
+                           for v in (p.real, p.imag) if v == 0.0), bits
 
     def test_fractional_bits_round_up_cardinality(self):
         c = build_constellation(2.5)

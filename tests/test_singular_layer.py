@@ -217,6 +217,11 @@ class TestMatrixCsv:
         assert m.entries[0, 1] == complex(0.5, 0.1)
         assert m.entries[2, 1] == complex(0.0, 0.3)
 
+    def test_whitespace_around_each_part_is_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(" 1 : 2 ,\t3:4 \n5:0,6:0\n")
+        assert load_matrix_csv(p).entries.tolist() == [[1 + 2j, 3 + 4j], [5, 6]]
+
     def test_bad_cell_reports_line(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1:0\n0.5\n")
