@@ -1088,10 +1088,11 @@ class TestTableWideParametersFirst:
         assert code == 3 and captured.err == "error: power-law outage needs snr >= 1, got 0.5\n"
 
 
-def _fresh_run(tmp_path, argv, module):
+def _fresh_run(tmp_path, argv):
     """Exit code of ``cli.main(argv)`` in a fresh interpreter, after
-    ``build_parser`` alone for an empty argv, and whether ``module`` or any
-    of its submodules is then in ``sys.modules``."""
+    ``build_parser`` alone for an empty argv, and the set of top-level
+    packages then in ``sys.modules`` (a package counts when any of its
+    submodules is loaded)."""
     args = with_input_files(tmp_path, argv)
     if args:
         args += ["-o", str(tmp_path / "out.csv")]
@@ -1100,14 +1101,15 @@ def _fresh_run(tmp_path, argv, module):
         "from mcqkd import cli\n"
         "cli.build_parser()\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        f"print(code, any(m.partition('.')[0] == {module!r} for m in sys.modules))\n"
+        "print(code, *{m.partition('.')[0] for m in sys.modules})\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
     )
-    return done.stdout.split()
+    code, *loaded = done.stdout.split()
+    return int(code), set(loaded)
 
 
 SUBCOMMAND_ARGV = {
@@ -1121,32 +1123,35 @@ SUBCOMMAND_ARGV = {
 }
 
 
-# the refusals are where the Monte Carlo runs once called scipy.special
-SCIPY_FREE_ARGV = {
-    **SUBCOMMAND_ARGV,
-    "mc_rate": ("mc", "--mode", "rate", "--l", "2", "--multiplex", "0.5",
-                "--snr", "10,30,100", "--trials", "1000"),
-    "mc_mean_fade_refused": ("mc", "--mode", "mean_fade", "--l", "4",
-                             "--snr", "10,1e6,20", "--trials", "1000"),
-    "mc_rate_refused": ("mc", "--mode", "rate", "--l", "4", "--multiplex", "0.25",
-                        "--snr", "10,1e6,20", "--trials", "1000"),
+# no run loads scipy; the refusals are where the Monte Carlo runs once called
+# scipy.special.  The closed-form tables start without numpy, and their
+# records are named tuples, so neither ``dataclasses`` nor the ``inspect`` it
+# imports loads; the subcommands that need numpy import it in their handlers
+CLOSED_FORM = {"scipy": False, "numpy": False, "dataclasses": False, "inspect": False}
+NUMPY = {"scipy": False, "numpy": True}
+NO_SCIPY = {"scipy": False}
+
+# argv, exit code and whether each named package loads
+FRESH_RUNS = {
+    **{name: (argv, 0, NUMPY if name in ("svd", "constellation", "mc") else CLOSED_FORM)
+       for name, argv in SUBCOMMAND_ARGV.items()},
+    "mc_rate": (("mc", "--mode", "rate", "--l", "2", "--multiplex", "0.5",
+                 "--snr", "10,30,100", "--trials", "1000"), 0, NO_SCIPY),
+    "mc_mean_fade_refused": (("mc", "--mode", "mean_fade", "--l", "4",
+                              "--snr", "10,1e6,20", "--trials", "1000"), 4, NO_SCIPY),
+    "mc_rate_refused": (("mc", "--mode", "rate", "--l", "4", "--multiplex", "0.25",
+                         "--snr", "10,1e6,20", "--trials", "1000"), 4, NO_SCIPY),
 }
 
 
-@pytest.mark.parametrize("run", SCIPY_FREE_ARGV)
-def test_no_subcommand_loads_scipy(tmp_path, run):
-    """The package runs on numpy alone: no subcommand, and no Monte Carlo
-    run or refusal in either mode, loads scipy or any of its submodules."""
-    code = "4" if run.endswith("_refused") else "0"
-    assert _fresh_run(tmp_path, SCIPY_FREE_ARGV[run], "scipy") == [code, "False"]
-
-
-@pytest.mark.parametrize("run", SUBCOMMAND_ARGV)
-def test_only_svd_constellation_and_mc_load_numpy(tmp_path, run):
-    """The closed-form tables start without numpy; the subcommands that need
-    it import it in their handlers."""
-    loads = run in ("svd", "constellation", "mc")
-    assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], "numpy") == ["0", str(loads)]
+@pytest.mark.parametrize("run", FRESH_RUNS)
+def test_import_footprint(tmp_path, run):
+    """Each run, in one fresh interpreter, exits with its recorded code and
+    loads each named package exactly when its row says so."""
+    argv, exit_code, loads = FRESH_RUNS[run]
+    code, loaded = _fresh_run(tmp_path, argv)
+    assert code == exit_code
+    assert {name: name in loaded for name in loads} == loads
 
 
 def test_cli_imports_no_numpy():
@@ -1158,16 +1163,6 @@ def test_cli_imports_no_numpy():
     modules += [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module]
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
-
-
-@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
-@pytest.mark.parametrize("run", ["build_parser", "tradeoff", "perr", "rates"])
-def test_the_closed_form_tables_start_without_dataclasses(tmp_path, run, module):
-    """The records of ``manifold``, ``rates`` and ``channel`` are named
-    tuples: building the parser and a whole ``tradeoff``, ``perr`` or
-    ``rates`` run load neither ``dataclasses`` nor the ``inspect`` it
-    imports."""
-    assert _fresh_run(tmp_path, SUBCOMMAND_ARGV[run], module) == ["0", "False"]
 
 
 # an argparse error, an unknown subcommand and --version besides every subcommand
@@ -1206,27 +1201,6 @@ def test_a_handler_rebound_after_a_run_is_the_one_called(capsys, monkeypatch):
 BENCH_12_RUNS = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCH_12.json").read_text()
 )["byte_identity"]["runs"]
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize(
-    "recorded", BENCH_12_RUNS, ids=[f"{r['mode']}-l{r['l']}-{r['snr']}" for r in BENCH_12_RUNS]
-)
-def test_recorded_mc_bytes(tmp_path, capsys, monkeypatch, recorded, threads):
-    """The 23 ``mc`` configurations of ``BENCH_12.json``, run in one process
-    to ``-o``, write the recorded bytes.  A regression pin on output bytes,
-    not a correctness oracle, with the host exposure of
-    ``test_montecarlo.TestDeterminismPin``."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    out = tmp_path / "mc.csv"
-    code = main([
-        "mc", "--mode", recorded["mode"], "--l", str(recorded["l"]),
-        "--multiplex", repr(recorded["multiplex"]), "--snr", recorded["snr"],
-        "--fade-variance", repr(recorded["fade_variance"]), "--trials", str(recorded["trials"]),
-        "--seed", str(recorded["seed"]), "--threads", str(threads), "-o", str(out),
-    ])
-    assert (code, capsys.readouterr().err) == (0, "")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded["sha256"]
 
 
 # sha256 of the ``-o`` file of each ``BENCH_12.json`` configuration at
@@ -1284,23 +1258,29 @@ RECORDED_MC_17 = {
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("recorded", BENCH_12_RUNS, ids=list(RECORDED_MC_17))
-def test_recorded_mc_bytes_at_17_digits(tmp_path, capsys, monkeypatch, recorded, threads):
-    """The 23 ``mc`` configurations of ``BENCH_12.json`` write the recorded
-    bytes at 17 significant digits.  A regression pin on output bytes, not a
-    correctness oracle."""
+@pytest.mark.parametrize("precision", [9, 17])
+@pytest.mark.parametrize(
+    "recorded", BENCH_12_RUNS, ids=[f"{r['mode']}-l{r['l']}-{r['snr']}" for r in BENCH_12_RUNS]
+)
+def test_recorded_mc_bytes(tmp_path, capsys, monkeypatch, recorded, precision, threads):
+    """The 23 ``mc`` configurations of ``BENCH_12.json``, run in one process
+    to ``-o``, write the recorded bytes: ``BENCH_12.json``'s at the default
+    9 digits and ``RECORDED_MC_17``'s at 17.  A regression pin on output
+    bytes, not a correctness oracle, with the host exposure of
+    ``test_montecarlo.TestDeterminismPin``."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "mc.csv"
     code = main([
         "mc", "--mode", recorded["mode"], "--l", str(recorded["l"]),
         "--multiplex", repr(recorded["multiplex"]), "--snr", recorded["snr"],
         "--fade-variance", repr(recorded["fade_variance"]), "--trials", str(recorded["trials"]),
-        "--seed", str(recorded["seed"]), "--threads", str(threads), "--precision", "17",
-        "-o", str(out),
+        "--seed", str(recorded["seed"]), "--threads", str(threads),
+        "--precision", str(precision), "-o", str(out),
     ])
     key = f"{recorded['mode']}-l{recorded['l']}-{recorded['snr']}"
+    expected = recorded["sha256"] if precision == 9 else RECORDED_MC_17[key]
     assert (code, capsys.readouterr().err) == (0, "")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_MC_17[key]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 BENCH_13_BYTES = json.loads(
