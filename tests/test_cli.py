@@ -1,11 +1,13 @@
 """Command line interface: parsing, CSV layout, headers and exit codes."""
 
 import ast
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1088,14 +1090,13 @@ class TestTableWideParametersFirst:
         assert code == 3 and captured.err == "error: power-law outage needs snr >= 1, got 0.5\n"
 
 
-def _fresh_run(tmp_path, argv):
-    """Exit code of ``cli.main(argv)`` in a fresh interpreter, after
-    ``build_parser`` alone for an empty argv, and the set of top-level
-    packages then in ``sys.modules`` (a package counts when any of its
-    submodules is loaded)."""
-    args = with_input_files(tmp_path, argv)
-    if args:
-        args += ["-o", str(tmp_path / "out.csv")]
+@functools.cache
+def _fresh_run(run):
+    """Exit code of ``cli.main(argv)`` for ``FRESH_RUNS[run]`` in a fresh
+    interpreter, after ``build_parser`` alone for an empty argv, and the set
+    of top-level packages then in ``sys.modules`` (a package counts when any
+    of its submodules is loaded).  Cached, so each run launches once however
+    many of its cases ask."""
     code = (
         "import sys\n"
         "from mcqkd import cli\n"
@@ -1105,9 +1106,14 @@ def _fresh_run(tmp_path, argv):
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        args = with_input_files(Path(tmp), FRESH_RUNS[run][0])
+        if args:
+            args += ["-o", str(Path(tmp) / "out.csv")]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+            env=env,
+        )
     code, *loaded = done.stdout.split()
     return int(code), set(loaded)
 
@@ -1144,14 +1150,16 @@ FRESH_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", FRESH_RUNS)
-def test_import_footprint(tmp_path, run):
+@pytest.mark.parametrize(
+    "run, package", [(run, package) for run, row in FRESH_RUNS.items() for package in row[2]],
+    ids=lambda value: value,
+)
+def test_import_footprint(run, package):
     """Each run, in one fresh interpreter, exits with its recorded code and
-    loads each named package exactly when its row says so."""
-    argv, exit_code, loads = FRESH_RUNS[run]
-    code, loaded = _fresh_run(tmp_path, argv)
-    assert code == exit_code
-    assert {name: name in loaded for name in loads} == loads
+    loads the named package exactly when its row says so."""
+    _, exit_code, loads = FRESH_RUNS[run]
+    code, loaded = _fresh_run(run)
+    assert (code, package in loaded) == (exit_code, loads[package])
 
 
 def test_cli_imports_no_numpy():
