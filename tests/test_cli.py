@@ -105,21 +105,6 @@ class TestGridParsing:
         with pytest.raises(ValueError, match="more than 10 points"):
             _parse_grid("1:11:1", "--grid")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("tradeoff", "--kind", "single", "--grid", "0.5:inf:0.1"),
-            ("perr", "--snr", "inf,10", "--multiplex", "0.6"),
-            ("tradeoff", "--kind", "multicarrier", "--l", "5", "--z", "inf", "--grid", "0:1:0.5"),
-            ("tradeoff", "--kind", "g_scaled", "--g", "nan", "--grid", "0:1:0.5"),
-            ("tradeoff", "--kind", "g_scaled", "--g", "inf", "--grid", "0:1:0.5"),
-        ],
-    )
-    def test_non_finite_grid_exits_2(self, capsys, argv):
-        assert main(list(argv)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "finite" in captured.err
-
     def test_db_conversion(self):
         assert _to_linear([10.0, 20.0], "db") == pytest.approx([10.0, 100.0])
         assert _to_linear([10.0], "linear") == [10.0]
@@ -160,26 +145,6 @@ class TestTradeoff:
         assert float(rows[0][1]) == pytest.approx(2.0)
         assert float(rows[-1][1]) == pytest.approx(0.0)
 
-    def test_multiaccess_needs_dimensions(self, capsys):
-        code, _ = run(capsys, "tradeoff", "--kind", "multiaccess_in_le_out", "--grid", "0,1")
-        assert code == 2
-
-    def test_g_scale_domain_error(self, capsys):
-        code, _ = run(
-            capsys, "tradeoff", "--kind", "g_scaled", "--grid", "0.5", "--g", "1.0"
-        )
-        assert code == 3
-
-    def test_multiaccess_knots_beyond_the_double_range_exit_2(self, capsys):
-        k = str(10**200)
-        code = main([
-            "tradeoff", "--kind", "multiaccess_in_le_out", "--grid", "0.5",
-            "--k-in", k, "--k-out", k,
-        ])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "fit a double" in captured.err
-
 
 class TestPerr:
     def test_table_cell_count_bounded(self, capsys, monkeypatch):
@@ -218,35 +183,12 @@ class TestPerr:
         )
         assert data_rows(linear) == data_rows(db)
 
-    def test_snr_below_one_is_domain_error(self, capsys):
-        code, _ = run(capsys, "perr", "--snr", "0.5", "--multiplex", "0")
-        assert code == 3
-
-    @pytest.mark.parametrize(
-        "snr_args",
-        [("--snr", "0"), ("--snr-unit", "db", "--snr", "-4000")],
-        ids=["zero", "db_underflow"],
-    )
-    def test_zero_snr_is_domain_error_naming_the_value(self, capsys, snr_args):
-        # checked before the snr_db column takes log10 of it
-        code = main(["perr", *snr_args, "--multiplex", "0.5"])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert "power-law outage needs snr >= 1, got 0.0" in captured.err
-
     def test_precision_flag(self, capsys):
         _, lines = run(
             capsys, "perr", "--snr", "3", "--multiplex", "0", "--precision", "2"
         )
         cells = data_rows(lines)[0].split(",")
         assert cells[1] == "0.33"
-
-    @pytest.mark.parametrize("l_grid", ["2.7", "1,2.5", "0", "1:3:0.5"])
-    def test_l_must_be_integers_of_at_least_one(self, capsys, l_grid):
-        code = main(["perr", "--snr", "10", "--multiplex", "0.5", "--l", l_grid])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == "" and "l must be an integer" in captured.err
 
     def test_integral_float_l_accepted(self, capsys):
         code, lines = run(capsys, "perr", "--snr", "10", "--multiplex", "0.5", "--l", "2.0,4")
@@ -277,25 +219,6 @@ class TestSvd:
         p.write_text("0:0,0:0\n0:0,0:0\n0:0,0:0\n")
         code, lines = run(capsys, "svd", "--matrix", str(p))
         assert (code, data_rows(lines)) == (0, ["0,0", "1,0", "recon_error,0"])
-
-    def test_missing_file(self, capsys, tmp_path):
-        code, _ = run(capsys, "svd", "--matrix", str(tmp_path / "nope.csv"))
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "text", ["1e200:0,1e200:0\n1e200:0,-1e200:0\n", "1e200:0\n"], ids=["2x2", "1x1"]
-    )
-    def test_norm_beyond_the_double_range_exits_2(self, capsys, tmp_path, text):
-        """numpy's norm sums the squares unscaled: 1e200 squared overflows,
-        and the norm must not reach recon_error as inf or nan."""
-        p = tmp_path / "m.csv"
-        p.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["svd", "--matrix", str(p)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == "error: matrix Frobenius norm must fit a double\n"
 
     def test_a_tall_matrix_needs_memory_of_its_own_size(self, capsys, tmp_path):
         """The thin factorisation builds no K_out x K_out array: 3,000 rows of
@@ -346,123 +269,6 @@ class TestRates:
         fades = [float(r.split(",")[1]) for r in data_rows(lines)[:2]]
         assert fades == pytest.approx([0.3, 0.4])
 
-    def test_degenerate_attack_noise_maps_to_exit_3(self, capsys, tmp_path):
-        p = tmp_path / "chan.txt"
-        p.write_text("re_t=0.5 noise_var=0.2\n")
-        code, _ = run(capsys, "rates", "--channel", str(p), "--mod-variance", "2")
-        assert code == 3
-
-    def test_a_fully_tapped_subchannel_exits_3(self, capsys, tmp_path):
-        p = tmp_path / "chan.txt"
-        p.write_text("re_t=0.5 noise_var=0.2 eve_w=1.4\nre_t=0 noise_var=0.2 eve_w=1.4\n")
-        code = main(["rates", "--channel", str(p), "--mod-variance", "1.2"])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert captured.err == (
-            "error: excess noise diverges: the eavesdropper tap transmits everything\n"
-        )
-
-    @pytest.mark.parametrize(
-        "text, flags, code, message",
-        [
-            (  # mod_variance * fade_sq overflows: the bracket is inf / inf
-                CHANNEL_TEXT, ("--mod-variance", "1e308", "--fades", "10,10"), 3,
-                "optimal-attack noise undefined: the inverted SNR bracket is nan (must be > 0)",
-            ),
-            (  # 1e-20 over the bracket of a huge input noise underflows to 0
-                "re_t=1e-8 noise_var=1.0 eve_w=1e290\n",
-                ("--mod-variance", "1e-20", "--fades", "1e-300"), 2,
-                "optimal-attack noise underflows to 0.0: mod_variance 1e-20 is too small "
-                "for the attack bracket",
-            ),
-            (  # 1e300 over a bracket of 2.2e-16 overflows to inf
-                "vacuum_variance=0.9999999999999999\nre_t=0.5 noise_var=1 eve_w=1\n",
-                ("--mod-variance", "1e300"), 2,
-                "optimal-attack noise overflows to inf: mod_variance 1e+300 is too large "
-                "for the attack bracket",
-            ),
-            (  # the boosted variance 1e308 * (1 + 1) overflows, so the svd cells are inf
-                "vacuum_variance=0.5\nre_t=0.5 noise_var=1 eve_w=1\n",
-                ("--mod-variance", "1e308"), 2,
-                "svd_capacity must be finite and >= 0, got inf",
-            ),
-        ],
-        ids=["nan_bracket", "attack_noise_underflow", "attack_noise_overflow", "total_overflow"],
-    )
-    def test_attack_noise_outside_the_double_range(
-        self, capsys, tmp_path, text, flags, code, message
-    ):
-        p = tmp_path / "chan.txt"
-        p.write_text(text)
-        got = main(["rates", "--channel", str(p), *flags])
-        captured = capsys.readouterr()
-        assert got == code and captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    @pytest.mark.parametrize(
-        "flags, name",
-        [
-            (("--mod-variance", "inf", "--gain-c", "0.5"), "mod_variance"),
-            (("--mod-variance", "nan", "--gain-c", "0.5"), "mod_variance"),
-            (("--mod-variance", "1.2", "--gain-c", "inf"), "gain_c"),
-            (("--mod-variance", "1.2", "--gain-c", "nan"), "gain_c"),
-        ],
-    )
-    def test_non_finite_inputs_exit_2_naming_the_input(self, capsys, tmp_path, flags, name):
-        p = tmp_path / "chan.txt"
-        p.write_text(CHANNEL_TEXT)
-        code = main(["rates", "--channel", str(p), *flags])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"{name} must be finite" in captured.err
-
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    @pytest.mark.parametrize(
-        "text, name",
-        [
-            ("re_t={v} noise_var=0.2 eve_w=1.4\n", "transmittance real part"),
-            ("re_t=0.5 noise_var={v} eve_w=1.4\n", "noise_variance"),
-            ("re_t=0.5 noise_var=0.2 eve_w={v}\n", "eve_epr_variance"),
-            ("re_t=0.5 noise_var=0.2\nre_t=0.6 noise_var={v}\n", "noise_variance"),
-            ("vacuum_variance={v}\nre_t=0.5 noise_var=0.2 eve_w=1.4\n", "vacuum_variance"),
-        ],
-        ids=["re_t", "noise_var", "eve_w", "second_record", "vacuum_variance"],
-    )
-    def test_non_finite_channel_file_values_exit_2_naming_the_input(
-        self, capsys, tmp_path, text, name, value
-    ):
-        p = tmp_path / "chan.txt"
-        p.write_text(text.format(v=value))
-        code = main(["rates", "--channel", str(p), "--mod-variance", "1.2"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"{name} must be finite" in captured.err
-        lineno = 1 if name == "vacuum_variance" else text.count("\n")
-        assert f"{p}:{lineno}:" in captured.err
-
-    @pytest.mark.parametrize(
-        "directive, message",
-        [
-            ("active_count=2.5", "active_count must be an integer, got '2.5'"),
-            ("active_count=0", "active_count must be >= 1, got 0"),
-            ("active_count=3", "active_count must lie in [1, 1], got 3"),
-            ("vacuum_variance=inf", "vacuum_variance must be finite and positive, got inf"),
-            ("vacuum_variance=0", "vacuum_variance must be finite and positive, got 0.0"),
-            ("vacuum_variance=one", "vacuum_variance must be a number, got 'one'"),
-            # a directive given again on a later line
-            ("active_count=1\nactive_count=1", "duplicate key 'active_count'"),
-            ("vacuum_variance=1\nvacuum_variance=2", "duplicate key 'vacuum_variance'"),
-        ],
-    )
-    def test_bad_channel_directive_exits_2_at_its_line(self, capsys, tmp_path, directive, message):
-        p = tmp_path / "chan.txt"
-        p.write_text(f"# one record\n{directive}\nre_t=0.5 noise_var=0.2 eve_w=1.4\n")
-        code = main(["rates", "--channel", str(p), "--mod-variance", "1.2"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        # the directive's last line is the bad one
-        assert captured.err == f"error: {p}:{2 + directive.count(chr(10))}: {message}\n"
-
 
 class TestConstellation:
     def test_single_channel_listing(self, capsys):
@@ -487,17 +293,6 @@ class TestConstellation:
         first = {(r[2], r[3]) for r in rows if r[0] == "1"}
         second = {(r[2], r[3]) for r in rows if r[0] == "2"}
         assert first == second
-
-    @pytest.mark.parametrize("l", ["1", "2"])
-    def test_negative_seed_rejected_for_every_l(self, capsys, l):
-        code = main(["constellation", "--bits", "1", "--l", l, "--seed", "-1"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == "error: seed must be >= 0, got -1\n"
-
-    def test_bad_bits_rejected(self, capsys):
-        code, _ = run(capsys, "constellation", "--bits", "0")
-        assert code == 2
 
     def test_row_count_bounded(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 8)
@@ -618,71 +413,10 @@ class TestMonteCarloCommand:
         snr = header_map(lines)["snr"].split(",")
         assert float(snr[0]) == pytest.approx(10 ** 0.7)
 
-    def test_unknown_config_key_rejected_with_location(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("mode=mean_fade\nsnr=5,10,20\nbogus=1\n")
-        code = main(["mc", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert ":3:" in err and "bogus" in err
-
-    @pytest.mark.parametrize(
-        "line, key",
-        [("l=2.5", "l"), ("trials=1e6", "trials"), ("fade_variance=x", "fade_variance")],
-    )
-    def test_config_value_of_wrong_type_rejected_with_location(
-        self, capsys, tmp_path, line, key
-    ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"mode=mean_fade\nsnr=5,10,20\n{line}\n")
-        code = main(["mc", "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"{cfg}:3: {key} must be of type" in captured.err
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("mode=fast", "mode must be mean_fade or rate, got 'fast'"),
-            ("snr_unit=dB", "snr_unit must be linear or db, got 'dB'"),
-        ],
-    )
-    def test_config_value_outside_its_choices_rejected_with_location(
-        self, capsys, tmp_path, line, message
-    ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"snr=5,10,20\n{line}\n")
-        code = main(["mc", "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == f"error: {cfg}:2: {message}\n"
-
     def test_help_keeps_the_threads_text(self, capsys):
         assert main(["mc", "--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "--threads THREADS worker threads (never changes results)" in out
-
-    def test_missing_mode_and_snr(self, capsys):
-        code = main(["mc", "--trials", "2000"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "mode" in err and "snr" in err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--snr", "nan,10,100"),
-            ("--snr", "10,inf,100"),
-            ("--snr", "10,31.6,100", "--fade-variance", "inf"),
-            ("--snr", "10,31.6,100", "--threads", "0"),
-            ("--snr", "10,31.6,100", "--threads", "-3"),
-            ("--snr", "10,31.6,100", "--seed", "-1"),
-        ],
-    )
-    def test_non_finite_or_bad_threads_exit_2(self, capsys, flags):
-        code = main(["mc", "--mode", "mean_fade", "--trials", "2000", *flags])
-        assert code == 2
-        assert capsys.readouterr().out == ""
 
     def test_rate_grid_below_the_mean_fade_probability_is_sampled(self, capsys):
         """At snr=2000 the mean-fade probability, a lower bound on this rate
@@ -722,40 +456,6 @@ class TestMonteCarloCommand:
         assert captured.err.splitlines() == err
         assert (captured.out == "") == (code != 0)
 
-    @pytest.mark.parametrize(
-        "flags, code, err",
-        [
-            # one event in a million per point: 1000 trials would see none
-            ("--mode mean_fade --l 1 --snr 1e6,1e6,1e6 --trials 1000", 3,
-             "error: snr grid is constant; slope undefined"),
-            ("--mode mean_fade --l 4 --snr 2,2,2 --threads 0", 2,
-             "error: threads must be >= 1, got 0"),
-            ("--mode mean_fade --l 4 --snr 1e5,1e5,1e5", 4,
-             "error: refusing mean-fade outage at snr=100000: analytic outage probability "
-             "1.067e-19 is below 1e-08 and cannot be resolved by sampling; use the "
-             "closed-form power laws for this regime"),
-            ("--mode rate --multiplex 0 --snr 2,2,2", 4,
-             "error: refusing rate outage at snr=2: outage upper bound 0.000e+00 is below "
-             "1e-08 and cannot be resolved by sampling; use the closed-form power laws for "
-             "this regime"),
-        ],
-        ids=["before_sampling", "after_threads", "after_mean_fade_refusal",
-             "after_rate_refusal"],
-    )
-    def test_constant_grid_is_refused_after_threads_and_refusal(self, capsys, flags, code, err):
-        """A constant grid exits 3 before anything is drawn, but only after a
-        bad thread count and a refused point have given their own exits."""
-        assert main(["mc", *flags.split()]) == code
-        assert capsys.readouterr() == ("", err + "\n")
-
-    def test_refusal_exit_code(self, capsys):
-        code = main([
-            "mc", "--mode", "mean_fade", "--l", "4", "--snr", "1e3,1e4,1e5",
-            "--trials", "2000",
-        ])
-        assert code == 4
-        assert "cannot be resolved" in capsys.readouterr().err
-
 
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
@@ -785,19 +485,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             cli.entry()
         assert info.value.code == code
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("perr", "--snr-unit", "db", "--snr", "4000", "--multiplex", "0.5"),
-            ("mc", "--mode", "mean_fade", "--snr-unit", "db", "--snr", "4000,4001,4002"),
-        ],
-    )
-    def test_db_value_beyond_the_double_range_exits_2(self, capsys, argv):
-        assert main(list(argv)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: snr 4000 dB exceeds the largest double\n"
 
     def test_missing_required_argument(self, capsys):
         assert main(["perr", "--multiplex", "0"]) == 2
@@ -854,118 +541,319 @@ BIG_K = str(10**200)  # K_in * K_out beyond the largest double
 UNDECODABLE = (
     "error: {path}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
 )
+RATES = "rates --channel {path} --mod-variance 1.2"
+RECORD = "re_t=0.5 noise_var=0.2 eve_w=1.4\n"
+
+# (id, argv split on spaces, the text of the file at {path} or None for no
+# file, exit code, last stderr line); an empty value is written --flag=
+ERROR_EXITS = [
+    ("precision-not-an-integer", "tradeoff --kind single --grid 0.5 --precision abc", None, 2,
+     "mcqkd tradeoff: error: argument --precision: "
+     "must be an integer in [1, 2147483647], got 'abc'"),
+    ("config-line-without-value", "mc --config {path}", "mode=mean_fade\nsnr\n", 2,
+     "error: {path}:2: expected key=value, got 'snr'"),
+    ("config-key-twice", "mc --config {path}", "mode=mean_fade\nsnr=5,10,20\nseed=1\nseed=2\n", 2,
+     "error: {path}:4: duplicate key 'seed'"),
+    # the comment line and the blank line are skipped, and counted
+    ("matrix-bad-cell-after-comment", "svd --matrix {path}", "# header\n0.5:0,0.1:0\n\n0.2:0,1:x\n",
+     2, "error: {path}:4: bad entry '1:x'"),
+    ("matrix-comments-only", "svd --matrix {path}", "# only a comment\n\n# another\n", 2,
+     "error: {path}: no matrix rows found"),
+    ("matrix-non-finite-cell", "svd --matrix {path}", "0.5:0,0.1:0\n\n0.2:0,1:nan\n", 2,
+     "error: {path}:3: matrix entries must be finite, got '1:nan'"),
+    ("fade-count", RATES + " --fades 0.5,0.6,0.7", CHANNEL_TEXT, 2,
+     "error: expected 2 fade values, got 3"),
+    ("channel-field-without-value", RATES, "re_t=0.5 noise_var\n", 2,
+     "error: {path}:1: expected key=value, got 'noise_var'"),
+    ("channel-unknown-directive", RATES, "bogus=1\n" + RECORD, 2,
+     "error: {path}:1: unknown directive keys ['bogus']"),
+    ("constellation-no-subchannel", "constellation --bits 2 --l 0", None, 2,
+     "error: l must be >= 1, got 0"),
+    ("constellation-negative-l", "constellation --bits 2 --l -3", None, 2,
+     "error: l must be >= 1, got -3"),
+    # a grid cell that is not a number is named with its flag or setting,
+    # before any table-wide parameter (--z 0.5 is bad too)
+    ("perr-snr-cell", "perr --snr 1,x --multiplex 0.5", None, 2,
+     "error: --snr values must be numbers, got 'x'"),
+    ("perr-l-cell", "perr --snr 1 --multiplex 0.5 --l 1,x", None, 2,
+     "error: --l values must be numbers, got 'x'"),
+    ("tradeoff-grid-cell", "tradeoff --kind single --grid 0.5,x --z 0.5", None, 2,
+     "error: --grid values must be numbers, got 'x'"),
+    ("tradeoff-range-cell", "tradeoff --kind single --grid 0:1:y", None, 2,
+     "error: --grid values must be numbers, got 'y'"),
+    ("rates-fades-cell", RATES + " --fades 1,x", CHANNEL_TEXT, 2,
+     "error: --fades values must be numbers, got 'x'"),
+    ("mc-snr-cell", "mc --mode rate --snr 2,3,x", None, 2,
+     "error: --snr values must be numbers, got 'x'"),
+    ("mc-config-snr-cell", "mc --config {path}", "mode=rate\nsnr=2,3,x\n", 2,
+     "error: snr values must be numbers, got 'x'"),
+    # every other grid fault is named with its flag or setting too
+    ("perr-snr-not-finite", "perr --snr inf,10 --multiplex 0.6", None, 2,
+     "error: --snr values must be finite, got 'inf,10'"),
+    ("tradeoff-range-stop-not-finite", "tradeoff --kind single --grid 0.5:inf:0.1", None, 2,
+     "error: --grid values must be finite, got '0.5:inf:0.1'"),
+    ("mc-snr-nan", "mc --mode mean_fade --trials 2000 --snr nan,10,100", None, 2,
+     "error: --snr values must be finite, got 'nan,10,100'"),
+    ("mc-snr-inf", "mc --mode mean_fade --trials 2000 --snr 10,inf,100", None, 2,
+     "error: --snr values must be finite, got '10,inf,100'"),
+    ("rates-fades-bad-range", "rates --channel {path} --mod-variance 1 --fades=1:0:1", CHANNEL_TEXT,
+     2, "error: --fades range '1:0:1' needs step > 0 and stop >= start"),
+    ("mc-snr-range-shape", "mc --mode rate --snr 1:2", None, 2,
+     "error: --snr range must be start:stop:step, got '1:2'"),
+    ("mc-config-snr-range-shape", "mc --config {path}", "mode=rate\nsnr=1:2\n", 2,
+     "error: snr range must be start:stop:step, got '1:2'"),
+    ("perr-snr-empty", "perr --snr= --multiplex 0.5", None, 2,
+     "error: --snr is an empty grid, got ''"),
+    ("tradeoff-grid-too-many-points", "tradeoff --kind single --grid 0:1:1e-7", None, 2,
+     "error: --grid range '0:1:1e-7' has more than 1000000 points"),
+    ("perr-l-not-an-integer", "perr --snr 10 --multiplex 0.5 --l 0.5", None, 2,
+     "error: --l must be an integer >= 1 in every cell, got '0.5'"),
+    ("perr-l-fraction", "perr --snr 10 --multiplex 0.5 --l 2.7", None, 2,
+     "error: --l must be an integer >= 1 in every cell, got '2.7'"),
+    ("perr-l-fraction-second", "perr --snr 10 --multiplex 0.5 --l 1,2.5", None, 2,
+     "error: --l must be an integer >= 1 in every cell, got '1,2.5'"),
+    ("perr-l-zero", "perr --snr 10 --multiplex 0.5 --l 0", None, 2,
+     "error: --l must be an integer >= 1 in every cell, got '0'"),
+    ("perr-l-fraction-step", "perr --snr 10 --multiplex 0.5 --l 1:3:0.5", None, 2,
+     "error: --l must be an integer >= 1 in every cell, got '1:3:0.5'"),
+    # an empty --fades is refused, not taken for no --fades
+    ("rates-fades-empty", "rates --channel {path} --mod-variance 1 --fades=", CHANNEL_TEXT, 2,
+     "error: --fades is an empty grid, got ''"),
+    ("rates-fades-no-cell", "rates --channel {path} --mod-variance 1 --fades ,", CHANNEL_TEXT, 2,
+     "error: --fades is an empty grid, got ','"),
+    # the file is written as latin-1, so "\xff" is the byte 0xff, not UTF-8
+    ("channel-not-utf8", RATES, "# \xff\n", 2, UNDECODABLE),
+    ("matrix-not-utf8", "svd --matrix {path}", "# \xff\n", 2, UNDECODABLE),
+    ("config-not-utf8", "mc --config {path}", "# \xff\n", 2, UNDECODABLE),
+    # a missing input file or output folder is an I/O error
+    ("matrix-missing", "svd --matrix {path}", None, 2,
+     "error: [Errno 2] No such file or directory: '{path}'"),
+    ("output-folder-missing", "tradeoff --kind single --grid 0.5 -o {path}/out.csv", None, 2,
+     "error: [Errno 2] No such file or directory: '{path}/out.csv'"),
+    # a channel record value that is not a number is named with its key
+    ("channel-re_t-not-a-number", RATES, "re_t=abc noise_var=1\n", 2,
+     "error: {path}:1: re_t must be a number, got 'abc'"),
+    ("channel-noise_var-not-a-number", RATES, "re_t=0.5, noise_var=x\n", 2,
+     "error: {path}:1: noise_var must be a number, got 'x'"),
+    ("channel-eve_w-not-a-number", RATES, "# a record\nre_t=0.5 noise_var=0.2 eve_w=1.4x\n", 2,
+     "error: {path}:2: eve_w must be a number, got '1.4x'"),
+    ("channel-unknown-record-key", RATES, "re_t=0.5 noise_var=0.2 bogus=1\n", 2,
+     "error: {path}:1: unknown record keys ['bogus']"),
+    ("channel-missing-record-key", RATES, "re_t=0.5 eve_w=1.2\n", 2,
+     "error: {path}:1: missing record keys ['noise_var']"),
+    ("channel-directive-after-record", RATES, "re_t=0.5 noise_var=0.2\nvacuum_variance=1\n", 2,
+     "error: {path}:2: directives must precede sub-channel records"),
+    # a non-finite channel file value is named with its quantity at its line
+    *[(f"channel-{key}-{value}", RATES, text.format(v=value), 2,
+       f"error: {{path}}:{where}, got {value}")
+      for key, text, where in [
+          ("re_t", "re_t={v} noise_var=0.2 eve_w=1.4\n",
+           "1: transmittance real part must be finite"),
+          ("noise_var", "re_t=0.5 noise_var={v} eve_w=1.4\n", "1: noise_variance must be finite"),
+          ("eve_w", "re_t=0.5 noise_var=0.2 eve_w={v}\n", "1: eve_epr_variance must be finite"),
+          ("second_record", "re_t=0.5 noise_var=0.2\nre_t=0.6 noise_var={v}\n",
+           "2: noise_variance must be finite"),
+          ("vacuum_variance", "vacuum_variance={v}\n" + RECORD,
+           "1: vacuum_variance must be finite and positive"),
+      ]
+      for value in ("inf", "-inf", "nan")],
+    # a bad directive is reported at its line, a directive given again at
+    # its second line
+    *[(f"channel-{key}", RATES, f"# one record\n{directive}\n{RECORD}", 2,
+       f"error: {{path}}:{where}")
+      for key, directive, where in [
+          ("active_count-fraction", "active_count=2.5",
+           "2: active_count must be an integer, got '2.5'"),
+          ("active_count-zero", "active_count=0", "2: active_count must be >= 1, got 0"),
+          ("active_count-above-records", "active_count=3",
+           "2: active_count must lie in [1, 1], got 3"),
+          ("vacuum_variance-inf", "vacuum_variance=inf",
+           "2: vacuum_variance must be finite and positive, got inf"),
+          ("vacuum_variance-zero", "vacuum_variance=0",
+           "2: vacuum_variance must be finite and positive, got 0.0"),
+          ("vacuum_variance-word", "vacuum_variance=one",
+           "2: vacuum_variance must be a number, got 'one'"),
+          ("active_count-twice", "active_count=1\nactive_count=1",
+           "3: duplicate key 'active_count'"),
+          ("vacuum_variance-twice", "vacuum_variance=1\nvacuum_variance=2",
+           "3: duplicate key 'vacuum_variance'"),
+      ]],
+    # a whole-file fault is named with its path
+    ("matrix-too-wide", "svd --matrix {path}", "1:0,2:0\n", 2,
+     "error: {path}: inputs must not exceed outputs, got 2 inputs and 1 outputs"),
+    # numpy's norm sums the squares unscaled: 1e200 squared overflows, and
+    # the norm must reach recon_error neither as inf or nan nor as a warning
+    ("matrix-norm-beyond-the-double-range-2x2", "svd --matrix {path}",
+     "1e200:0,1e200:0\n1e200:0,-1e200:0\n", 2, "error: matrix Frobenius norm must fit a double"),
+    ("matrix-norm-beyond-the-double-range-1x1", "svd --matrix {path}", "1e200:0\n", 2,
+     "error: matrix Frobenius norm must fit a double"),
+    # tradeoff parameters
+    ("multicarrier-z-not-finite", "tradeoff --kind multicarrier --l 5 --z inf --grid 0:1:0.5",
+     None, 2, "error: z_exponent must be finite and >= 1, got inf"),
+    ("g_scaled-g-nan", "tradeoff --kind g_scaled --g nan --grid 0:1:0.5", None, 2,
+     "error: g_scale must be finite, got nan"),
+    ("g_scaled-g-inf", "tradeoff --kind g_scaled --g inf --grid 0:1:0.5", None, 2,
+     "error: g_scale must be finite, got inf"),
+    ("multiaccess-needs-dimensions", "tradeoff --kind multiaccess_in_le_out --grid 0,1", None, 2,
+     "error: curve kind 'multiaccess_in_le_out' needs k_in and k_out"),
+    ("multiaccess-knots-beyond-the-double-range",
+     f"tradeoff --kind multiaccess_in_le_out --grid 0.5 --k-in {BIG_K} --k-out {BIG_K}", None, 2,
+     "error: K_in * K_out must fit a double"),
+    ("g_scaled-g-one", "tradeoff --kind g_scaled --grid 0.5 --g 1.0", None, 3,
+     "error: g_scale must lie in [0, 1), got 1.0"),
+    # a g out of range exits 3 before any point is checked
+    ("g_scaled-g-before-one-point", "tradeoff --kind g_scaled --g 1.5 --grid=-1,0.5", None, 3,
+     "error: g_scale must lie in [0, 1), got 1.5"),
+    ("g_scaled-g-before-two-points", "tradeoff --kind g_scaled --g 1.5 --grid=-1,0.5,0.25", None,
+     3, "error: g_scale must lie in [0, 1), got 1.5"),
+    # a bad point alone keeps its domain exit
+    ("single-bad-point-alone", "tradeoff --kind single --grid=0.5,0", None, 3,
+     "error: multiplex_ratio must lie in (0, 1], got 0.0"),
+    ("perr-bad-point-alone", "perr --snr 1,0.5 --multiplex 0.5", None, 3,
+     "error: power-law outage needs snr >= 1, got 0.5"),
+    # an snr below one, zero included, is checked before the snr_db column
+    # takes log10 of it
+    ("perr-snr-below-one", "perr --snr 0.5 --multiplex 0", None, 3,
+     "error: power-law outage needs snr >= 1, got 0.5"),
+    ("perr-snr-zero", "perr --snr 0 --multiplex 0.5", None, 3,
+     "error: power-law outage needs snr >= 1, got 0.0"),
+    ("perr-snr-db-underflow", "perr --snr-unit db --snr -4000 --multiplex 0.5", None, 3,
+     "error: power-law outage needs snr >= 1, got 0.0"),
+    ("perr-db-beyond-the-double-range", "perr --snr-unit db --snr 4000 --multiplex 0.5", None, 2,
+     "error: snr 4000 dB exceeds the largest double"),
+    ("mc-db-beyond-the-double-range", "mc --mode mean_fade --snr-unit db --snr 4000,4001,4002",
+     None, 2, "error: snr 4000 dB exceeds the largest double"),
+    # rates parameters
+    ("mod_variance-inf", "rates --channel {path} --mod-variance inf --gain-c 0.5", CHANNEL_TEXT,
+     2, "error: mod_variance must be finite, got inf"),
+    ("mod_variance-nan", "rates --channel {path} --mod-variance nan --gain-c 0.5", CHANNEL_TEXT,
+     2, "error: mod_variance must be finite, got nan"),
+    ("gain_c-inf", RATES + " --gain-c inf", CHANNEL_TEXT, 2,
+     "error: gain_c must be finite, got inf"),
+    ("gain_c-nan", RATES + " --gain-c nan", CHANNEL_TEXT, 2,
+     "error: gain_c must be finite, got nan"),
+    # a rates parameter is reported before the count of three fades for the
+    # two active sub-channels, and before a bad or missing channel file
+    ("mod_variance-zero-before-fade-count",
+     "rates --channel {path} --mod-variance=0 --fades 0.1,0.2,0.3", CHANNEL_TEXT, 2,
+     "error: mod_variance must be positive, got 0.0"),
+    ("mod_variance-negative-before-fade-count",
+     "rates --channel {path} --mod-variance=-1 --fades 0.1,0.2,0.3", CHANNEL_TEXT, 2,
+     "error: mod_variance must be positive, got -1.0"),
+    ("gain_c-zero-before-fade-count", RATES + " --gain-c=0 --fades 0.1,0.2,0.3", CHANNEL_TEXT, 2,
+     "error: gain_c must be > 0, got 0.0"),
+    ("mod_variance-zero-before-bad-file", "rates --channel {path} --mod-variance=0",
+     "re_t=0.9 noise_var=0.2\n", 2, "error: mod_variance must be positive, got 0.0"),
+    ("mod_variance-zero-before-missing-file", "rates --channel {path} --mod-variance=0", None, 2,
+     "error: mod_variance must be positive, got 0.0"),
+    ("gain_c-inf-before-bad-file", RATES + " --gain-c=inf", "re_t=0.9 noise_var=0.2\n", 2,
+     "error: gain_c must be finite, got inf"),
+    ("gain_c-inf-before-missing-file", RATES + " --gain-c=inf", None, 2,
+     "error: gain_c must be finite, got inf"),
+    # rates rows
+    ("degenerate-attack-noise", "rates --channel {path} --mod-variance 2",
+     "re_t=0.5 noise_var=0.2\n", 3,
+     "error: optimal-attack noise undefined: the inverted SNR bracket is 0 (must be > 0)"),
+    ("fully-tapped-subchannel", RATES, RECORD + "re_t=0 noise_var=0.2 eve_w=1.4\n", 3,
+     "error: excess noise diverges: the eavesdropper tap transmits everything"),
+    # mod_variance * fade_sq overflows: the bracket is inf / inf
+    ("nan-bracket", "rates --channel {path} --mod-variance 1e308 --fades 10,10", CHANNEL_TEXT, 3,
+     "error: optimal-attack noise undefined: the inverted SNR bracket is nan (must be > 0)"),
+    # 1e-20 over the bracket of a huge input noise underflows to 0
+    ("attack-noise-underflow", "rates --channel {path} --mod-variance 1e-20 --fades 1e-300",
+     "re_t=1e-8 noise_var=1.0 eve_w=1e290\n", 2,
+     "error: optimal-attack noise underflows to 0.0: mod_variance 1e-20 is too small "
+     "for the attack bracket"),
+    # 1e300 over a bracket of 2.2e-16 overflows to inf
+    ("attack-noise-overflow", "rates --channel {path} --mod-variance 1e300",
+     "vacuum_variance=0.9999999999999999\nre_t=0.5 noise_var=1 eve_w=1\n", 2,
+     "error: optimal-attack noise overflows to inf: mod_variance 1e+300 is too large "
+     "for the attack bracket"),
+    # the boosted variance 1e308 * (1 + 1) overflows, so the svd cells are inf
+    ("total-overflow", "rates --channel {path} --mod-variance 1e308",
+     "vacuum_variance=0.5\nre_t=0.5 noise_var=1 eve_w=1\n", 2,
+     "error: svd_capacity must be finite and >= 0, got inf"),
+    # constellation
+    ("constellation-negative-seed-l1", "constellation --bits 1 --l 1 --seed -1", None, 2,
+     "error: seed must be >= 0, got -1"),
+    ("constellation-negative-seed-l2", "constellation --bits 1 --l 2 --seed -1", None, 2,
+     "error: seed must be >= 0, got -1"),
+    ("constellation-no-bits", "constellation --bits 0", None, 2,
+     "error: secret_rate must lie in (0, 16.0], got 0.0"),
+    # mc settings, from a config file at its line or from flags
+    ("config-unknown-key", "mc --config {path}", "mode=mean_fade\nsnr=5,10,20\nbogus=1\n", 2,
+     "error: {path}:3: unknown key 'bogus'; "
+     "allowed: mode, l, multiplex, snr, snr_unit, trials, seed, fade_variance, threads"),
+    ("config-l-not-an-int", "mc --config {path}", "mode=mean_fade\nsnr=5,10,20\nl=2.5\n", 2,
+     "error: {path}:3: l must be of type int, got '2.5'"),
+    ("config-trials-not-an-int", "mc --config {path}", "mode=mean_fade\nsnr=5,10,20\ntrials=1e6\n",
+     2, "error: {path}:3: trials must be of type int, got '1e6'"),
+    ("config-fade_variance-not-a-float", "mc --config {path}",
+     "mode=mean_fade\nsnr=5,10,20\nfade_variance=x\n", 2,
+     "error: {path}:3: fade_variance must be of type float, got 'x'"),
+    ("config-mode-not-a-choice", "mc --config {path}", "snr=5,10,20\nmode=fast\n", 2,
+     "error: {path}:2: mode must be mean_fade or rate, got 'fast'"),
+    ("config-snr_unit-not-a-choice", "mc --config {path}", "snr=5,10,20\nsnr_unit=dB\n", 2,
+     "error: {path}:2: snr_unit must be linear or db, got 'dB'"),
+    ("mc-missing-mode-and-snr", "mc --trials 2000", None, 2,
+     "error: missing mc settings: mode, snr"),
+    ("mc-l-above-2^20", "mc --mode mean_fade --l 1048577 --snr 2,3,4", None, 2,
+     "error: l must lie in [1, 1048576], got 1048577"),
+    ("mc-l-zero", "mc --mode mean_fade --l 0 --snr 2,3,4", None, 2,
+     "error: l must lie in [1, 1048576], got 0"),
+    ("mc-trials-below-1000", "mc --mode mean_fade --snr 2,3,4 --trials 999", None, 2,
+     "error: trials must be >= 1000, got 999"),
+    ("mc-multiplex-above-one", "mc --mode rate --multiplex 1.5 --snr 2,3,4", None, 2,
+     "error: multiplex_ratio must lie in [0, 1], got 1.5"),
+    ("mc-fade-variance-zero", "mc --mode mean_fade --snr 2,3,4 --fade-variance 0", None, 2,
+     "error: fade_variance must be finite and positive, got 0.0"),
+    ("mc-fade-variance-inf", "mc --mode mean_fade --snr 10,31.6,100 --fade-variance inf", None, 2,
+     "error: fade_variance must be finite and positive, got inf"),
+    ("mc-threads-zero", "mc --mode mean_fade --snr 10,31.6,100 --threads 0", None, 2,
+     "error: threads must be >= 1, got 0"),
+    ("mc-threads-negative", "mc --mode mean_fade --snr 10,31.6,100 --threads -3", None, 2,
+     "error: threads must be >= 1, got -3"),
+    ("mc-seed-negative", "mc --mode mean_fade --snr 10,31.6,100 --seed -1", None, 2,
+     "error: seed must be >= 0, got -1"),
+    ("mc-refused-point", "mc --mode mean_fade --l 4 --snr 1e3,1e4,1e5 --trials 2000", None, 4,
+     "error: refusing mean-fade outage at snr=1000: analytic outage probability 1.063e-11 "
+     "is below 1e-08 and cannot be resolved by sampling; use the closed-form power laws for "
+     "this regime"),
+    # a constant grid exits 3 before anything is drawn (one event in a
+    # million per point: 1000 trials would see none), but only after a bad
+    # thread count and a refused point have given their own exits
+    ("constant-grid-before-sampling", "mc --mode mean_fade --l 1 --snr 1e6,1e6,1e6 --trials 1000",
+     None, 3, "error: snr grid is constant; slope undefined"),
+    ("constant-grid-after-threads", "mc --mode mean_fade --l 4 --snr 2,2,2 --threads 0", None, 2,
+     "error: threads must be >= 1, got 0"),
+    ("constant-grid-after-mean-fade-refusal", "mc --mode mean_fade --l 4 --snr 1e5,1e5,1e5", None,
+     4, "error: refusing mean-fade outage at snr=100000: analytic outage probability 1.067e-19 "
+     "is below 1e-08 and cannot be resolved by sampling; use the closed-form power laws for "
+     "this regime"),
+    ("constant-grid-after-rate-refusal", "mc --mode rate --multiplex 0 --snr 2,2,2", None, 4,
+     "error: refusing rate outage at snr=2: outage upper bound 0.000e+00 is below 1e-08 and "
+     "cannot be resolved by sampling; use the closed-form power laws for this regime"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, text, message",
-    [
-        (("tradeoff", "--kind", "single", "--grid", "0.5", "--precision", "abc"), None,
-         "mcqkd tradeoff: error: argument --precision: "
-         "must be an integer in [1, 2147483647], got 'abc'"),
-        (("mc", "--config", "{path}"), "mode=mean_fade\nsnr\n",
-         "error: {path}:2: expected key=value, got 'snr'"),
-        (("mc", "--config", "{path}"), "mode=mean_fade\nsnr=5,10,20\nseed=1\nseed=2\n",
-         "error: {path}:4: duplicate key 'seed'"),
-        # the comment line and the blank line are skipped, and counted
-        (("svd", "--matrix", "{path}"), "# header\n0.5:0,0.1:0\n\n0.2:0,1:x\n",
-         "error: {path}:4: bad entry '1:x'"),
-        (("svd", "--matrix", "{path}"), "# only a comment\n\n# another\n",
-         "error: {path}: no matrix rows found"),
-        (("svd", "--matrix", "{path}"), "0.5:0,0.1:0\n\n0.2:0,1:nan\n",
-         "error: {path}:3: matrix entries must be finite, got '1:nan'"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2", "--fades", "0.5,0.6,0.7"),
-         CHANNEL_TEXT, "error: expected 2 fade values, got 3"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "re_t=0.5 noise_var\n",
-         "error: {path}:1: expected key=value, got 'noise_var'"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
-         "bogus=1\nre_t=0.5 noise_var=0.2 eve_w=1.4\n",
-         "error: {path}:1: unknown directive keys ['bogus']"),
-        (("constellation", "--bits", "2", "--l", "0"), None, "error: l must be >= 1, got 0"),
-        (("constellation", "--bits", "2", "--l", "-3"), None, "error: l must be >= 1, got -3"),
-        # a grid cell that is not a number is named with its flag or setting,
-        # before any table-wide parameter (--z 0.5 is bad too)
-        (("perr", "--snr", "1,x", "--multiplex", "0.5"), None,
-         "error: --snr values must be numbers, got 'x'"),
-        (("perr", "--snr", "1", "--multiplex", "0.5", "--l", "1,x"), None,
-         "error: --l values must be numbers, got 'x'"),
-        (("tradeoff", "--kind", "single", "--grid", "0.5,x", "--z", "0.5"), None,
-         "error: --grid values must be numbers, got 'x'"),
-        (("tradeoff", "--kind", "single", "--grid", "0:1:y"), None,
-         "error: --grid values must be numbers, got 'y'"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2", "--fades", "1,x"),
-         CHANNEL_TEXT, "error: --fades values must be numbers, got 'x'"),
-        (("mc", "--mode", "rate", "--snr", "2,3,x"), None,
-         "error: --snr values must be numbers, got 'x'"),
-        (("mc", "--config", "{path}"), "mode=rate\nsnr=2,3,x\n",
-         "error: snr values must be numbers, got 'x'"),
-        # every other grid fault is named with its flag or setting too
-        (("perr", "--snr", "inf,10", "--multiplex", "0.6"), None,
-         "error: --snr values must be finite, got 'inf,10'"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1", "--fades=1:0:1"), CHANNEL_TEXT,
-         "error: --fades range '1:0:1' needs step > 0 and stop >= start"),
-        (("mc", "--mode", "rate", "--snr", "1:2"), None,
-         "error: --snr range must be start:stop:step, got '1:2'"),
-        (("mc", "--config", "{path}"), "mode=rate\nsnr=1:2\n",
-         "error: snr range must be start:stop:step, got '1:2'"),
-        (("perr", "--snr", "", "--multiplex", "0.5"), None,
-         "error: --snr is an empty grid, got ''"),
-        (("tradeoff", "--kind", "single", "--grid", "0:1:1e-7"), None,
-         "error: --grid range '0:1:1e-7' has more than 1000000 points"),
-        (("perr", "--snr", "10", "--multiplex", "0.5", "--l", "0.5"), None,
-         "error: --l must be an integer >= 1 in every cell, got '0.5'"),
-        # an empty --fades is refused, not taken for no --fades
-        (("rates", "--channel", "{path}", "--mod-variance", "1", "--fades="), CHANNEL_TEXT,
-         "error: --fades is an empty grid, got ''"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1", "--fades", ","), CHANNEL_TEXT,
-         "error: --fades is an empty grid, got ','"),
-        # the file is written as latin-1, so "\xff" is the byte 0xff, not UTF-8
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "# \xff\n",
-         UNDECODABLE),
-        (("svd", "--matrix", "{path}"), "# \xff\n", UNDECODABLE),
-        (("mc", "--config", "{path}"), "# \xff\n", UNDECODABLE),
-        # a channel record value that is not a number is named with its key
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "re_t=abc noise_var=1\n",
-         "error: {path}:1: re_t must be a number, got 'abc'"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"), "re_t=0.5, noise_var=x\n",
-         "error: {path}:1: noise_var must be a number, got 'x'"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
-         "# a record\nre_t=0.5 noise_var=0.2 eve_w=1.4x\n",
-         "error: {path}:2: eve_w must be a number, got '1.4x'"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
-         "re_t=0.5 noise_var=0.2 bogus=1\n", "error: {path}:1: unknown record keys ['bogus']"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
-         "re_t=0.5 eve_w=1.2\n", "error: {path}:1: missing record keys ['noise_var']"),
-        (("rates", "--channel", "{path}", "--mod-variance", "1.2"),
-         "re_t=0.5 noise_var=0.2\nvacuum_variance=1\n",
-         "error: {path}:2: directives must precede sub-channel records"),
-        # a whole-file fault is named with its path
-        (("svd", "--matrix", "{path}"), "1:0,2:0\n",
-         "error: {path}: inputs must not exceed outputs, got 2 inputs and 1 outputs"),
-    ],
-    ids=["precision-not-an-integer", "config-line-without-value", "config-key-twice",
-         "matrix-bad-cell-after-comment", "matrix-comments-only", "matrix-non-finite-cell",
-         "fade-count", "channel-field-without-value", "channel-unknown-directive",
-         "constellation-no-subchannel", "constellation-negative-l", "perr-snr-cell",
-         "perr-l-cell", "tradeoff-grid-cell", "tradeoff-range-cell", "rates-fades-cell",
-         "mc-snr-cell", "mc-config-snr-cell", "perr-snr-not-finite", "rates-fades-bad-range",
-         "mc-snr-range-shape", "mc-config-snr-range-shape", "perr-snr-empty",
-         "tradeoff-grid-too-many-points", "perr-l-not-an-integer", "rates-fades-empty",
-         "rates-fades-no-cell", "channel-not-utf8", "matrix-not-utf8", "config-not-utf8",
-         "channel-re_t-not-a-number", "channel-noise_var-not-a-number",
-         "channel-eve_w-not-a-number", "channel-unknown-record-key",
-         "channel-missing-record-key", "channel-directive-after-record", "matrix-too-wide"],
-)
-def test_input_error_exits_2_with_its_stderr_line(capsys, tmp_path, argv, text, message):
-    """Only argparse prints a usage block, above its error line."""
+@pytest.mark.parametrize("argv, text, code, message", [row[1:] for row in ERROR_EXITS],
+                         ids=[row[0] for row in ERROR_EXITS])
+def test_error_exit_writes_one_stderr_line(capsys, tmp_path, argv, text, code, message):
+    """A run exits with the row's code, writes nothing to stdout, issues no
+    Python warning and ends stderr with the row's line.  Only argparse prints
+    lines above it: a usage block of the row's subcommand."""
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text, encoding="latin-1")
-    code = main([a.format(path=path) for a in argv])
+    argv = [a.format(path=path) for a in argv.split()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
+    assert (got, captured.out) == (code, "")
     *usage, last = captured.err.splitlines()
     assert last == message.format(path=path)
-    assert not usage or usage[0].startswith("usage: mcqkd tradeoff")
+    assert not usage or usage[0].startswith(f"usage: mcqkd {argv[0]} ")
 
 
 @pytest.mark.parametrize(
@@ -1036,58 +924,6 @@ class TestTableWideParametersFirst:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (("--mod-variance=0",), "mod_variance must be positive, got 0.0"),
-            (("--mod-variance=-1",), "mod_variance must be positive, got -1.0"),
-            (("--mod-variance=1.2", "--gain-c=0"), "gain_c must be > 0, got 0.0"),
-        ],
-        ids=["mod-variance-zero", "mod-variance-negative", "gain-c-zero"],
-    )
-    def test_rates_parameter_exits_2_before_the_fade_count(self, capsys, tmp_path, flags, message):
-        # three fades for the two active sub-channels of CHANNEL_TEXT
-        argv = with_input_files(tmp_path, ["rates", "--channel", "{channel}", *flags])
-        code = main([*argv, "--fades", "0.1,0.2,0.3"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (("--mod-variance=0",), "mod_variance must be positive, got 0.0"),
-            (("--mod-variance=1.2", "--gain-c=inf"), "gain_c must be finite, got inf"),
-        ],
-        ids=["mod-variance-zero", "gain-c-infinite"],
-    )
-    @pytest.mark.parametrize("channel_text", ["re_t=0.9 noise_var=0.2\n", None],
-                             ids=["bad-file", "missing-file"])
-    def test_rates_parameter_exits_2_before_the_channel_file(
-        self, capsys, tmp_path, flags, message, channel_text
-    ):
-        path = tmp_path / "channel.txt"
-        if channel_text is not None:
-            path.write_text(channel_text)
-        code = main(["rates", "--channel", str(path), *flags])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    @pytest.mark.parametrize("grid", ["0.5", "0.5,0.25"])
-    def test_g_scale_out_of_range_exits_3_before_any_point(self, capsys, grid):
-        code = main(["tradeoff", "--kind", "g_scaled", "--g", "1.5", f"--grid=-1,{grid}"])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.err == "error: g_scale must lie in [0, 1), got 1.5\n"
-
-    def test_a_bad_point_alone_keeps_its_domain_exit(self, capsys):
-        code = main(["tradeoff", "--kind", "single", "--grid=0.5,0"])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.err == "error: multiplex_ratio must lie in (0, 1], got 0.0\n"
-        code = main(["perr", "--snr", "1,0.5", "--multiplex", "0.5"])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.err == "error: power-law outage needs snr >= 1, got 0.5\n"
 
 
 @functools.cache
